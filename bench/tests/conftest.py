@@ -1,0 +1,8 @@
+"""Put the benchmark's modules and the checkout's ``src`` on the import path."""
+
+import os
+import sys
+
+BENCH_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, BENCH_DIR)
+sys.path.insert(0, os.path.join(os.path.dirname(BENCH_DIR), "src"))
