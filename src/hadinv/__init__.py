@@ -11,8 +11,8 @@ attached to a factor spec (n_1, ..., n_k) with N = n_1 * ... * n_k:
 - the vertex-model criterion (dimA == 1) and biunitarity checks;
 - the modified relative entropy of the pair and its log(N/dimA) bound.
 
-Every derived invariant is cross-checked against an independent
-brute-force route; disagreements raise ``OracleMismatch``.
+Every derived invariant is cross-checked against an independent route;
+disagreements raise ``OracleMismatch``.
 """
 
 from .algebra import (

@@ -28,6 +28,7 @@ from .groups import GroupStructure, extract_subgroup, realize_subgroup
 from .hadamard import (
     DpwForm,
     FourierSpec,
+    are_conjugate,
     clock_vec,
     decompose_dpw,
     fourier,
@@ -109,7 +110,8 @@ def cmd_gen(args, tol: ToleranceConfig) -> int:
     else:  # dpw
         if args.perm is None or args.phases is None:
             raise HadinvError("--kind dpw needs --perm and --phases")
-        form = DpwForm(spec=spec, perm=_csv_ints(args.perm), phases=_csv_complex(args.phases))
+        perm, phases = _csv_ints(args.perm), _csv_complex(args.phases)
+        form = DpwForm(spec=spec, perm=perm, phases=phases, tol=tol)
         matrix = form.realize()
     _write(dumps(matrix_to_obj(matrix)), args.out)
     return EXIT_OK
@@ -148,7 +150,7 @@ def cmd_check(args, tol: ToleranceConfig) -> int:
         conjugate = None
         if spec is not None:
             try:
-                conjugate = decompose_dpw(u, spec, tol).perm == decompose_dpw(v, spec, tol).perm
+                conjugate = are_conjugate(u, v, spec, tol)
             except HadinvError:
                 conjugate = None
         obj = {
@@ -301,6 +303,12 @@ def _sweep_random_row(spec: FourierSpec, seed: int, sample: int, tol: ToleranceC
     return row
 
 
+def _fixed6(x: float) -> str:
+    """Six decimals; a value that rounds to zero prints as ``0.000000``, never ``-0.000000``."""
+    text = f"{x:.6f}"
+    return text[1:] if text == "-0.000000" else text
+
+
 def _sweep_text(rows: list[dict], total_violations: int) -> str:
     lines = []
     for row in rows:
@@ -315,8 +323,8 @@ def _sweep_text(rows: list[dict], total_violations: int) -> str:
         index = Fraction(row["index"]["num"], row["index"]["den"])
         lines.append(
             f"{key} dimA={row['dimA']} index={index} "
-            f"h={row['entropy_h']:.6f} bound={row['entropy_upper']:.6f} "
-            f"gap={row['gap']:.6f} violations={len(row['violations'])}"
+            f"h={_fixed6(row['entropy_h'])} bound={_fixed6(row['entropy_upper'])} "
+            f"gap={_fixed6(row['gap'])} violations={len(row['violations'])}"
         )
     lines.append(f"rows={len(rows)} violations={total_violations}")
     return "\n".join(lines) + "\n"

@@ -9,7 +9,7 @@ and the clock diagonal; the identity and conjugation checks in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -235,11 +235,16 @@ def perm_phase_certificate(u, v, tol: ToleranceConfig = DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class DpwForm:
-    """Normal form ``diag(phases) @ perm_matrix(perm) @ fourier_tensor(spec)``."""
+    """Normal form ``diag(phases) @ perm_matrix(perm) @ fourier_tensor(spec)``.
+
+    ``tol`` decides the unit-modulus check on the phases; it is not part of
+    the form and takes no part in comparisons.
+    """
 
     spec: FourierSpec
     perm: tuple[int, ...]
     phases: tuple[complex, ...]
+    tol: ToleranceConfig = field(default=DEFAULT_TOL, compare=False, repr=False)
 
     def __post_init__(self):
         spec = FourierSpec.of(self.spec)
@@ -254,7 +259,7 @@ class DpwForm:
         if sorted(perm) != list(range(n)):
             raise ValueError(f"perm is not a permutation of 0..{n - 1}")
         moduli = np.abs(np.asarray(phases))
-        if np.abs(moduli - 1.0).max() >= DEFAULT_TOL.eps_entry:
+        if np.abs(moduli - 1.0).max() >= self.tol.eps_entry:
             raise ValueError("phases must have modulus one")
 
     @property
@@ -279,7 +284,7 @@ def decompose_dpw(x, spec, tol: ToleranceConfig = DEFAULT_TOL) -> DpwForm:
     if not classify(m, tol).complex_permutation:
         raise NotDpwForm("input is not diagonal * permutation * Fourier tensor for this spec")
     perm, phases = _split_complex_permutation(m)
-    return DpwForm(spec=spec, perm=tuple(perm.tolist()), phases=tuple(phases.tolist()))
+    return DpwForm(spec=spec, perm=tuple(perm.tolist()), phases=tuple(phases.tolist()), tol=tol)
 
 
 def are_conjugate(x, y, spec, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

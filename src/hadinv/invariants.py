@@ -1,12 +1,29 @@
 """Assembled invariants of a pair of Hadamard matrices over one spec.
 
 A pair report collects: distinctness and conjugacy certificates, the
-dimension of the intersection algebra ``U Delta U* & V Delta V*`` (computed
-generically by subspace intersection and, independently, as the order of
-the extracted subgroup — the two must agree), the index value N^2/dimA as
-an exact rational, the relative commutant of the intersection inside the
-diagonal algebra, the vertex-model criterion dimA == 1, and the modified
-relative entropy together with its upper bound ``log(N / dimA)``.
+dimension of the intersection algebra ``A = U Delta U* & V Delta V*``, the
+index value N^2/dimA as an exact rational, the relative commutant of A
+inside the diagonal algebra, the vertex-model criterion dimA == 1, and the
+modified relative entropy together with its upper bound ``log(N / dimA)``.
+
+dimA and the relative commutant come from support graphs.  With
+``X = U* V`` the intersection is ``U (Delta & X Delta X*) U*``, and the
+minimal projections ``P_c`` of ``Delta & X Delta X*`` are the connected
+components of the bipartite graph whose edges are the entries of X above
+``eps_entry``.  A diagonal commutes with A exactly when it is constant
+across every edge of the graph on [N] joining i and j whenever some
+``(U P_c U*)_ij`` lies above ``eps_entry``, so the relative commutant has
+one dimension per component of that graph.
+
+Each invariant is checked on every call against a second, independent
+route: the subgroup H of clock exponents r with ``U D_r U*`` inside
+``V Delta V*`` (``extract_subgroup``).  The conjugates ``U D_r U*`` span a
+subalgebra of A, all of A for conjugate and for equivalent pairs, so
+``|H| <= dimA`` with equality there; for a normal-form U their commutant
+in Delta is the diagonals constant on the N/|H| H-orbits, so the relative
+commutant dimension is at most N/|H|, again with equality there.  The
+dense subspace-intersection and commutant routes of :mod:`hadinv.algebra`
+serve as the oracle in tests.
 
 All logarithms are natural.
 """
@@ -20,7 +37,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import commutant, diag_conj_algebra, diagonal_algebra, intersect_algebras
 from .errors import DimMismatch, DomainError, NonUnitary, NotClosed, NotDpwForm, OracleMismatch, OrderTooLarge
 from .groups import GroupStructure, SubgroupSet, divisors, extract_subgroup, realize_subgroup
 from .hadamard import (
@@ -64,8 +80,9 @@ def modified_entropy(u, v, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Modified relative entropy of the pair: ``(1/N) sum eta(|(u* v)_ij|^2)``.
 
     Defined for any two unitaries of one dimension; the squared moduli of
-    ``u* v`` form a doubly stochastic matrix, which is asserted before
-    summing.  Natural-log units; ranges over [0, log N].
+    ``u* v`` form a doubly stochastic matrix, which is asserted within
+    ``tol.eps_entry`` (the scale at which the inputs were accepted as
+    unitary) before summing.  Natural-log units; ranges over [0, log N].
     """
     u = as_matrix(u)
     v = as_matrix(v)
@@ -77,9 +94,38 @@ def modified_entropy(u, v, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     profile = np.abs(dagger(u) @ v) ** 2
     row_err = np.abs(profile.sum(axis=1) - 1.0).max()
     col_err = np.abs(profile.sum(axis=0) - 1.0).max()
-    if max(row_err, col_err) > 1e-9:
+    if max(row_err, col_err) > tol.eps_entry:
         raise OracleMismatch("squared-modulus profile failed the doubly stochastic check")
     return float(_eta_array(profile).sum() / n)
+
+
+def _component_labels(adj: np.ndarray) -> np.ndarray:
+    """Per vertex of a boolean graph, the smallest vertex of its connected component.
+
+    Squares the reachability matrix until it stops growing, so at most
+    ``log2(#vertices) + 1`` products of 0/1 matrices are taken.
+    """
+    reach = (adj | adj.T | np.eye(adj.shape[0], dtype=bool)).astype(float)
+    while True:
+        grown = (reach @ reach > 0).astype(float)
+        if (grown == reach).all():
+            return reach.argmax(axis=1)
+        reach = grown
+
+
+def _support_graph_invariants(u: np.ndarray, v: np.ndarray, eps: float) -> tuple[int, int]:
+    """``(dimA, relcomm_dims)`` from the support graphs of ``U* V`` and of the ``U P_c U*``."""
+    n = u.shape[0]
+    big = np.abs(dagger(u) @ v) > eps
+    bipartite = np.zeros((2 * n, 2 * n), dtype=bool)
+    bipartite[:n, n:] = big
+    labels = _component_labels(bipartite)
+    rows = labels[:n]
+    support = np.zeros((n, n), dtype=bool)
+    for c in np.unique(rows):
+        cols = u[:, rows == c]
+        support |= np.abs(cols @ dagger(cols)) > eps
+    return len(np.unique(labels)), len(np.unique(_component_labels(support)))
 
 
 @dataclass(frozen=True)
@@ -109,10 +155,13 @@ class InvariantReport:
 def pair_report(u, v, spec, tol: ToleranceConfig = DEFAULT_TOL) -> InvariantReport:
     """Compute every pair invariant, cross-checked between independent routes.
 
-    The intersection dimension is computed generically (subspace
-    intersection of the two conjugated diagonal algebras) and compared with
-    the extracted subgroup order whenever the latter is available; any
-    disagreement raises ``OracleMismatch``.
+    dimA and the relative commutant dimension are component counts of
+    support graphs at ``tol.eps_entry`` (see the module docstring).  When
+    the subgroup H is extracted, dimA must equal |H| on conjugate and on
+    equivalent pairs and be at least |H| on the others; when in addition
+    both matrices are in normal form, the relative commutant dimension must
+    equal, respectively be at most, N/|H|.  Any disagreement raises
+    ``OracleMismatch``.
     """
     spec = FourierSpec.of(spec)
     n = spec.dim
@@ -136,8 +185,7 @@ def pair_report(u, v, spec, tol: ToleranceConfig = DEFAULT_TOL) -> InvariantRepo
     except NotDpwForm:
         flags.append("not-dpw-form")
 
-    inter = intersect_algebras(diag_conj_algebra(u, tol), diag_conj_algebra(v, tol), tol)
-    dim_a = inter.dim
+    dim_a, relcomm_dims = _support_graph_invariants(u, v, tol.eps_entry)
 
     subgroup: SubgroupSet | None = None
     if identical:
@@ -148,15 +196,25 @@ def pair_report(u, v, spec, tol: ToleranceConfig = DEFAULT_TOL) -> InvariantRepo
         except NotClosed:
             flags.append("subgroup-not-closed")
 
-    if subgroup is not None and subgroup.size != dim_a:
-        raise OracleMismatch(
-            f"subgroup order {subgroup.size} disagrees with intersection dimension {dim_a}"
-        )
+    if subgroup is not None:
+        # the clock conjugates U D_r U* (r in H) span all of A only for
+        # conjugate and equivalent pairs; otherwise they span a subalgebra
+        spans_a = conjugate or not distinct
+        size, orbits = subgroup.size, n // subgroup.size
+        dim_ok = size == dim_a if spans_a else size <= dim_a
+        relcomm_ok = relcomm_dims == orbits if spans_a else relcomm_dims <= orbits
+        if not dim_ok:
+            raise OracleMismatch(
+                f"subgroup order {size} disagrees with intersection dimension {dim_a}"
+            )
+        if "not-dpw-form" not in flags and not relcomm_ok:
+            raise OracleMismatch(
+                f"relative commutant dimension {relcomm_dims} disagrees with N/|H| = {n}/{size}"
+            )
     if not 1 <= dim_a <= n:
         raise OracleMismatch(f"intersection dimension {dim_a} outside [1, {n}]")
 
     index = Fraction(n * n, dim_a)
-    relcomm_dims = commutant(inter, diagonal_algebra(n), tol).dim
     vertex = dim_a == 1
     entropy = modified_entropy(u, v, tol)
     upper = math.log(n / dim_a)

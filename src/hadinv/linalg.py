@@ -29,7 +29,6 @@ __all__ = [
     "ad",
     "classify",
     "trace_inner",
-    "frobenius_norm",
     "orthonormal_basis",
     "nullspace",
     "subspace_intersection",
@@ -145,10 +144,6 @@ def trace_inner(a, b) -> complex:
     if a.shape != b.shape:
         raise DimMismatch(f"trace pairing of {a.shape} with {b.shape}")
     return complex(np.vdot(b, a) / a.shape[0])
-
-
-def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(np.asarray(m)))
 
 
 def orthonormal_basis(mats, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:

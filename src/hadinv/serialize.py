@@ -29,7 +29,6 @@ __all__ = [
     "report_to_obj",
     "dumps",
     "load_matrix",
-    "save_matrix",
 ]
 
 
@@ -132,8 +131,3 @@ def dumps(obj) -> str:
 def load_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as handle:
         return matrix_from_obj(json.load(handle))
-
-
-def save_matrix(path, m: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(matrix_to_obj(m)))

@@ -160,6 +160,46 @@ class TestReport:
         assert "forced disagreement" in err
 
 
+    def test_relcomm_mismatch_exits_three(self, capsys, tmp_path, monkeypatch):
+        from hadinv import invariants
+
+        # the support graph reports the right dimA but a relative commutant
+        # dimension other than N/|H|
+        monkeypatch.setattr(invariants, "_support_graph_invariants", lambda u, v, eps: (2, 1))
+        pu = write_matrix(tmp_path / "u.json", fourier(4))
+        pv = write_matrix(tmp_path / "v.json", np.diag([1, 1, -1, -1]) @ fourier(4))
+        code, _, err = run(capsys, "report", pu, pv, "--spec", "4")
+        assert code == 3
+        assert "relative commutant dimension 1" in err
+
+    def test_phase_noise_below_loose_tolerance(self, capsys, tmp_path):
+        # the dimA=4 staircase pair over (8,) with 1e-7 row phase noise: both
+        # routes judge the noise at eps_entry = 1e-6 and agree on dimA
+        f8 = fourier(8)
+        noise = np.exp(1e-7j * np.random.default_rng(59).uniform(-1.0, 1.0, 8))
+        pu = write_matrix(tmp_path / "u.json", f8)
+        pv = write_matrix(tmp_path / "v.json", np.diag(noise * 1j ** (np.arange(8) // 2)) @ f8)
+        code, out, err = run(
+            capsys, "report", pu, pv, "--spec", "8", "--tolerance", "1e-6", "--format", "text"
+        )
+        assert code == 0, err
+        assert "dimA: 4" in out
+        assert "relcomm_dims: 2" in out
+
+    def test_non_conjugate_pair_exits_zero(self, capsys, tmp_path):
+        # normal forms with different permutations: A is larger than the span
+        # of the clock conjugates (dimA 2, subgroup of order 1)
+        pu = write_matrix(tmp_path / "u.json", fourier(4))
+        pv = write_matrix(tmp_path / "v.json", np.eye(4)[[0, 1, 3, 2]] @ fourier(4))
+        code, out, err = run(capsys, "report", pu, pv, "--spec", "4")
+        assert code == 0, err
+        obj = json.loads(out)
+        assert obj["conjugate"] is False
+        assert obj["dimA"] == 2
+        assert obj["relcomm_dims"] == 1
+        assert obj["subgroup"]["members"] == [[0]]
+
+
 class TestRealize:
     def test_half_order(self, capsys, tmp_path):
         out_u = tmp_path / "u.json"
@@ -197,6 +237,20 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert len(lines) == 3  # two divisor rows plus the summary
         assert lines[-1] == "rows=2 violations=0"
+
+    def test_realize_mode_text_has_no_negative_zero(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--spec", "8", "--mode", "realize", "--format", "text")
+        assert code == 0
+        assert "-0.000000" not in out
+        assert "divisors=8 dimA=8 index=8 h=0.000000 bound=0.000000 gap=0.000000" in out
+
+    def test_realize_mode_json_keeps_raw_gap(self, capsys):
+        from hadinv import realization_sweep
+
+        code, out, _ = run(capsys, "sweep", "--spec", "8", "--mode", "realize")
+        assert code == 0
+        expected = [rep.entropy_upper - rep.entropy_h for _, rep in realization_sweep((8,))]
+        assert [row["gap"] for row in json.loads(out)["rows"]] == expected
 
     def test_random_mode(self, capsys):
         code, out, _ = run(

@@ -1,24 +1,38 @@
 """Tests for entropy, pair reports, and realization sweeps."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hadinv.invariants
 from conftest import haar_unitary, maxabs, random_dpw
 from hadinv import (
     DimMismatch,
     DomainError,
+    HadinvError,
     NonUnitary,
+    OracleMismatch,
     OrderTooLarge,
+    ToleranceConfig,
+    commutant,
+    diag_conj_algebra,
+    diagonal_algebra,
+    divisors,
     eta,
     fourier,
+    fourier_tensor,
+    intersect_algebras,
     modified_entropy,
     pair_report,
     perm_matrix,
     random_conjugate_pair,
     realization_sweep,
+    realize_subgroup,
 )
 
 
@@ -153,6 +167,90 @@ class TestPairReport:
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             pair_report(fourier(2), fourier(2), (4,))
+
+    def test_modulus_noise_under_coarse_tolerance(self):
+        # rows of a dimA=4 staircase pair scaled by 1 +- 1e-4; at eps_entry
+        # 1e-3 the normal form must accept the phases instead of leaking a
+        # bare ValueError out of DpwForm
+        f8 = fourier(8)
+        v = np.diag(1j ** (np.arange(8) // 2)) @ f8
+        noise = 1.0 + 1e-4 * np.random.default_rng(57).uniform(-1.0, 1.0, 8)
+        try:
+            rep = pair_report(f8, np.diag(noise) @ v, (8,), ToleranceConfig(eps_entry=1e-3))
+        except HadinvError as exc:
+            pytest.fail(f"noisy pair within tolerance raised {exc!r}")
+        assert rep.dim_a == 4
+        assert rep.relcomm_dims == 2
+        assert rep.conjugate and rep.certified
+
+
+def _ordered_factorizations(n: int) -> list[tuple[int, ...]]:
+    if n == 1:
+        return [()]
+    return [(f, *rest) for f in range(2, n + 1) if n % f == 0 for rest in _ordered_factorizations(n // f)]
+
+
+SPECS_UP_TO_16 = [spec for n in range(2, 17) for spec in _ordered_factorizations(n)]
+
+
+def _dense_invariants(u, v) -> tuple[int, int]:
+    """(dimA, relative commutant dimension) from the dense subspace and commutant routes."""
+    inter = intersect_algebras(diag_conj_algebra(u), diag_conj_algebra(v))
+    return inter.dim, commutant(inter, diagonal_algebra(u.shape[0])).dim
+
+
+def _assert_matches_dense(u, v, spec):
+    rep = pair_report(u, v, spec)
+    assert (rep.dim_a, rep.relcomm_dims) == _dense_invariants(u, v)
+    if rep.conjugate or not rep.distinct:
+        assert rep.dim_a * rep.relcomm_dims == u.shape[0]
+
+
+class TestSupportGraphOracle:
+    """The support-graph invariants of pair_report against the dense algebra routes."""
+
+    @pytest.mark.parametrize("spec", SPECS_UP_TO_16, ids=lambda s: ",".join(map(str, s)))
+    def test_every_realized_divisor_vector(self, spec):
+        for mvec in itertools.product(*[divisors(order) for order in spec]):
+            u, v = realize_subgroup(spec, mvec)
+            _assert_matches_dense(u, v, spec)
+
+    @pytest.mark.parametrize("spec", SPECS_UP_TO_16, ids=lambda s: ",".join(map(str, s)))
+    def test_random_conjugate_and_non_distinct_pairs(self, spec):
+        rng = np.random.default_rng(sum(spec) * 100 + len(spec))
+        n = math.prod(spec)
+        for _ in range(2):
+            _assert_matches_dense(*random_conjugate_pair(spec, rng), spec)
+        u = random_dpw(spec, rng)
+        v = u @ perm_matrix(rng.permutation(n)) @ np.diag(np.exp(2j * np.pi * rng.random(n)))
+        _assert_matches_dense(u, v, spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_phase_diagonals(self, data):
+        spec = data.draw(st.sampled_from(SPECS_UP_TO_16), label="spec")
+        n = math.prod(spec)
+        # phases on a small root-of-unity grid hit non-trivial intersections
+        grid = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8, n]), label="grid")
+        w = fourier_tensor(spec)
+        mats = []
+        for side in ("u", "v"):
+            steps = data.draw(st.lists(st.integers(0, grid - 1), min_size=n, max_size=n), label=side)
+            perm = data.draw(st.permutations(range(n)), label=f"perm_{side}")
+            mats.append(np.diag(np.exp(2j * np.pi * np.array(steps) / grid)) @ perm_matrix(perm) @ w)
+        _assert_matches_dense(*mats, spec)
+
+    def test_relcomm_disagreement_raises(self, monkeypatch):
+        f4 = fourier(4)
+        monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", lambda u, v, eps: (2, 1))
+        with pytest.raises(OracleMismatch, match="relative commutant"):
+            pair_report(f4, np.diag([1, 1, -1, -1]) @ f4, (4,))
+
+    def test_dim_disagreement_raises(self, monkeypatch):
+        f4 = fourier(4)
+        monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", lambda u, v, eps: (1, 4))
+        with pytest.raises(OracleMismatch, match="subgroup order 2"):
+            pair_report(f4, np.diag([1, 1, -1, -1]) @ f4, (4,))
 
 
 class TestRealizationSweep:
