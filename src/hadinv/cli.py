@@ -6,9 +6,11 @@ pair for a divisor vector), ``sweep`` (realization tables and randomized
 property campaigns), ``verify`` (the identity suite).
 
 Exit codes are a stable contract: 0 success, 1 input error, 2 usage error,
-3 invariant/oracle violation, 4 verify-suite failure.  With a fixed seed,
-``sweep`` output is byte-identical across runs and across ``--jobs``
-settings.
+3 invariant/oracle violation, 4 verify-suite failure.  ``sweep`` computes
+its rows one after another in sample order; ``--jobs`` is accepted and has
+no effect, so with a fixed seed the output is byte-identical across runs
+and across ``--jobs`` settings.  Random rows draw their pairs from
+``random_conjugate_forms``, the sampler shared with the library.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -34,11 +35,10 @@ from .hadamard import (
     fourier,
     fourier_tensor,
     is_hadamard,
-    perm_matrix,
     perm_phase_certificate,
     shift_vec,
 )
-from .invariants import modified_entropy, pair_report, realization_sweep
+from .invariants import modified_entropy, pair_report, random_conjugate_forms, realization_sweep
 from .linalg import DEFAULT_TOL, ToleranceConfig, classify
 from .serialize import (
     dpw_to_obj,
@@ -249,25 +249,19 @@ def _sweep_realize_rows(spec: FourierSpec, tol: ToleranceConfig) -> list[dict]:
 
 
 def _sweep_random_row(spec: FourierSpec, seed: int, sample: int, tol: ToleranceConfig) -> dict:
-    # per-row generator keyed by (seed, sample): identical rows regardless of
-    # execution order or worker count
+    # per-row generator keyed by (seed, sample): a row depends on nothing else
     rng = np.random.default_rng([seed, sample])
     n = spec.dim
-    w = fourier_tensor(spec)
-    perm = rng.permutation(n)
-    phases_u = np.exp(2j * np.pi * rng.random(n))
-    phases_v = np.exp(2j * np.pi * rng.random(n))
+    form_u, form_v = random_conjugate_forms(spec, rng)
     extra_diag = np.exp(2j * np.pi * rng.random(n))
-    shared = perm_matrix(perm) @ w
-    u = np.diag(phases_u) @ shared
-    v = np.diag(phases_v) @ shared
+    u, v = form_u.realize(), form_v.realize()
 
     violations: list[str] = []
     row: dict = {
         "sample": sample,
-        "perm": [int(p) for p in perm],
-        "phases_u": [[float(z.real), float(z.imag)] for z in phases_u],
-        "phases_v": [[float(z.real), float(z.imag)] for z in phases_v],
+        "perm": list(form_u.perm),
+        "phases_u": [[z.real, z.imag] for z in form_u.phases],
+        "phases_v": [[z.real, z.imag] for z in form_v.phases],
     }
     try:
         report = pair_report(u, v, spec, tol)
@@ -338,12 +332,7 @@ def cmd_sweep(args, tol: ToleranceConfig) -> int:
         if args.seed is None:
             print("usage error: --mode random needs --seed", file=sys.stderr)
             return EXIT_USAGE
-        samples = range(args.samples)
-        if args.jobs and args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(lambda i: _sweep_random_row(spec, args.seed, i, tol), samples))
-        else:
-            rows = [_sweep_random_row(spec, args.seed, i, tol) for i in samples]
+        rows = [_sweep_random_row(spec, args.seed, i, tol) for i in range(args.samples)]
 
     total_violations = sum(len(row["violations"]) for row in rows)
     if args.format == "json":
@@ -430,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--mode", choices=("realize", "random"), default="realize")
     sweep.add_argument("--samples", type=int, default=50)
     sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--jobs", type=int, default=None)
+    sweep.add_argument("--jobs", type=int, default=None, help="accepted for compatibility; no effect")
     sweep.add_argument("--out", default=None)
     _common_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)

@@ -3,7 +3,10 @@
 A matrix pair (U, V) of one dimension singles out the exponent vectors r
 for which the clock conjugate ``U D_r U*`` lands inside ``V Delta V*``;
 that set is automatically closed under addition and is the subgroup
-governing the pair's index invariant.
+governing the pair's index invariant.  The clock diagonals ``D_r`` are
+the characters of the group, and the characters are the rows of
+``sqrt(N) W`` for the spec's Fourier tensor W (row r in lexicographic
+order), so no clock matrix is ever built.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .errors import (
     OrderTooLarge,
     RealizationFailed,
 )
-from .hadamard import FourierSpec, clock_vec, fourier_tensor, require_hadamard
+from .hadamard import FourierSpec, fourier_tensor, require_hadamard
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, dagger
 
 __all__ = [
@@ -122,8 +125,11 @@ class SubgroupSet:
 def extract_subgroup(u, v, group, tol: ToleranceConfig = DEFAULT_TOL) -> SubgroupSet:
     """Exponent vectors r with ``V* U D_r U* V`` diagonal, verified as a subgroup.
 
-    For distinct conjugate normal-form pairs over one spec this is the
-    subgroup whose order equals the dimension of the intersection algebra.
+    With ``X = U* V`` computed once, the test matrix is ``X* D_r X``, and
+    the diagonal of ``D_r`` is the character r: row r of ``sqrt(N) W``.
+    Off-diagonal entries are judged at ``tol.eps_entry``.  For distinct
+    conjugate normal-form pairs over one spec this is the subgroup whose
+    order equals the dimension of the intersection algebra.
     """
     group = GroupStructure.of(group)
     u = as_matrix(u)
@@ -134,14 +140,14 @@ def extract_subgroup(u, v, group, tol: ToleranceConfig = DEFAULT_TOL) -> Subgrou
     if np.abs(u - v).max() <= tol.eps_entry:
         raise ValueError("matrices are identical within tolerance; the pair is degenerate")
 
-    spec = FourierSpec(group.orders)
-    left = dagger(v) @ u
-    right = dagger(u) @ v
+    x = dagger(u) @ v
+    x_adj = dagger(x)
+    characters = np.sqrt(n) * fourier_tensor(group.orders)
     found = []
-    for r in elements(group):
-        m = left @ clock_vec(spec, r) @ right
-        off = m - np.diag(np.diag(m))
-        if np.abs(off).max() < tol.eps_entry:
+    for r, character in zip(elements(group), characters):
+        m = x_adj @ (character[:, None] * x)
+        np.fill_diagonal(m, 0.0)
+        if np.abs(m).max() < tol.eps_entry:
             found.append(r)
     return SubgroupSet(orders=group.orders, members=frozenset(found))
 

@@ -39,14 +39,7 @@ import numpy as np
 
 from .errors import DimMismatch, DomainError, NonUnitary, NotClosed, NotDpwForm, OracleMismatch, OrderTooLarge
 from .groups import GroupStructure, SubgroupSet, divisors, extract_subgroup, realize_subgroup
-from .hadamard import (
-    FourierSpec,
-    are_conjugate,
-    fourier_tensor,
-    perm_matrix,
-    perm_phase_certificate,
-    require_hadamard,
-)
+from .hadamard import DpwForm, FourierSpec, are_conjugate, perm_phase_certificate, require_hadamard
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, classify, dagger
 
 __all__ = [
@@ -55,6 +48,7 @@ __all__ = [
     "InvariantReport",
     "pair_report",
     "realization_sweep",
+    "random_conjugate_forms",
     "random_conjugate_pair",
 ]
 
@@ -279,16 +273,21 @@ def realization_sweep(spec, tol: ToleranceConfig = DEFAULT_TOL):
     return rows
 
 
-def random_conjugate_pair(spec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Sample a conjugate pair: shared uniform permutation, i.i.d. unit phases.
+def random_conjugate_forms(spec, rng: np.random.Generator) -> tuple[DpwForm, DpwForm]:
+    """Sample a conjugate pair of normal forms: shared uniform permutation, i.i.d. unit phases.
 
-    Returns ``(D P W, D~ P W)``; sharing the permutation makes the two
-    normal forms conjugate by construction.
+    Draws the permutation, then the phases of U, then those of V.  Sharing
+    the permutation makes the two forms conjugate by construction.
     """
     spec = FourierSpec.of(spec)
     n = spec.dim
-    w = fourier_tensor(spec)
-    shared = perm_matrix(rng.permutation(n)) @ w
+    perm = rng.permutation(n)
     phases_u = np.exp(2j * np.pi * rng.random(n))
     phases_v = np.exp(2j * np.pi * rng.random(n))
-    return np.diag(phases_u) @ shared, np.diag(phases_v) @ shared
+    return DpwForm(spec, perm, phases_u), DpwForm(spec, perm, phases_v)
+
+
+def random_conjugate_pair(spec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The realized matrices ``(D P W, D~ P W)`` of ``random_conjugate_forms``."""
+    form_u, form_v = random_conjugate_forms(spec, rng)
+    return form_u.realize(), form_v.realize()

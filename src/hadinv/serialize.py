@@ -1,7 +1,8 @@
 """JSON wire formats shared by the CLI and file I/O.
 
 Matrix JSON is ``{"dim": N, "entries": [[re, im], ...]}`` row-major with
-exactly N^2 pairs; readers reject wrong-length payloads.  The other formats
+an integer N and exactly N^2 pairs of finite numbers; readers reject
+anything else with ``ValueError``.  The other formats
 (normal forms, subgroups, algebra bases, pair reports) are documented on
 their readers/writers below.
 """
@@ -9,6 +10,7 @@ their readers/writers below.
 from __future__ import annotations
 
 import json
+import operator
 
 import numpy as np
 
@@ -45,20 +47,21 @@ def matrix_to_obj(m: np.ndarray) -> dict:
 
 
 def matrix_from_obj(obj) -> np.ndarray:
+    """Matrix JSON to an N x N complex array; any malformed payload raises ``ValueError``."""
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ValueError("matrix JSON must carry 'dim' and 'entries'")
-    dim = int(obj["dim"])
+    try:
+        dim = operator.index(obj["dim"])
+        flat = np.ascontiguousarray(obj["entries"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed matrix JSON: {exc}") from None
     if dim < 1:
         raise ValueError(f"matrix dim must be >= 1, got {dim}")
-    entries = obj["entries"]
-    if len(entries) != dim * dim:
-        raise ValueError(f"expected {dim * dim} entry pairs, got {len(entries)}")
-    flat = np.empty(dim * dim, dtype=complex)
-    for i, pair in enumerate(entries):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError(f"entry {i} is not an [re, im] pair")
-        flat[i] = complex(float(pair[0]), float(pair[1]))
-    return flat.reshape(dim, dim)
+    if flat.shape != (dim * dim, 2):
+        raise ValueError(f"expected {dim * dim} [re, im] entry pairs, got an array of shape {flat.shape}")
+    if not np.isfinite(flat).all():
+        raise ValueError("matrix entries must be finite numbers")
+    return flat.view(complex).reshape(dim, dim)
 
 
 def dpw_to_obj(form: DpwForm) -> dict:

@@ -22,3 +22,13 @@ def random_dpw(spec_orders, rng: np.random.Generator) -> np.ndarray:
 
 def maxabs(a) -> float:
     return float(np.abs(np.asarray(a)).max())
+
+
+def _ordered_factorizations(n: int) -> list[tuple[int, ...]]:
+    if n == 1:
+        return [()]
+    return [(f, *rest) for f in range(2, n + 1) if n % f == 0 for rest in _ordered_factorizations(n // f)]
+
+
+# every spec (ordered factor orders >= 2) with N <= 16: 42 of them
+SPECS_UP_TO_16 = [spec for n in range(2, 17) for spec in _ordered_factorizations(n)]

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface and its exit-code contract."""
 
+import hashlib
 import json
 import math
 
@@ -100,6 +101,29 @@ class TestCheck:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "nope.json"))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, null]]}',
+            '{"dim": 1, "entries": [[[1], [0]]]}',
+            '{"dim": null, "entries": [[1, 0]]}',
+            '{"dim": 1.9, "entries": [[1, 0]]}',
+            '{"dim": 1, "entries": 5}',
+            '{"dim": 1, "entries": "1, 0"}',
+            '{"dim": 2, "entries": [[1, 0], [0], [0, 0], [1, 0]]}',
+            '{"dim": 1, "entries": [[1e400, 0]]}',
+        ],
+        ids=["null", "nested", "null-dim", "float-dim", "int-entries", "str-entries", "ragged", "overflow"],
+    )
+    def test_malformed_matrix_is_an_input_error(self, capsys, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(payload)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestReport:
@@ -291,6 +315,29 @@ class TestSweep:
         assert code == 3
         obj = json.loads(out)
         assert obj["violations"] > 0
+
+    # sha256 of seeded sweep output: a change to the sampler's draw order,
+    # to how a row's pair is realized or to the row arithmetic shows up here
+    GOLDEN = [
+        (
+            ("--spec", "2,4", "--mode", "random", "--samples", "60", "--seed", "7"),
+            "5a7542a47910cc11d7cc13163602d0c2c6da63ef3a345eefdb8b61616567a34b",
+        ),
+        (
+            ("--spec", "3,3", "--mode", "random", "--samples", "60", "--seed", "1", "--jobs", "2"),
+            "f11231f98e5333c18d320de2fc2b1dc2119e096ad953e09907df5d313f5dc8ef",
+        ),
+        (
+            ("--spec", "2,4", "--mode", "realize", "--format", "text"),
+            "82e60e98abff640ed099022f78707fb923466609f158e803311cc140f130f86a",
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv,digest", GOLDEN, ids=["random-2,4", "random-3,3", "realize-2,4"])
+    def test_seeded_output_is_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "sweep", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVerify:

@@ -1,21 +1,29 @@
 """Tests for group enumeration, subgroup extraction, and realization."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from conftest import maxabs
+from conftest import SPECS_UP_TO_16, maxabs, random_dpw
 from hadinv import (
+    DEFAULT_TOL,
+    FourierSpec,
     GroupStructure,
     NotClosed,
     NotDivisor,
     OrderTooLarge,
     SubgroupSet,
     all_subgroups,
+    clock_vec,
     divisors,
     elements,
     extract_subgroup,
     fourier,
+    fourier_tensor,
     is_subgroup,
+    perm_matrix,
     random_conjugate_pair,
     realize_subgroup,
     subspace_intersection,
@@ -131,6 +139,58 @@ class TestExtractSubgroup:
             a = [u @ e @ u.conj().T for e in units]
             b = [v @ e @ v.conj().T for e in units]
             assert got.size == len(subspace_intersection(a, b))
+
+
+def _kronecker_clock_members(u, v, orders) -> frozenset:
+    """Reference route: r with ``V* U D_r U* V`` diagonal, ``D_r`` built by ``clock_vec``."""
+    spec = FourierSpec(orders)
+    left = v.conj().T @ u
+    right = u.conj().T @ v
+    found = set()
+    for r in elements(orders):
+        m = left @ clock_vec(spec, r) @ right
+        if np.abs(m - np.diag(np.diag(m))).max() < DEFAULT_TOL.eps_entry:
+            found.add(r)
+    return frozenset(found)
+
+
+def _extracted_members(u, v, orders) -> frozenset:
+    """Members of the extracted subgroup, or the raw set a ``NotClosed`` carries."""
+    try:
+        return extract_subgroup(u, v, orders).members
+    except NotClosed as exc:
+        return exc.members
+
+
+class TestKroneckerClockOracle:
+    """extract_subgroup's characters read off W against Kronecker-built clock diagonals."""
+
+    @pytest.mark.parametrize("spec", SPECS_UP_TO_16, ids=lambda s: ",".join(map(str, s)))
+    def test_every_realized_divisor_vector(self, spec):
+        for mvec in itertools.product(*[divisors(order) for order in spec]):
+            u, v = realize_subgroup(spec, mvec)
+            assert _extracted_members(u, v, spec) == _kronecker_clock_members(u, v, spec)
+
+    @pytest.mark.parametrize("spec", SPECS_UP_TO_16, ids=lambda s: ",".join(map(str, s)))
+    def test_random_pairs(self, spec):
+        rng = np.random.default_rng(sum(spec) * 100 + len(spec))
+        n = math.prod(spec)
+        w = fourier_tensor(spec)
+        pairs = [random_conjugate_pair(spec, rng) for _ in range(3)]
+        for _ in range(3):
+            # equivalent pairs: V = U P D
+            u = random_dpw(spec, rng)
+            pairs.append((u, u @ perm_matrix(rng.permutation(n)) @ np.diag(np.exp(2j * np.pi * rng.random(n)))))
+        for grid in (2, 4, n):
+            # independent permutations; root-of-unity phases reach non-trivial sets
+            u, v = (
+                np.diag(np.exp(2j * np.pi * rng.integers(0, grid, n) / grid)) @ perm_matrix(rng.permutation(n)) @ w
+                for _ in range(2)
+            )
+            pairs.append((u, v))
+        for u, v in pairs:
+            if np.abs(u - v).max() > DEFAULT_TOL.eps_entry:
+                assert _extracted_members(u, v, spec) == _kronecker_clock_members(u, v, spec)
 
 
 class TestRealizeSubgroup:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hadinv.invariants
-from conftest import haar_unitary, maxabs, random_dpw
+from conftest import SPECS_UP_TO_16, haar_unitary, maxabs, random_dpw
 from hadinv import (
     DimMismatch,
     DomainError,
@@ -182,15 +182,6 @@ class TestPairReport:
         assert rep.dim_a == 4
         assert rep.relcomm_dims == 2
         assert rep.conjugate and rep.certified
-
-
-def _ordered_factorizations(n: int) -> list[tuple[int, ...]]:
-    if n == 1:
-        return [()]
-    return [(f, *rest) for f in range(2, n + 1) if n % f == 0 for rest in _ordered_factorizations(n // f)]
-
-
-SPECS_UP_TO_16 = [spec for n in range(2, 17) for spec in _ordered_factorizations(n)]
 
 
 def _dense_invariants(u, v) -> tuple[int, int]:
