@@ -4,8 +4,11 @@ An algebra is carried by a trace-orthonormal basis.  On top of that sit the
 trace-preserving conditional expectation (the orthogonal projection in the
 trace inner product, which is the unique trace-preserving expectation onto
 a *-subalgebra in finite dimension), commutants via a stacked commutator
-kernel, algebra intersection, the commuting-square test, and the base
-square of the vertex-model tower attached to a Hadamard matrix.
+kernel, algebra intersection and the commuting-square test.  The base square
+of the vertex-model tower of a Hadamard matrix sits in M_{N^2} but is block
+diagonal, so it is computed on its N diagonal blocks in M_N; it commutes
+exactly when the expectation onto ``I x M_N`` maps the right algebra into
+the scalars (``E_L(R) ⊆ C``).  The dense routes stay as its test oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .errors import (
     OrderOutOfRange,
     OrderTooLarge,
 )
-from .hadamard import FourierSpec, block_unitary, fourier_tensor, require_hadamard
+from .hadamard import FourierSpec, fourier_tensor, require_hadamard
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -178,11 +181,8 @@ def diagonal_algebra(n: int) -> AlgebraBasis:
 def full_matrix_algebra(n: int) -> AlgebraBasis:
     """All of M_n, with basis ``sqrt(n) * E_ij``."""
     stack = np.zeros((n * n, n, n), dtype=complex)
-    k = 0
-    for i in range(n):
-        for j in range(n):
-            stack[k, i, j] = np.sqrt(n)
-            k += 1
+    k = np.arange(n * n)
+    stack[k, k // n, k % n] = np.sqrt(n)
     return AlgebraBasis(ambient_dim=n, basis=stack)
 
 
@@ -355,9 +355,9 @@ def vertex_square(z, n: int, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Squa
 
 @dataclass(frozen=True)
 class TowerBaseResult:
-    """Finite-level data of the square at the base of the vertex-model tower."""
+    """Finite-level data of the tower base square; ``blocks[i]`` is ``Y_i = B_i W``."""
 
-    algebra: AlgebraBasis
+    blocks: np.ndarray
     commuting: bool
     nondegenerate: bool | None
     relcomm_dim: int
@@ -365,46 +365,59 @@ class TowerBaseResult:
 
 
 def vertex_model_square(u, spec, tol: ToleranceConfig = DEFAULT_TOL) -> TowerBaseResult:
-    """Build and test the square pairing ``Ad_{U1}(I x W Delta W*)`` against I x M_N.
+    """Test the square pairing ``Ad_{U1}(I x W Delta W*)`` against ``I x M_N`` in M_{N^2}.
 
-    Everything lives in M_{N^2}: the corner is the scalars, the left algebra
-    is the embedded copy ``I_N x M_N``, the right algebra is the conjugated
-    diagonal family above, and the ambient algebra is ``Delta_N x M_N``.
-    ``relcomm_dim`` is the dimension of the right algebra's commutant inside
-    the embedded M_N, expected to equal N; it reports the finite-level
-    relative commutant of the associated tower.
+    Corner C is the scalars, left L is ``I_N x M_N``, the ambient is
+    ``Delta_N x M_N`` and right R is the conjugated diagonals, with
+    ``U1 = block_unitary(u)``.  All are block diagonal, so no N^2 x N^2 matrix
+    is built: with ``Y_i = B_i W`` for the blocks ``B_i = u diag(sqrt(N) conj(u[i, :]))``
+    of U1, R is spanned by ``R_k = sum_i E_ii x sqrt(N) v_ik v_ik*`` over the
+    columns v_ik of Y_i, and C lies in R as every Y_i is unitary (checked).
+    The square commutes exactly when ``E_L(R) ⊆ C``; ``max_commuting_err`` is
+    the largest entry of ``E_L(R_k) - tau(R_k) = I x N^{-1/2} (sum_i v_ik v_ik* - I)``.
+    Up to TOWER_NONDEG_CAP, L R spans the ambient exactly when
+    ``M[(k, j), (i, l)] = N v_ik[j] conj(v_ik[l])`` has rank N^2 (the dense
+    products are N copies of M).  ``relcomm_dim`` is the commutant of R in L:
+    ``I x m`` commutes with R exactly when m lies in every ``Y_i Delta Y_i*``,
+    that is ``m = Y_0 diag(d) Y_0*`` with every ``X_i* diag(d) X_i`` diagonal for
+    ``X_i = Y_0* Y_i``, a linear system in d (nullity N for Fourier-class u).
     """
     spec = FourierSpec.of(spec)
     n = spec.dim
+    if n > TOWER_DIM_CAP:
+        raise OrderTooLarge(f"tower base square capped at dimension {TOWER_DIM_CAP}")
     u = require_hadamard(u, tol)
     if u.shape[0] != n:
         raise DimMismatch(f"matrix dimension {u.shape[0]} does not match spec {spec.orders}")
-    if n > TOWER_DIM_CAP:
-        raise OrderTooLarge(f"tower base square capped at dimension {TOWER_DIM_CAP}")
 
-    w = fourier_tensor(spec)
-    u1 = block_unitary(u, tol)
+    root = np.sqrt(n)
     eye = np.eye(n)
-    diag = diagonal_algebra(n)
-    algebra_stack = np.stack(
-        [u1 @ np.kron(eye, w @ d @ dagger(w)) @ dagger(u1) for d in diag.basis]
-    )
-    algebra = AlgebraBasis(ambient_dim=n * n, basis=algebra_stack)
+    # y[i] = B_i W = u diag(sqrt(N) conj(u[i, :])) W
+    y = u @ (root * u.conj()[:, :, None] * fourier_tensor(spec))
+    if np.abs(y.conj().swapaxes(1, 2) @ y - eye).max() > np.sqrt(tol.eps_rank):
+        raise InclusionViolation("span containment fails: corner in right")
 
-    left = tensor_algebra(scalar_algebra(n), full_matrix_algebra(n))
-    ambient = tensor_algebra(diag, full_matrix_algebra(n))
-    corner = scalar_algebra(n * n)
+    # cols[k] has the v_ik as columns, so cols[k] cols[k]* = sum_i v_ik v_ik*
+    cols = y.transpose(2, 1, 0)
+    err = float(np.abs(cols @ cols.conj().swapaxes(1, 2) - eye).max() / root)
 
-    square = is_commuting_square(
-        corner, left, algebra, ambient, tol, nondegeneracy=n <= TOWER_NONDEG_CAP
-    )
-    relcomm = commutant(algebra, left, tol)
+    nondeg = None
+    if n <= TOWER_NONDEG_CAP:
+        prods = n * np.einsum("ijk,ilk->kjil", y, y.conj()).reshape(n * n, n * n)
+        nondeg = int((np.linalg.svd(prods, compute_uv=False) > tol.eps_rank).sum()) == n * n
+
+    # fold the rows for each X_i (X_0 = I gives none) into the system's
+    # triangular factor: same singular values, O(N^3) memory
+    tri = np.zeros((0, n), dtype=complex)
+    for xi in root * (dagger(y[0]) @ y[1:]):
+        rows = np.einsum("ca,cb->abc", xi.conj(), xi)[~np.eye(n, dtype=bool)]
+        tri = np.linalg.qr(np.concatenate([tri, rows]), mode="r")
     return TowerBaseResult(
-        algebra=algebra,
-        commuting=square.commuting,
-        nondegenerate=square.nondegenerate,
-        relcomm_dim=relcomm.dim,
-        max_commuting_err=square.max_commuting_err,
+        blocks=y,
+        commuting=err < tol.eps_entry,
+        nondegenerate=nondeg,
+        relcomm_dim=nullspace(tri, tol.eps_rank).shape[1],
+        max_commuting_err=err,
     )
 
 

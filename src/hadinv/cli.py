@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -129,14 +130,7 @@ def cmd_check(args, tol: ToleranceConfig) -> int:
         obj = {
             "dim": int(m.shape[0]),
             "hadamard": is_hadamard(m, tol),
-            "class": {
-                "unitary": flags.unitary,
-                "diagonal": flags.diagonal,
-                "permutation": flags.permutation,
-                "complex_permutation": flags.complex_permutation,
-                "selfadjoint": flags.selfadjoint,
-                "projection": flags.projection,
-            },
+            "class": asdict(flags),
             "dpw": None,
         }
         if spec is not None and is_hadamard(m, tol):

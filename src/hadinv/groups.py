@@ -12,6 +12,7 @@ order), so no clock matrix is ever built.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +55,7 @@ class GroupStructure:
 
     @property
     def order(self) -> int:
-        out = 1
-        for n in self.orders:
-            out *= n
-        return out
+        return math.prod(self.orders)
 
     @classmethod
     def of(cls, group) -> "GroupStructure":

@@ -9,6 +9,7 @@ and the clock diagonal; the identity and conjugation checks in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,10 +66,7 @@ class FourierSpec:
 
     @property
     def dim(self) -> int:
-        out = 1
-        for n in self.orders:
-            out *= n
-        return out
+        return math.prod(self.orders)
 
     @classmethod
     def of(cls, spec) -> "FourierSpec":

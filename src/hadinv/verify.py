@@ -21,6 +21,7 @@ from .algebra import (
     scalar_algebra,
     vertex_model_square,
 )
+from .errors import OrderOutOfRange
 from .groups import elements
 from .hadamard import (
     FourierSpec,
@@ -104,11 +105,8 @@ def _block_unitary_permutation_form() -> CheckResult:
         p = block_unitary(w) @ dagger(np.kron(np.eye(n), w))
         ok = ok and classify(p).permutation
         worst = max(worst, float(np.abs(p - np.round(p.real)).max()))
-        blocks = p.reshape(n, n, n, n)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    worst = max(worst, float(np.abs(blocks[i, :, j, :]).max()))
+        blocks = p.reshape(n, n, n, n).transpose(0, 2, 1, 3)
+        worst = max(worst, float(np.abs(blocks[~np.eye(n, dtype=bool)]).max()))
     return CheckResult("block-unitary-permutation-form", ok and worst <= IDENTITY_THRESHOLD, worst)
 
 
@@ -142,19 +140,11 @@ def _tower_base_squares(gamma_orders, rng_seed: int, tol: ToleranceConfig) -> li
         spec = FourierSpec((n,))
         w = fourier_tensor(spec)
         u, _ = random_conjugate_pair(spec, rng)
-        worst = 0.0
-        ok = True
-        dims = []
         skipped = n > TOWER_NONDEG_CAP
-        for candidate in (w, u):
-            result = vertex_model_square(candidate, spec, tol)
-            ok = ok and result.commuting
-            if not skipped:
-                ok = ok and bool(result.nondegenerate)
-            ok = ok and result.relcomm_dim == n
-            dims.append(result.relcomm_dim)
-            worst = max(worst, result.max_commuting_err)
-        detail = f"relcomm dims {dims[0]},{dims[1]}"
+        results = [vertex_model_square(candidate, spec, tol) for candidate in (w, u)]
+        ok = all(r.commuting and (skipped or r.nondegenerate) and r.relcomm_dim == n for r in results)
+        worst = max(r.max_commuting_err for r in results)
+        detail = f"relcomm dims {results[0].relcomm_dim},{results[1].relcomm_dim}"
         if skipped:
             detail += "; nondegeneracy skipped"
         out.append(CheckResult(f"tower-base-square-{n}", ok, worst, detail))
@@ -169,6 +159,8 @@ def run_verification(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> list[CheckResult]:
     """Run every structural check and return the ordered result list."""
+    if max_order < 2:  # the order sweeps would check nothing and pass vacuously
+        raise OrderOutOfRange(f"max order must be at least 2, got {max_order}")
     results = [
         _clock_shift_commutation(max_order),
         _fourier_diag_conjugation(max_order),

@@ -1,14 +1,20 @@
 """Tests for expectations, commutants, intersections, and commuting squares."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, maxabs, random_dpw
+from conftest import SPECS_UP_TO_16, haar_unitary, maxabs, random_dpw
 from hadinv import (
+    AlgebraBasis,
     DimMismatch,
     InclusionViolation,
     NonUnitary,
+    OrderTooLarge,
     algebra_close,
+    block_unitary,
     commutant,
     conditional_expectation,
     diag_conj_algebra,
@@ -19,10 +25,13 @@ from hadinv import (
     intersect_algebras,
     is_biunitary,
     is_commuting_square,
+    is_hadamard,
     jones_projections,
+    random_conjugate_pair,
     scalar_algebra,
     shift,
     span_algebra,
+    tensor_algebra,
     trace_inner,
     vertex_model_square,
     vertex_square,
@@ -250,6 +259,116 @@ class TestVertexModelSquare:
     def test_multi_factor_spec(self):
         result = vertex_model_square(fourier_tensor((2, 2)), (2, 2))
         assert result.commuting and result.nondegenerate and result.relcomm_dim == 4
+
+
+def _dense_tower_square(u, spec):
+    """The tower base square built densely in M_{N^2}: (commuting, nondegenerate, relcomm_dim).
+
+    Right algebra ``Ad_{U1}(I x W Delta W*)`` from the full ``block_unitary``,
+    left ``I x M_N``, ambient ``Delta_N x M_N``; the generic commuting-square
+    test on the N^3 ambient basis and the stacked-commutator commutant.
+    """
+    n = math.prod(spec)
+    w = fourier_tensor(spec)
+    u1 = block_unitary(u)
+    diag = diagonal_algebra(n)
+    right_stack = np.stack(
+        [u1 @ np.kron(np.eye(n), w @ d @ w.conj().T) @ u1.conj().T for d in diag.basis]
+    )
+    right = AlgebraBasis(ambient_dim=n * n, basis=right_stack)
+    left = tensor_algebra(scalar_algebra(n), full_matrix_algebra(n))
+    ambient = tensor_algebra(diag, full_matrix_algebra(n))
+    square = is_commuting_square(
+        scalar_algebra(n * n), left, right, ambient, nondegeneracy=n <= 5
+    )
+    return square.commuting, square.nondegenerate, commutant(right, left).dim
+
+
+def _affine_f4(a):
+    """The one-parameter affine family F4(a); a = 0 gives F4."""
+    e = np.exp(1j * a)
+    return np.array([[1, 1, 1, 1], [1, 1j * e, -1, -1j * e], [1, -1, 1, -1], [1, -1j * e, -1, 1j * e]]) / 2
+
+
+def _affine_f6(a, b):
+    """The two-parameter affine family F6(a, b): odd rows of F6 phased by (0, a, b, 0, a, b)."""
+    phases = np.zeros((6, 6))
+    phases[1::2] = [0, a, b, 0, a, b]
+    return fourier(6) * np.exp(1j * phases)
+
+
+SMALL_SPECS = [spec for spec in SPECS_UP_TO_16 if math.prod(spec) <= 6]
+
+OFF_CLASS = (
+    [("F2xF2 under 4", fourier_tensor((2, 2)), (4,)), ("F4 under 2,2", fourier(4), (2, 2))]
+    + [(f"F4({a:.2f}) under {s}", _affine_f4(a), s) for a in (0.3, 1.1, np.pi / 2) for s in ((4,), (2, 2))]
+    + [
+        (f"F6({a},{b}) under {s}", _affine_f6(a, b), s)
+        for a, b in ((0.0, 0.0), (0.4, 1.3))
+        for s in ((6,), (2, 3), (3, 2))
+    ]
+)
+
+
+class TestTowerDenseOracle:
+    """The block route of ``vertex_model_square`` against the dense M_{N^2} square."""
+
+    @staticmethod
+    def _assert_routes_agree(u, spec):
+        got = vertex_model_square(u, spec)
+        commuting, nondegenerate, relcomm = _dense_tower_square(u, spec)
+        assert got.commuting == commuting
+        assert got.nondegenerate == nondegenerate
+        assert got.relcomm_dim == relcomm
+        # blocks[i] is the i-th diagonal block of block_unitary(u) (I x W)
+        n = math.prod(spec)
+        dense = (block_unitary(u) @ np.kron(np.eye(n), fourier_tensor(spec))).reshape(n, n, n, n)
+        idx = np.arange(n)
+        assert maxabs(got.blocks - dense[idx, :, idx, :]) < 1e-12
+        return relcomm
+
+    @pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: ",".join(map(str, s)))
+    def test_fourier_class(self, spec):
+        rng = np.random.default_rng(math.prod(spec) * 10 + len(spec))
+        cases = [fourier_tensor(spec)]
+        for _ in range(3):
+            cases.extend(random_conjugate_pair(spec, rng))
+        for u in cases:
+            assert self._assert_routes_agree(u, spec) == math.prod(spec)
+
+    @pytest.mark.parametrize("case", OFF_CLASS, ids=lambda c: c[0])
+    def test_off_class(self, case):
+        _, u, spec = case
+        assert is_hadamard(u)
+        self._assert_routes_agree(u, spec)
+
+    def test_off_class_cases_separate_the_routes(self):
+        # relcomm values other than N, so a route that always answered N would fail
+        dims = {vertex_model_square(u, spec).relcomm_dim for _, u, spec in OFF_CLASS}
+        assert {1, 2, 3, 4, 6} <= dims
+
+
+class TestTowerFullDomain:
+    def test_order_36(self):
+        spec = (36,)
+        u, _ = random_conjugate_pair(spec, np.random.default_rng(36))
+        for candidate in (fourier(36), u):
+            result = vertex_model_square(candidate, spec)
+            assert result.commuting
+            assert result.nondegenerate is None
+            assert result.relcomm_dim == 36
+
+    def test_order_37_rejected_before_allocating(self):
+        # pass a non-Hadamard matrix: the cap must win before any check of u
+        u = np.ones((37, 37), dtype=complex)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderTooLarge):
+                vertex_model_square(u, (37,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 37 * 37 * 16
 
 
 class TestJonesProjections:

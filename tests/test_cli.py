@@ -359,6 +359,20 @@ class TestVerify:
         assert "relcomm dims 3,3" in out
         assert "relcomm dims 4,4" in out
 
+    def test_tower_order_16(self, capsys):
+        code, out, _ = run(capsys, "verify", "--gamma-orders", "16")
+        assert code == 0
+        assert "tower-base-square-16: " in out and "relcomm dims 16,16" in out
+        assert "FAIL" not in out
+
+    @pytest.mark.parametrize("max_order", ["1", "-5"])
+    def test_max_order_below_two_is_an_input_error(self, capsys, max_order):
+        # with no order to sweep, the order checks used to print a vacuous PASS
+        code, out, err = run(capsys, "verify", "--max-order", max_order)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "max order" in err
+
     def test_failure_exits_four_and_names_check(self, capsys, monkeypatch):
         from hadinv import cli
         from hadinv.verify import CheckResult
