@@ -96,6 +96,8 @@ from .linalg import (
     ToleranceConfig,
     ad,
     classify,
+    is_complex_permutation,
+    is_unitary,
     orthonormal_basis,
     subspace_intersection,
     tensor,

@@ -29,8 +29,8 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
-    classify,
     dagger,
+    is_unitary,
     nullspace,
     orthonormal_basis,
     subspace_intersection,
@@ -259,7 +259,7 @@ def intersect_algebras(a: AlgebraBasis, b: AlgebraBasis, tol: ToleranceConfig = 
 def diag_conj_algebra(u, tol: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
     """The conjugated diagonal algebra ``u Delta_n u*`` for a unitary u."""
     u = as_matrix(u)
-    if not classify(u, tol).unitary:
+    if not is_unitary(u, tol):
         raise NonUnitary("diagonal conjugation needs a unitary matrix")
     n = u.shape[0]
     # u E_ii u* is the outer product of column i; conjugation keeps the basis orthonormal
@@ -342,7 +342,7 @@ def vertex_square(z, n: int, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Squa
     z = as_matrix(z)
     if z.shape[0] != n * k:
         raise DimMismatch(f"dimension {z.shape[0]} is not {n}*{k}")
-    if not classify(z, tol).unitary:
+    if not is_unitary(z, tol):
         raise NonUnitary("vertex square needs a unitary matrix")
     m_n = full_matrix_algebra(n)
     left_stack = np.stack([z @ np.kron(m, np.eye(k)) @ dagger(z) for m in m_n.basis])

@@ -326,6 +326,8 @@ def cmd_sweep(args, tol: ToleranceConfig) -> int:
         if args.seed is None:
             print("usage error: --mode random needs --seed", file=sys.stderr)
             return EXIT_USAGE
+        if args.samples < 1:  # no row would be checked and the sweep would pass vacuously
+            raise HadinvError(f"--samples must be at least 1, got {args.samples}")
         rows = [_sweep_random_row(spec, args.seed, i, tol) for i in range(args.samples)]
 
     total_violations = sum(len(row["violations"]) for row in rows)

@@ -232,9 +232,7 @@ def realize_subgroup(spec, divisor_vec, tol: ToleranceConfig = DEFAULT_TOL):
     v = diag @ u
     require_hadamard(v, tol)
 
-    expected = 1
-    for m in mvec:
-        expected *= m
+    expected = math.prod(mvec)
     try:
         found = extract_subgroup(u, v, GroupStructure(spec.orders), tol)
     except NotClosed as exc:

@@ -9,6 +9,7 @@ and the clock diagonal; the identity and conjugation checks in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ from .errors import (
     NotHadamard,
     OrderOutOfRange,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, classify, dagger, tensor
+from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, dagger, is_complex_permutation, is_unitary, tensor
 
 __all__ = [
     "DIM_CAP",
@@ -96,10 +97,19 @@ def fourier(n: int) -> np.ndarray:
 
 
 def fourier_tensor(spec) -> np.ndarray:
-    """Left-to-right Kronecker product of the Fourier matrices of a spec."""
-    spec = FourierSpec.of(spec)
-    out = fourier(spec.orders[0])
-    for n in spec.orders[1:]:
+    """Left-to-right Kronecker product of the Fourier matrices of a spec.
+
+    The tensor is built once per spec and cached (one N x N matrix per
+    spec, N <= DIM_CAP); each call returns a fresh writable copy, so no
+    caller shares or can alter the cached array.
+    """
+    return _fourier_tensor(FourierSpec.of(spec).orders).copy()
+
+
+@functools.lru_cache(maxsize=None)
+def _fourier_tensor(orders: tuple[int, ...]) -> np.ndarray:
+    out = fourier(orders[0])
+    for n in orders[1:]:
         out = tensor(out, fourier(n))
     return out
 
@@ -155,7 +165,7 @@ def is_hadamard(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when unitary and every entry has modulus ``1/sqrt(N)``, within tolerance."""
     a = as_matrix(m)
     n = a.shape[0]
-    if not classify(a, tol).unitary:
+    if not is_unitary(a, tol):
         return False
     return bool(np.abs(np.abs(a) - 1.0 / np.sqrt(n)).max() < tol.eps_entry)
 
@@ -187,7 +197,8 @@ def block_unitary(u, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """
     u = require_hadamard(u, tol)
     n = u.shape[0]
-    return tensor(np.eye(n), u) @ entry_diagonal(u, tol)
+    # right multiplication by the diagonal scales the columns
+    return tensor(np.eye(n), u) * (np.sqrt(n) * u.conj().reshape(-1))
 
 
 def perm_matrix(p) -> np.ndarray:
@@ -222,7 +233,7 @@ def perm_phase_certificate(u, v, tol: ToleranceConfig = DEFAULT_TOL):
     if u.shape != v.shape:
         raise DimMismatch(f"cannot compare {u.shape} with {v.shape}")
     m = dagger(u) @ v
-    if not classify(m, tol).complex_permutation:
+    if not is_complex_permutation(m, tol):
         return None
     perm, row_phases = _split_complex_permutation(m)
     # m = P D, so the diagonal phase sits at the column index of each row
@@ -265,7 +276,8 @@ class DpwForm:
         return self.spec.dim
 
     def realize(self) -> np.ndarray:
-        return np.diag(np.asarray(self.phases)) @ perm_matrix(self.perm) @ fourier_tensor(self.spec)
+        # row i of P W is row perm[i] of W
+        return np.diag(np.asarray(self.phases)) @ fourier_tensor(self.spec)[list(self.perm)]
 
 
 def decompose_dpw(x, spec, tol: ToleranceConfig = DEFAULT_TOL) -> DpwForm:
@@ -279,7 +291,7 @@ def decompose_dpw(x, spec, tol: ToleranceConfig = DEFAULT_TOL) -> DpwForm:
     if x.shape[0] != spec.dim:
         raise DimMismatch(f"matrix dimension {x.shape[0]} does not match spec {spec.orders}")
     m = x @ dagger(fourier_tensor(spec))
-    if not classify(m, tol).complex_permutation:
+    if not is_complex_permutation(m, tol):
         raise NotDpwForm("input is not diagonal * permutation * Fourier tensor for this spec")
     perm, phases = _split_complex_permutation(m)
     return DpwForm(spec=spec, perm=tuple(perm.tolist()), phases=tuple(phases.tolist()), tol=tol)

@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import DimMismatch, DomainError, NonUnitary, NotClosed, NotDpwForm, OracleMismatch, OrderTooLarge
 from .groups import GroupStructure, SubgroupSet, divisors, extract_subgroup, realize_subgroup
-from .hadamard import DpwForm, FourierSpec, are_conjugate, perm_phase_certificate, require_hadamard
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, classify, dagger
+from .hadamard import DpwForm, FourierSpec, are_conjugate, require_hadamard
+from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, dagger, is_complex_permutation, is_unitary
 
 __all__ = [
     "eta",
@@ -82,7 +82,7 @@ def modified_entropy(u, v, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     v = as_matrix(v)
     if u.shape != v.shape:
         raise DimMismatch(f"cannot compare {u.shape} with {v.shape}")
-    if not classify(u, tol).unitary or not classify(v, tol).unitary:
+    if not is_unitary(u, tol) or not is_unitary(v, tol):
         raise NonUnitary("entropy needs two unitary matrices")
     n = u.shape[0]
     profile = np.abs(dagger(u) @ v) ** 2
@@ -107,10 +107,10 @@ def _component_labels(adj: np.ndarray) -> np.ndarray:
         reach = grown
 
 
-def _support_graph_invariants(u: np.ndarray, v: np.ndarray, eps: float) -> tuple[int, int]:
-    """``(dimA, relcomm_dims)`` from the support graphs of ``U* V`` and of the ``U P_c U*``."""
+def _support_graph_invariants(u: np.ndarray, x: np.ndarray, eps: float) -> tuple[int, int]:
+    """``(dimA, relcomm_dims)`` from the support graphs of ``X = U* V`` and of the ``U P_c U*``."""
     n = u.shape[0]
-    big = np.abs(dagger(u) @ v) > eps
+    big = np.abs(x) > eps
     bipartite = np.zeros((2 * n, 2 * n), dtype=bool)
     bipartite[:n, n:] = big
     labels = _component_labels(bipartite)
@@ -165,13 +165,16 @@ def pair_report(u, v, spec, tol: ToleranceConfig = DEFAULT_TOL) -> InvariantRepo
         raise DimMismatch(f"matrices must have dimension {n} for spec {spec.orders}")
     require_hadamard(u, tol)
     require_hadamard(v, tol)
+    # U* V, shared by the distinctness test and the support graphs
+    x = dagger(u) @ v
 
     flags: list[str] = []
     identical = bool(np.abs(u - v).max() <= tol.eps_entry)
     if identical:
         flags.append("identical")
 
-    distinct = perm_phase_certificate(u, v, tol) is None
+    # distinct exactly when perm_phase_certificate finds no certificate
+    distinct = not is_complex_permutation(x, tol)
 
     conjugate = False
     try:
@@ -179,7 +182,7 @@ def pair_report(u, v, spec, tol: ToleranceConfig = DEFAULT_TOL) -> InvariantRepo
     except NotDpwForm:
         flags.append("not-dpw-form")
 
-    dim_a, relcomm_dims = _support_graph_invariants(u, v, tol.eps_entry)
+    dim_a, relcomm_dims = _support_graph_invariants(u, x, tol.eps_entry)
 
     subgroup: SubgroupSet | None = None
     if identical:
@@ -261,9 +264,7 @@ def realization_sweep(spec, tol: ToleranceConfig = DEFAULT_TOL):
     for mvec in itertools.product(*[divisors(order) for order in spec.orders]):
         u, v = realize_subgroup(spec, mvec, tol)
         report = pair_report(u, v, spec, tol)
-        expected = 1
-        for m in mvec:
-            expected *= m
+        expected = math.prod(mvec)
         if report.dim_a != expected or report.index != Fraction(n * n, expected):
             raise OracleMismatch(
                 f"divisors {mvec}: report dimA {report.dim_a} / index {report.index} "

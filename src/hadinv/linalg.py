@@ -1,7 +1,9 @@
 """Dense complex matrix kernel over the normalized trace inner product.
 
 Everything else in the package is built on this module: Kronecker products,
-unitary conjugation, structural classification, the inner product
+unitary conjugation, the single-flag predicates ``is_unitary`` and
+``is_complex_permutation``, structural classification (all flags at once,
+composed from those predicates), the inner product
 ``<A, B> = tr(B* A) / N``, Gram-Schmidt orthonormalization in that inner
 product, and subspace intersection via a stacked null-space computation.
 
@@ -27,6 +29,8 @@ __all__ = [
     "dagger",
     "tensor",
     "ad",
+    "is_unitary",
+    "is_complex_permutation",
     "classify",
     "trace_inner",
     "orthonormal_basis",
@@ -93,9 +97,19 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def _is_unitary(a: np.ndarray, eps: float) -> bool:
-    n = a.shape[0]
-    return bool(np.abs(a @ dagger(a) - np.eye(n)).max() < eps)
+def is_unitary(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """True when ``m m*`` equals the identity entrywise within ``tol.eps_entry``."""
+    a = as_matrix(m)
+    return bool(np.abs(a @ dagger(a) - np.eye(a.shape[0])).max() < tol.eps_entry)
+
+
+def is_complex_permutation(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """True when every row and column has exactly one entry above ``tol.eps_entry``, of modulus one."""
+    mag = np.abs(as_matrix(m))
+    big = mag > tol.eps_entry
+    if not ((big.sum(axis=0) == 1).all() and (big.sum(axis=1) == 1).all()):
+        return False
+    return bool(np.abs(mag[big] - 1.0).max() < tol.eps_entry)
 
 
 def ad(u, x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -104,7 +118,7 @@ def ad(u, x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     x = as_matrix(x)
     if u.shape != x.shape:
         raise DimMismatch(f"cannot conjugate {x.shape} by {u.shape}")
-    if not _is_unitary(u, tol.eps_entry):
+    if not is_unitary(u, tol):
         raise NonUnitary("conjugating matrix is not unitary within tolerance")
     return u @ x @ dagger(u)
 
@@ -112,28 +126,16 @@ def ad(u, x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 def classify(m, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixClass:
     """Classify a matrix by per-entry comparison within ``tol.eps_entry``."""
     a = as_matrix(m)
-    n = a.shape[0]
     eps = tol.eps_entry
-    mag = np.abs(a)
-
-    unitary = _is_unitary(a, eps)
-    diagonal = bool(np.abs(a - np.diag(np.diag(a))).max() < eps)
-
-    big = mag > eps
-    one_per_line = bool((big.sum(axis=0) == 1).all() and (big.sum(axis=1) == 1).all())
-    complex_permutation = one_per_line and bool(np.abs(mag[big] - 1.0).max() < eps)
-    permutation = complex_permutation and bool(np.abs(a[big] - 1.0).max() < eps)
-
+    complex_permutation = is_complex_permutation(a, tol)
     selfadjoint = bool(np.abs(a - dagger(a)).max() < eps)
-    projection = selfadjoint and bool(np.abs(a @ a - a).max() < eps)
-
     return MatrixClass(
-        unitary=unitary,
-        diagonal=diagonal,
-        permutation=permutation,
+        unitary=is_unitary(a, tol),
+        diagonal=bool(np.abs(a - np.diag(np.diag(a))).max() < eps),
+        permutation=complex_permutation and bool(np.abs(a[np.abs(a) > eps] - 1.0).max() < eps),
         complex_permutation=complex_permutation,
         selfadjoint=selfadjoint,
-        projection=projection,
+        projection=selfadjoint and bool(np.abs(a @ a - a).max() < eps),
     )
 
 

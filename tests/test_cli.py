@@ -303,6 +303,16 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--spec", "2", "--mode", "random")
         assert code == 2
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_is_an_input_error(self, capsys, samples):
+        # an empty campaign would check nothing and report zero violations
+        code, out, err = run(
+            capsys, "sweep", "--spec", "2", "--mode", "random", "--samples", samples, "--seed", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--samples" in err
+
     def test_violation_rows_exit_three(self, capsys, monkeypatch):
         from hadinv import cli
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, maxabs, random_dpw
+from conftest import SPECS_UP_TO_16, haar_unitary, maxabs, random_dpw
 from hadinv import (
     DimMismatch,
     DpwForm,
@@ -22,6 +22,7 @@ from hadinv import (
     fourier_tensor,
     is_biunitary,
     is_hadamard,
+    tensor,
     perm_matrix,
     perm_phase_certificate,
     shift,
@@ -60,6 +61,30 @@ class TestFourierTensor:
     def test_spec_cap(self):
         with pytest.raises(OrderOutOfRange):
             FourierSpec((5, 17))  # product 85 > 64
+
+    def test_returns_a_fresh_writable_array(self):
+        # the tensor is cached per spec; writing into one result must not
+        # reach the cache, later calls, or the constructors that read it
+        spec = FourierSpec((2, 3))
+        rng = np.random.default_rng(21)
+        form = DpwForm(spec, rng.permutation(6), np.exp(2j * np.pi * rng.random(6)))
+        realized = form.realize()
+        first = fourier_tensor(spec)
+        assert first.flags.writeable
+        first[:] = 7.0
+        assert np.array_equal(fourier_tensor(spec), np.kron(fourier(2), fourier(3)))
+        assert fourier_tensor(spec) is not fourier_tensor(spec)
+        assert np.array_equal(form.realize(), realized)
+        back = decompose_dpw(form.realize(), spec)
+        assert back.perm == form.perm
+        assert maxabs(np.asarray(back.phases) - np.asarray(form.phases)) < 1e-9
+
+    @pytest.mark.parametrize("orders", [(2,), (2, 3), (3, 2), (2, 2, 2)])
+    def test_cached_equals_fresh_kronecker(self, orders):
+        fresh = fourier(orders[0])
+        for n in orders[1:]:
+            fresh = np.kron(fresh, fourier(n))
+        assert np.array_equal(fourier_tensor(orders), fresh)
 
 
 class TestClockShift:
@@ -146,6 +171,16 @@ class TestBlockUnitary:
         assert maxabs(block_unitary(f2) - p @ np.kron(np.eye(2), f2)) < 1e-12
 
 
+    @pytest.mark.parametrize("orders", [o for o in SPECS_UP_TO_16 if np.prod(o) <= 6])
+    def test_matches_dense_diagonal_product(self, orders):
+        # the column-scaled form against the dense (I x u) @ entry_diagonal(u)
+        rng = np.random.default_rng(13)
+        n = int(np.prod(orders))
+        for u in (fourier_tensor(orders), random_dpw(orders, rng)):
+            dense = tensor(np.eye(n), u) @ entry_diagonal(u)
+            assert maxabs(block_unitary(u) - dense) < 1e-12
+
+
 class TestPermPhaseCertificate:
     def test_constructed_instance(self):
         f2 = fourier(2)
@@ -216,6 +251,19 @@ class TestDecomposeDpw:
     def test_rejects_non_member(self):
         with pytest.raises(NotDpwForm):
             decompose_dpw(fourier(4), (2, 2))
+
+    @pytest.mark.parametrize("orders", SPECS_UP_TO_16)
+    def test_realize_equals_three_factor_product(self, orders):
+        # realize indexes the rows of W instead of multiplying by P; the
+        # result must be bitwise the old diag(phases) @ P @ W
+        rng = np.random.default_rng(17)
+        spec = FourierSpec(orders)
+        for _ in range(3):
+            perm = rng.permutation(spec.dim)
+            phases = np.exp(2j * np.pi * rng.random(spec.dim))
+            form = DpwForm(spec, perm, phases)
+            oracle = np.diag(phases) @ perm_matrix(perm) @ fourier_tensor(spec)
+            assert np.array_equal(form.realize(), oracle)
 
     def test_realize_is_hadamard(self):
         rng = np.random.default_rng(16)

@@ -12,6 +12,8 @@ from hadinv import (
     classify,
     clock_vec,
     fourier,
+    is_complex_permutation,
+    is_unitary,
     orthonormal_basis,
     perm_matrix,
     shift,
@@ -102,6 +104,49 @@ class TestClassify:
             p = perm_matrix(rng.permutation(6))
             q = perm_matrix(rng.permutation(6))
             assert classify(p @ q).permutation
+
+
+class TestSingleFlagPredicates:
+    def matrices(self):
+        rng = np.random.default_rng(8)
+        return [
+            np.eye(3),
+            shift(3, 1),
+            np.diag([1, 1j]) @ shift(2, 1),
+            fourier(4),
+            haar_unitary(5, rng),
+            np.array([[0.5, 0.5], [0.5, 0.5]]),
+            np.diag([1.0, 2.0]),
+            np.zeros((2, 2)),
+            np.array([[1.0, 1.0], [0.0, 1.0]]),
+            perm_matrix(rng.permutation(6)) * np.exp(2j * np.pi * rng.random(6)),
+        ]
+
+    def test_agree_with_classify(self):
+        for m in self.matrices():
+            flags = classify(m)
+            assert is_unitary(m) == flags.unitary
+            assert is_complex_permutation(m) == flags.complex_permutation
+
+    @pytest.mark.parametrize("noise", [1e-11, 1e-7])
+    def test_entry_noise_against_the_threshold(self, noise):
+        # eps_entry = 1e-9: noise below it is absorbed, noise above it is not
+        m = np.diag([1, 1j, -1]) @ shift(3, 1)
+        noisy = m + noise * np.ones((3, 3))
+        below = noise < 1e-9
+        assert is_complex_permutation(noisy) == below
+        assert is_unitary(noisy) == below
+        loose = ToleranceConfig(eps_entry=1e-5)
+        assert is_complex_permutation(noisy, loose) and is_unitary(noisy, loose)
+
+    def test_a_modulus_off_one_is_not_a_complex_permutation(self):
+        assert not is_complex_permutation(np.diag([1.0, 0.5]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            is_unitary(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            is_complex_permutation(np.ones((2, 3)))
 
 
 class TestTraceInner:
