@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import HadinvError, OracleMismatch
-from .groups import GroupStructure, extract_subgroup, realize_subgroup
+from .groups import realize_subgroup
 from .hadamard import (
     DpwForm,
     FourierSpec,
@@ -39,7 +39,14 @@ from .hadamard import (
     perm_phase_certificate,
     shift_vec,
 )
-from .invariants import modified_entropy, pair_report, random_conjugate_forms, realization_sweep
+from .invariants import (
+    ENTROPY_BOUND_TOL,
+    ENTROPY_TOL,
+    modified_entropy,
+    pair_report,
+    random_conjugate_forms,
+    realization_sweep,
+)
 from .linalg import DEFAULT_TOL, ToleranceConfig, classify
 from .serialize import (
     dpw_to_obj,
@@ -56,9 +63,6 @@ EXIT_INPUT = 1
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 EXIT_VERIFY = 4
-
-ENTROPY_SYMMETRY_TOL = 1e-12
-ENTROPY_BOUND_TOL = 1e-9
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -202,9 +206,17 @@ def cmd_report(args, tol: ToleranceConfig) -> int:
 def cmd_realize(args, tol: ToleranceConfig) -> int:
     spec = FourierSpec.parse(args.spec)
     divisor_vec = _csv_ints(args.divisors)
+    # realize_subgroup checks the order of the extracted subgroup and
+    # pair_report takes H from the Fourier route of the conjugate pair (W, S W)
     u, v = realize_subgroup(spec, divisor_vec, tol)
-    subgroup = extract_subgroup(u, v, GroupStructure(spec.orders), tol)
+    subgroup = pair_report(u, v, spec, tol).subgroup
     n = spec.dim
+    expected = math.prod(divisor_vec)
+    if subgroup is None or subgroup.size != expected:
+        got = "none" if subgroup is None else subgroup.size
+        raise OracleMismatch(
+            f"divisors {divisor_vec}: subgroup order {got} in the report, expected {expected}"
+        )
     obj = {
         "spec": list(spec.orders),
         "divisors": list(divisor_vec),
@@ -280,12 +292,12 @@ def _sweep_random_row(spec: FourierSpec, seed: int, sample: int, tol: ToleranceC
         violations.append("subgroup-not-closed")
     if report.conjugate and h > upper + ENTROPY_BOUND_TOL:
         violations.append("entropy-bound")
-    if not -1e-12 <= h <= math.log(n) + 1e-12:
+    if not -ENTROPY_TOL <= h <= math.log(n) + ENTROPY_TOL:
         violations.append("entropy-range")
-    if abs(modified_entropy(v, u, tol) - h) > ENTROPY_SYMMETRY_TOL:
+    if abs(modified_entropy(v, u, tol) - h) > ENTROPY_TOL:
         violations.append("entropy-symmetry")
     d = np.diag(extra_diag)
-    if abs(modified_entropy(d @ u, d @ v, tol) - h) > ENTROPY_SYMMETRY_TOL:
+    if abs(modified_entropy(d @ u, d @ v, tol) - h) > ENTROPY_TOL:
         violations.append("entropy-left-invariance")
     row["violations"] = violations
     return row

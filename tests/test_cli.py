@@ -246,6 +246,33 @@ class TestRealize:
         code, _, _ = run(capsys, "realize", "--spec", "4", "--divisors", "3")
         assert code == 1
 
+    def test_one_dense_extraction(self, capsys, monkeypatch):
+        # realize_subgroup extracts H once; the printed members come from the
+        # Fourier route of pair_report, which extracts nothing on (W, S W)
+        from hadinv import groups, invariants
+
+        calls = []
+        real = groups.extract_subgroup
+        counting = lambda *a: calls.append(a) or real(*a)  # noqa: E731
+        monkeypatch.setattr(groups, "extract_subgroup", counting)
+        monkeypatch.setattr(invariants, "extract_subgroup", counting)
+        code, out, _ = run(capsys, "realize", "--spec", "8,8", "--divisors", "2,4")
+        assert code == 0
+        assert len(calls) == 1
+        assert len(json.loads(out)["subgroup"]["members"]) == 8
+
+    def test_routes_disagreeing_exits_three(self, capsys, monkeypatch):
+        from types import SimpleNamespace
+
+        from hadinv import SubgroupSet, cli
+
+        trivial = SimpleNamespace(subgroup=SubgroupSet(orders=(4,), members=frozenset({(0,)})))
+        monkeypatch.setattr(cli, "pair_report", lambda u, v, spec, tol: trivial)
+        code, out, err = run(capsys, "realize", "--spec", "4", "--divisors", "2")
+        assert code == 3
+        assert out == ""
+        assert "subgroup order 1" in err and "expected 2" in err
+
 
 class TestSweep:
     def test_realize_mode(self, capsys):

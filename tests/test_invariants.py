@@ -16,24 +16,31 @@ from hadinv import (
     DomainError,
     HadinvError,
     NonUnitary,
+    NotClosed,
+    NotHadamard,
     OracleMismatch,
     OrderTooLarge,
     ToleranceConfig,
     commutant,
+    decompose_dpw,
     diag_conj_algebra,
     diagonal_algebra,
     divisors,
     eta,
+    extract_subgroup,
     fourier,
     fourier_tensor,
     intersect_algebras,
     modified_entropy,
     pair_report,
     perm_matrix,
+    random_conjugate_forms,
     random_conjugate_pair,
     realization_sweep,
     realize_subgroup,
 )
+from hadinv.groups import extract_decisions, fourier_decisions, inverse_dft, shift_spectrum, subgroup_below
+from hadinv.invariants import _conjugate_diagonal, _fourier_side
 
 
 class TestEta:
@@ -242,6 +249,205 @@ class TestSupportGraphOracle:
         monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", lambda u, v, eps: (1, 4))
         with pytest.raises(OracleMismatch, match="subgroup order 2"):
             pair_report(f4, np.diag([1, 1, -1, -1]) @ f4, (4,))
+
+
+def _assert_fourier_route_matches(u, v, spec):
+    """The Fourier route of a conjugate pair against extract_subgroup and the dense entropy."""
+    n = math.prod(spec)
+    form_u, form_v = decompose_dpw(u, spec), decompose_dpw(v, spec)
+    assert form_u.perm == form_v.perm
+    d = _conjugate_diagonal(form_u, form_v)
+    w = fourier_tensor(spec)
+    x = u.conj().T @ v
+    assert maxabs(d - np.diag(w @ x @ w.conj().T)) < 1e-12
+    # the inverse DFT over the group is numpy's ifftn on the spec's axes
+    f = inverse_dft(d, spec)
+    assert maxabs(f - np.fft.ifftn(d.reshape(spec)).reshape(-1)) < 1e-12
+    # every entry of X* D_r X, not only the maxima: (X* D_r X)_0j = chi_r(j) ê_r(j)
+    spectrum = shift_spectrum(d, spec)
+    characters = np.sqrt(n) * w
+    for r, character in enumerate(characters):
+        row = (x.conj().T @ (character[:, None] * x))[0]
+        assert maxabs(row - character * spectrum[r]) < 1e-12
+    values = fourier_decisions(d, spec)
+    assert maxabs(values - extract_decisions(u, v, spec)) < 1e-12
+    assert subgroup_below(values, spec, 1e-9) == extract_subgroup(u, v, spec)
+    # the entropy of p = |ifftn(d)|^2, as pair_report computes it and by a plain loop
+    side = _fourier_side(form_u, form_v, x)
+    assert np.array_equal(side.decisions, values)
+    assert side.slack < 1e-11 and side.allowance < 1e-11
+    shannon = sum(eta(min(t, 1.0)) for t in np.abs(np.fft.ifftn(d.reshape(spec)).ravel()) ** 2)
+    assert abs(shannon - modified_entropy(u, v)) < 1e-12
+    assert abs(side.entropy - shannon) < 1e-12
+
+
+class TestFourierRouteOracle:
+    """The Fourier-side decision values, members and entropy against the dense routes."""
+
+    @pytest.mark.parametrize("spec", SPECS_UP_TO_16, ids=lambda s: ",".join(map(str, s)))
+    def test_every_realized_divisor_vector(self, spec):
+        for mvec in itertools.product(*[divisors(order) for order in spec]):
+            _assert_fourier_route_matches(*realize_subgroup(spec, mvec), spec)
+
+    @pytest.mark.parametrize(
+        "spec", [(64,), (8, 8), (4, 4, 4), (2,) * 6, (6, 6), (2, 3, 5)], ids=lambda s: ",".join(map(str, s))
+    )
+    def test_random_conjugate_pairs(self, spec):
+        rng = np.random.default_rng(math.prod(spec) + len(spec))
+        for _ in range(2):
+            _assert_fourier_route_matches(*random_conjugate_pair(spec, rng), spec)
+
+    @pytest.mark.parametrize("spec", [(6,), (2, 4), (3, 3), (8, 8)], ids=lambda s: ",".join(map(str, s)))
+    def test_conjugate_non_distinct_pair(self, spec):
+        # d a scalar times a character: X is a complex permutation and H is the whole group
+        rng = np.random.default_rng(61)
+        n = math.prod(spec)
+        form_u, _ = random_conjugate_forms(spec, rng)
+        character = np.sqrt(n) * fourier_tensor(spec)[1 + int(rng.integers(n - 1))]
+        d = np.exp(2j * np.pi * rng.random()) * character
+        u = form_u.realize()
+        v = np.diag(d[list(form_u.perm)]) @ u
+        _assert_fourier_route_matches(u, v, spec)
+        rep = pair_report(u, v, spec)
+        assert not rep.distinct and rep.conjugate
+        assert rep.dim_a == n and rep.subgroup.size == n
+
+    def test_conjugate_pairs_take_no_dense_extraction(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hadinv.invariants, "extract_subgroup", lambda *a: calls.append(a))
+        rng = np.random.default_rng(62)
+        for spec in [(4,), (2, 3), (8, 8), (2,) * 6]:
+            pair_report(*random_conjugate_pair(spec, rng), spec)
+            for mvec in [(1,) * len(spec), spec]:
+                pair_report(*realize_subgroup(spec, mvec), spec)
+        assert calls == []
+
+    def test_other_pairs_take_the_dense_extraction(self, monkeypatch):
+        calls = []
+        real = hadinv.invariants.extract_subgroup
+        monkeypatch.setattr(hadinv.invariants, "extract_subgroup", lambda *a: calls.append(a) or real(*a))
+        rng = np.random.default_rng(63)
+        u = random_dpw((2, 4), rng)
+        pair_report(u, u @ perm_matrix(rng.permutation(8)), (2, 4))  # V = U P
+        pair_report(fourier(4), np.eye(4)[[0, 1, 3, 2]] @ fourier(4), (4,))  # different permutations
+        pair_report(fourier(4), np.diag([1, 1j, 1, 1j]) @ fourier(4), (2, 2))  # not normal forms
+        assert len(calls) == 3
+
+    def test_decision_on_the_threshold_takes_the_dense_extraction(self, monkeypatch):
+        # eps_entry set to one of the pair's own Fourier decision values: the
+        # two routes may round to opposite sides, so the dense route decides
+        calls = []
+        real = hadinv.invariants.extract_subgroup
+        monkeypatch.setattr(hadinv.invariants, "extract_subgroup", lambda *a: calls.append(a) or real(*a))
+        f8 = fourier(8)
+        d = 1j ** (np.arange(8) // 2) * np.exp(1e-4j * (np.arange(8) % 3))
+        values = fourier_decisions(d, (8,))
+        eps = float(values[values > 1e-12].min())
+        try:
+            pair_report(f8, np.diag(d) @ f8, (8,), ToleranceConfig(eps_entry=eps))
+        except OracleMismatch:
+            pass
+        assert len(calls) == 1
+
+
+def _noisy(m, kind, scale, rng):
+    """``m`` with phase noise of size ``scale`` in steps of -1, 0 or 1 on each row, column or entry."""
+    shape = {"row": (m.shape[0], 1), "column": (1, m.shape[1]), "entry": m.shape}[kind]
+    return m * np.exp(1j * scale * rng.integers(-1, 2, size=shape))
+
+
+class TestThresholdNoise:
+    """Noise below, near and above eps_entry on conjugate pairs with non-trivial H.
+
+    Row phases keep V a normal form of the same permutation; column phases
+    keep the pair Hadamard, change no decision value and, above eps_entry,
+    move V off its normal form.  Independent entry phases break
+    unitarity at their own scale, so only the scale below eps_entry gives
+    a Hadamard pair.
+    """
+
+    @staticmethod
+    def _check(spec, mvec, kind, level, seed):
+        rng = np.random.default_rng(seed)
+        n = math.prod(spec)
+        u, v = realize_subgroup(spec, mvec)
+        left = np.diag(np.exp(2j * np.pi * rng.random(n))) @ perm_matrix(rng.permutation(n))
+        scale = {"below": 1e-12, "near": 1e-9 * rng.uniform(0.3, 3.0), "above": 1e-6}[level]
+        u, v = left @ u, _noisy(left @ v, kind, scale, rng)
+        if kind == "entry" and level != "below":
+            try:
+                pair_report(u, v, spec)
+            except (NotHadamard, OracleMismatch):
+                return
+        try:
+            rep = pair_report(u, v, spec)
+        except OracleMismatch:
+            assert level == "near"
+            return
+        try:
+            expected = extract_subgroup(u, v, spec)
+        except NotClosed:
+            expected = None
+        assert rep.subgroup == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(["row", "column", "entry"]),
+        level=st.sampled_from(["below", "near", "above"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_subgroup_equals_extraction_or_mismatch(self, data, kind, level, seed):
+        spec = data.draw(st.sampled_from(SPECS_UP_TO_16), label="spec")
+        mvec = tuple(data.draw(st.sampled_from(divisors(order)), label="m") for order in spec)
+        self._check(spec, mvec, kind, level, seed)
+
+    @pytest.mark.parametrize(
+        "spec,mvec,seed",
+        [((3, 5), (1, 5), 680), ((3, 4), (1, 4), 779), ((7, 2), (7, 1), 1004), ((14,), (14,), 1499)],
+    )
+    def test_entry_noise_on_the_threshold(self, spec, mvec, seed):
+        # here the Fourier route alone returns a subgroup while the dense
+        # decision values of the noisy matrices give a set that is not closed;
+        # the distance bound between the two routes sends these pairs to the dense one
+        self._check(spec, mvec, "entry", "near", seed)
+
+    def test_entry_noise_above_the_threshold_is_not_hadamard(self):
+        rng = np.random.default_rng(64)
+        u, v = realize_subgroup((4, 4), (2, 4))
+        with pytest.raises(NotHadamard):
+            pair_report(u, _noisy(v, "entry", 1e-6, rng), (4, 4))
+
+
+class TestMismatchEvidence:
+    """An OracleMismatch on H names the route and the decision value nearest eps_entry."""
+
+    def test_fourier_route(self, monkeypatch):
+        f4 = fourier(4)
+        monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", lambda u, v, eps: (1, 4))
+        message = r"subgroup order 2 .*fourier route.*nearest eps_entry 1e-09"
+        with pytest.raises(OracleMismatch, match=message):
+            pair_report(f4, np.diag([1, 1, -1, -1]) @ f4, (4,))
+
+    def test_extract_route(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        u = random_dpw((2, 4), rng)
+        monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", lambda u, v, eps: (1, 8))
+        with pytest.raises(OracleMismatch, match=r"subgroup order 8 .*extract route.*at r=\(\d,\d\)"):
+            pair_report(u, u @ perm_matrix(rng.permutation(8)), (2, 4))
+
+    def test_names_the_value_on_the_threshold(self, monkeypatch):
+        # a decision value 1.5e-9 against eps_entry 1e-9 is the nearest one
+        f8 = fourier(8)
+        d = 1j ** (np.arange(8) // 2)
+        d = d * np.exp(1j * 1.5e-9 * 8 / np.sqrt(2) * (np.arange(8) == 0))
+        values = fourier_decisions(d, (8,))
+        monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", lambda u, v, eps: (3, 1))
+        with pytest.raises(OracleMismatch) as info:
+            pair_report(f8, np.diag(d) @ f8, (8,))
+        nearest = values[np.abs(np.log(values / 1e-9)).argmin()]
+        assert f"{nearest:.3e}" in str(info.value)
+        assert 1e-10 < nearest < 1e-8
 
 
 class TestRealizationSweep:
