@@ -86,6 +86,7 @@ from .invariants import (
     eta,
     modified_entropy,
     pair_report,
+    pair_reports,
     random_conjugate_forms,
     random_conjugate_pair,
     realization_sweep,

@@ -6,11 +6,14 @@ pair for a divisor vector), ``sweep`` (realization tables and randomized
 property campaigns), ``verify`` (the identity suite).
 
 Exit codes are a stable contract: 0 success, 1 input error, 2 usage error,
-3 invariant/oracle violation, 4 verify-suite failure.  ``sweep`` computes
-its rows one after another in sample order; ``--jobs`` is accepted and has
-no effect, so with a fixed seed the output is byte-identical across runs
-and across ``--jobs`` settings.  Random rows draw their pairs from
-``random_conjugate_forms``, the sampler shared with the library.
+3 invariant/oracle violation, 4 verify-suite failure.  ``sweep --mode
+random`` draws its rows in sample order, each pair from
+``random_conjugate_forms`` (the sampler shared with the library) under a
+generator keyed by ``(seed, sample)``, and computes them in stacked
+chunks of at most ``STACK_ENTRIES`` matrix entries, one ``pair_reports``
+call per chunk.  ``--jobs`` is accepted and has no effect, so with a
+fixed seed the output is byte-identical across runs and across ``--jobs``
+settings.
 """
 
 from __future__ import annotations
@@ -42,8 +45,11 @@ from .hadamard import (
 from .invariants import (
     ENTROPY_BOUND_TOL,
     ENTROPY_TOL,
+    STACK_ENTRIES,
+    InvariantReport,
     modified_entropy,
     pair_report,
+    pair_reports,
     random_conjugate_forms,
     realization_sweep,
 )
@@ -254,27 +260,26 @@ def _sweep_realize_rows(spec: FourierSpec, tol: ToleranceConfig) -> list[dict]:
     return rows
 
 
-def _sweep_random_row(spec: FourierSpec, seed: int, sample: int, tol: ToleranceConfig) -> dict:
-    # per-row generator keyed by (seed, sample): a row depends on nothing else
-    rng = np.random.default_rng([seed, sample])
-    n = spec.dim
-    form_u, form_v = random_conjugate_forms(spec, rng)
-    extra_diag = np.exp(2j * np.pi * rng.random(n))
-    u, v = form_u.realize(), form_v.realize()
+def _diag_times(phases: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """``diag(phases[b]) @ mats[b]`` for each b: the matrix product of ``DpwForm.realize``, bit for bit."""
+    diag = np.zeros(mats.shape, dtype=complex)
+    idx = np.arange(mats.shape[-1])
+    diag[:, idx, idx] = phases
+    return diag @ mats
 
-    violations: list[str] = []
+
+def _random_row(
+    sample: int, form_u: DpwForm, form_v: DpwForm, report: InvariantReport | OracleMismatch, misses: tuple[bool, bool]
+) -> dict:
     row: dict = {
         "sample": sample,
         "perm": list(form_u.perm),
         "phases_u": [[z.real, z.imag] for z in form_u.phases],
         "phases_v": [[z.real, z.imag] for z in form_v.phases],
     }
-    try:
-        report = pair_report(u, v, spec, tol)
-    except OracleMismatch as exc:
+    if isinstance(report, OracleMismatch):
         row.update({"dimA": None, "index": None, "entropy_h": None, "entropy_upper": None, "gap": None})
-        violations.append(f"oracle-mismatch: {exc}")
-        row["violations"] = violations
+        row["violations"] = [f"oracle-mismatch: {report}"]
         return row
 
     h = report.entropy_h
@@ -288,19 +293,56 @@ def _sweep_random_row(spec: FourierSpec, seed: int, sample: int, tol: ToleranceC
             "gap": upper - h,
         }
     )
+    violations: list[str] = []
     if "subgroup-not-closed" in report.flags:
         violations.append("subgroup-not-closed")
     if report.conjugate and h > upper + ENTROPY_BOUND_TOL:
         violations.append("entropy-bound")
-    if not -ENTROPY_TOL <= h <= math.log(n) + ENTROPY_TOL:
+    if not -ENTROPY_TOL <= h <= math.log(report.n) + ENTROPY_TOL:
         violations.append("entropy-range")
-    if abs(modified_entropy(v, u, tol) - h) > ENTROPY_TOL:
+    symmetry_miss, left_miss = misses
+    if symmetry_miss:
         violations.append("entropy-symmetry")
-    d = np.diag(extra_diag)
-    if abs(modified_entropy(d @ u, d @ v, tol) - h) > ENTROPY_TOL:
+    if left_miss:
         violations.append("entropy-left-invariance")
     row["violations"] = violations
     return row
+
+
+def _sweep_random_rows(spec: FourierSpec, seed: int, samples: int, tol: ToleranceConfig) -> list[dict]:
+    n = spec.dim
+    draws = []
+    for sample in range(samples):
+        # per-row generator keyed by (seed, sample): a row depends on nothing else
+        rng = np.random.default_rng([seed, sample])
+        form_u, form_v = random_conjugate_forms(spec, rng)
+        draws.append((form_u, form_v, np.exp(2j * np.pi * rng.random(n))))
+
+    rows = []
+    w = fourier_tensor(spec)
+    step = max(1, STACK_ENTRIES // (n * n))
+    for start in range(0, samples, step):
+        chunk = draws[start : start + step]
+        base = w[np.array([form_u.perm for form_u, _, _ in chunk])]
+        us = _diag_times(np.array([form_u.phases for form_u, _, _ in chunk]), base)
+        vs = _diag_times(np.array([form_v.phases for _, form_v, _ in chunk]), base)
+        reports = pair_reports(us, vs, spec, tol)
+        for report in reports:
+            if isinstance(report, HadinvError) and not isinstance(report, OracleMismatch):
+                raise report
+
+        # the entropy's symmetry and left invariance, on the rows with a report
+        done = [k for k, report in enumerate(reports) if isinstance(report, InvariantReport)]
+        h = np.array([reports[k].entropy_h for k in done])
+        extra = np.array([chunk[k][2] for k in done]).reshape(-1, n)
+        us, vs = us[done], vs[done]
+        symmetry = np.abs(modified_entropy(vs, us, tol) - h) > ENTROPY_TOL
+        left = np.abs(modified_entropy(_diag_times(extra, us), _diag_times(extra, vs), tol) - h) > ENTROPY_TOL
+        misses = dict(zip(done, zip(symmetry, left)))
+
+        for k, ((form_u, form_v, _), report) in enumerate(zip(chunk, reports)):
+            rows.append(_random_row(start + k, form_u, form_v, report, misses.get(k, (False, False))))
+    return rows
 
 
 def _fixed6(x: float) -> str:
@@ -340,7 +382,7 @@ def cmd_sweep(args, tol: ToleranceConfig) -> int:
             return EXIT_USAGE
         if args.samples < 1:  # no row would be checked and the sweep would pass vacuously
             raise HadinvError(f"--samples must be at least 1, got {args.samples}")
-        rows = [_sweep_random_row(spec, args.seed, i, tol) for i in range(args.samples)]
+        rows = _sweep_random_rows(spec, args.seed, args.samples, tol)
 
     total_violations = sum(len(row["violations"]) for row in rows)
     if args.format == "json":

@@ -40,7 +40,7 @@ from .errors import (
     OrderTooLarge,
     RealizationFailed,
 )
-from .hadamard import FourierSpec, fourier_tensor, require_hadamard
+from .hadamard import DIM_CAP, FourierSpec, fourier_tensor, require_hadamard
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, dagger
 
 __all__ = [
@@ -98,18 +98,30 @@ class GroupStructure:
 def elements(group) -> list[tuple[int, ...]]:
     """All group elements in lexicographic order."""
     group = GroupStructure.of(group)
-    if group.order > 64:
-        raise OrderTooLarge(f"group order {group.order} exceeds 64")
+    if group.order > DIM_CAP:
+        raise OrderTooLarge(f"group order {group.order} exceeds {DIM_CAP}")
     return list(itertools.product(*[range(n) for n in group.orders]))
 
 
 def is_subgroup(group, members) -> bool:
-    """True when the set contains the identity and is closed under addition."""
+    """True when every member is a group element, the identity is one, and sums stay inside.
+
+    Closure is read off the cached addition table, one lookup per pair of
+    members.  Groups above ``DIM_CAP`` raise ``OrderTooLarge``.
+    """
     group = GroupStructure.of(group)
-    mset = {tuple(int(x) for x in m) for m in members}
-    if group.identity not in mset:
+    if group.order > DIM_CAP:
+        raise OrderTooLarge(f"group order {group.order} exceeds {DIM_CAP}")
+    members = {tuple(int(x) for x in m) for m in members}
+    if not members or any(len(m) != len(group.orders) for m in members):
         return False
-    return all(group.add(a, b) in mset for a in mset for b in mset)
+    coords = np.array(list(members))
+    if not ((coords >= 0) & (coords < group.orders)).all():
+        return False
+    flat = np.ravel_multi_index(tuple(coords.T), group.orders)
+    inside = np.zeros(group.order, dtype=bool)
+    inside[flat] = True
+    return bool(inside[0] and inside[_translates(group.orders, 1)[flat[:, None], flat]].all())
 
 
 @dataclass(frozen=True)
@@ -163,8 +175,14 @@ def extract_decisions(u, v, group) -> np.ndarray:
 def subgroup_below(values, group, eps: float) -> SubgroupSet:
     """The elements r with ``values[r] < eps``, verified as a subgroup (else ``NotClosed``)."""
     group = GroupStructure.of(group)
-    found = [r for r, value in zip(elements(group), values) if value < eps]
-    return SubgroupSet(orders=group.orders, members=frozenset(found))
+    return _subgroup_of_mask(group.orders, (np.asarray(values) < eps).tobytes())
+
+
+@functools.lru_cache(maxsize=1024)
+def _subgroup_of_mask(orders: tuple[int, ...], below: bytes) -> SubgroupSet:
+    """The verified subgroup of a membership mask over the elements; built once per distinct mask."""
+    found = np.unravel_index(np.flatnonzero(np.frombuffer(below, dtype=bool)), orders)
+    return SubgroupSet(orders=orders, members=frozenset(zip(*(c.tolist() for c in found))))
 
 
 def extract_subgroup(u, v, group, tol: ToleranceConfig = DEFAULT_TOL) -> SubgroupSet:
@@ -214,22 +232,29 @@ def shift_spectrum(d, group) -> np.ndarray:
 
     For ``X = W* diag(d) W`` the entry ``(X* D_r X)_ij`` equals
     ``chi_r(j) ê_r(j - i)``, with ``chi_r`` row r of ``sqrt(N) W``.  All
-    rows come from one batched transform in ``O(N^2)`` memory.
+    rows come from one batched transform in ``O(N^2)`` memory; a stack
+    ``d`` of shape ``(B, N)`` gives one such ``N x N`` array per row.
     """
     orders = GroupStructure.of(group).orders
-    d = np.asarray(d, dtype=complex).reshape(-1)
-    return inverse_dft(d.conj() * d[_translates(orders, 1)], orders)
+    d = np.asarray(d, dtype=complex)
+    return inverse_dft(d.conj()[..., None, :] * d[..., _translates(orders, 1)], orders)
 
 
 def fourier_decisions(d, group) -> np.ndarray:
-    """``extract_decisions`` of a pair with ``U* V = W* diag(d) W``: ``max_{g != 0} |ê_r(g)|`` per r."""
-    return np.abs(shift_spectrum(d, group)[:, 1:]).max(axis=1)
+    """``extract_decisions`` of a pair with ``U* V = W* diag(d) W``: ``max_{g != 0} |ê_r(g)|`` per r.
+
+    A stack ``d`` of shape ``(B, N)`` gives the values of each pair along the last axis.
+    """
+    return np.abs(shift_spectrum(d, group)[..., 1:]).max(axis=-1)
 
 
 def convolution(f, group) -> np.ndarray:
-    """The matrix ``(f(j - i))_ij`` over the group; for ``f = inverse_dft(d)`` it is ``W* diag(d) W``."""
+    """The matrix ``(f(j - i))_ij`` over the group; for ``f = inverse_dft(d)`` it is ``W* diag(d) W``.
+
+    A stack ``f`` of shape ``(B, N)`` gives one matrix per row.
+    """
     orders = GroupStructure.of(group).orders
-    return np.asarray(f, dtype=complex).reshape(-1)[_translates(orders, -1)]
+    return np.asarray(f, dtype=complex)[..., _translates(orders, -1)]
 
 
 def all_subgroups(group) -> list[SubgroupSet]:

@@ -22,7 +22,16 @@ from .errors import (
     NotHadamard,
     OrderOutOfRange,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, dagger, is_complex_permutation, is_unitary, tensor
+from .linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    as_matrix,
+    complex_permutation_mask,
+    dagger,
+    is_complex_permutation,
+    tensor,
+    unitary_mask,
+)
 
 __all__ = [
     "DIM_CAP",
@@ -34,12 +43,14 @@ __all__ = [
     "shift",
     "clock_vec",
     "shift_vec",
+    "hadamard_mask",
     "is_hadamard",
     "require_hadamard",
     "entry_diagonal",
     "block_unitary",
     "perm_matrix",
     "perm_phase_certificate",
+    "dpw_parts",
     "decompose_dpw",
     "are_conjugate",
     "block_transpose",
@@ -161,13 +172,15 @@ def shift_vec(spec, r) -> np.ndarray:
     return out
 
 
+def hadamard_mask(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """``is_hadamard`` of each matrix of a stack ``(..., N, N)``, as a boolean array."""
+    even = np.abs(np.abs(m) - 1.0 / np.sqrt(m.shape[-1])).max(axis=(-2, -1)) < tol.eps_entry
+    return unitary_mask(m, tol) & even
+
+
 def is_hadamard(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when unitary and every entry has modulus ``1/sqrt(N)``, within tolerance."""
-    a = as_matrix(m)
-    n = a.shape[0]
-    if not is_unitary(a, tol):
-        return False
-    return bool(np.abs(np.abs(a) - 1.0 / np.sqrt(n)).max() < tol.eps_entry)
+    return bool(hadamard_mask(as_matrix(m), tol))
 
 
 def require_hadamard(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -213,9 +226,9 @@ def perm_matrix(p) -> np.ndarray:
 
 
 def _split_complex_permutation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a complex permutation matrix into (row -> column map, row phases)."""
-    perm = np.argmax(np.abs(m), axis=1)
-    phases = m[np.arange(m.shape[0]), perm]
+    """Split a complex permutation matrix, or each of a stack, into (row -> column map, row phases)."""
+    perm = np.argmax(np.abs(m), axis=-1)
+    phases = np.take_along_axis(m, perm[..., None], axis=-1)[..., 0]
     return perm, phases
 
 
@@ -258,17 +271,17 @@ class DpwForm:
     def __post_init__(self):
         spec = FourierSpec.of(self.spec)
         object.__setattr__(self, "spec", spec)
-        perm = tuple(int(p) for p in self.perm)
-        phases = tuple(complex(z) for z in self.phases)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "phases", phases)
+        # one array conversion each; tolist() gives the Python ints and complexes stored
+        perm = np.asarray(self.perm).astype(int)
+        phases = np.asarray(self.phases, dtype=complex)
+        object.__setattr__(self, "perm", tuple(perm.tolist()))
+        object.__setattr__(self, "phases", tuple(phases.tolist()))
         n = spec.dim
-        if len(perm) != n or len(phases) != n:
+        if perm.shape != (n,) or phases.shape != (n,):
             raise DimMismatch(f"perm/phases must have length {n}")
-        if sorted(perm) != list(range(n)):
+        if sorted(self.perm) != list(range(n)):
             raise ValueError(f"perm is not a permutation of 0..{n - 1}")
-        moduli = np.abs(np.asarray(phases))
-        if np.abs(moduli - 1.0).max() >= self.tol.eps_entry:
+        if np.abs(np.abs(phases) - 1.0).max() >= self.tol.eps_entry:
             raise ValueError("phases must have modulus one")
 
     @property
@@ -277,7 +290,19 @@ class DpwForm:
 
     def realize(self) -> np.ndarray:
         # row i of P W is row perm[i] of W
-        return np.diag(np.asarray(self.phases)) @ fourier_tensor(self.spec)[list(self.perm)]
+        return np.diag(np.asarray(self.phases)) @ _fourier_tensor(self.spec.orders)[list(self.perm)]
+
+
+def dpw_parts(x: np.ndarray, spec: FourierSpec, tol: ToleranceConfig = DEFAULT_TOL):
+    """``(is_form, perm, phases)`` of a matrix, or of each of a stack ``(..., N, N)``, already validated.
+
+    The caller has checked that each matrix is Hadamard of dimension
+    ``spec.dim``.  ``is_form`` says whether ``x @ W*`` is a complex
+    permutation matrix; only there are ``perm`` and ``phases`` the normal
+    form ``D @ P @ W``.
+    """
+    m = x @ dagger(_fourier_tensor(spec.orders))
+    return (complex_permutation_mask(m, tol), *_split_complex_permutation(m))
 
 
 def decompose_dpw(x, spec, tol: ToleranceConfig = DEFAULT_TOL) -> DpwForm:
@@ -290,11 +315,10 @@ def decompose_dpw(x, spec, tol: ToleranceConfig = DEFAULT_TOL) -> DpwForm:
     x = require_hadamard(x, tol)
     if x.shape[0] != spec.dim:
         raise DimMismatch(f"matrix dimension {x.shape[0]} does not match spec {spec.orders}")
-    m = x @ dagger(fourier_tensor(spec))
-    if not is_complex_permutation(m, tol):
+    is_form, perm, phases = dpw_parts(x, spec, tol)
+    if not is_form:
         raise NotDpwForm("input is not diagonal * permutation * Fourier tensor for this spec")
-    perm, phases = _split_complex_permutation(m)
-    return DpwForm(spec=spec, perm=tuple(perm.tolist()), phases=tuple(phases.tolist()), tol=tol)
+    return DpwForm(spec=spec, perm=perm, phases=phases, tol=tol)
 
 
 def are_conjugate(x, y, spec, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -38,6 +38,17 @@ distance bound of the two routes of ``eps_entry`` take
 ``extract_subgroup``.  The dense subspace-intersection and commutant
 routes of :mod:`hadinv.algebra` serve as the oracle in tests.
 
+``pair_reports`` computes the reports of two stacks ``(B, N, N)`` of
+matrices, pair by pair as ``pair_report`` would, with every stage along
+the batch axis: each matrix is validated once, each ``X = U* V`` formed
+once and shared by the distinctness test, the support graphs, the
+Fourier route and the dense entropy.  Only the relative commutant's
+per-component products, H and its ``extract_subgroup`` fallback, and the
+assembly of each report run per pair.  ``pair_report`` is its batch of
+one.  Callers that stack many pairs keep ``B * N^2`` at or below
+``STACK_ENTRIES``; ``hadinv sweep --mode random`` sends its rows in
+chunks of that size.
+
 All logarithms are natural.
 """
 
@@ -51,7 +62,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, NonUnitary, NotClosed, NotDpwForm, OracleMismatch, OrderTooLarge
+from .errors import (
+    DimMismatch,
+    DomainError,
+    HadinvError,
+    NonUnitary,
+    NotClosed,
+    NotHadamard,
+    OracleMismatch,
+    OrderTooLarge,
+)
 from .groups import (
     GroupStructure,
     SubgroupSet,
@@ -64,8 +84,16 @@ from .groups import (
     realize_subgroup,
     subgroup_below,
 )
-from .hadamard import DpwForm, FourierSpec, decompose_dpw, require_hadamard
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, dagger, is_complex_permutation, is_unitary
+from .hadamard import DpwForm, FourierSpec, dpw_parts, hadamard_mask
+from .linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    as_matrix,
+    as_stack,
+    complex_permutation_mask,
+    dagger,
+    unitary_mask,
+)
 
 __all__ = [
     "ENTROPY_TOL",
@@ -74,6 +102,8 @@ __all__ = [
     "modified_entropy",
     "InvariantReport",
     "pair_report",
+    "pair_reports",
+    "STACK_ENTRIES",
     "realization_sweep",
     "random_conjugate_forms",
     "random_conjugate_pair",
@@ -84,6 +114,11 @@ __all__ = [
 # exceed its bound log(N/dimA) by at most ENTROPY_BOUND_TOL
 ENTROPY_TOL = 1e-12
 ENTROPY_BOUND_TOL = 1e-9
+
+# callers that stack many pairs (``hadinv sweep``) send pair_reports at
+# most STACK_ENTRIES = B * N^2 matrix entries at once: each (B, N, N)
+# complex stack then holds at most 1 MB
+STACK_ENTRIES = 1 << 16
 
 
 def eta(t: float) -> float:
@@ -103,56 +138,76 @@ def _eta_array(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def modified_entropy(u, v, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def _dense_entropies(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per ``X = u* v`` of a stack: the entropy, and whether ``|X|^2`` is doubly stochastic within ``eps``."""
+    n = x.shape[-1]
+    profile = np.abs(x) ** 2
+    row_err = np.abs(profile.sum(axis=-1) - 1.0).max(axis=-1)
+    col_err = np.abs(profile.sum(axis=-2) - 1.0).max(axis=-1)
+    entropy = _eta_array(profile).sum(axis=(-2, -1)) / n
+    return entropy, np.maximum(row_err, col_err) <= eps
+
+
+def modified_entropy(u, v, tol: ToleranceConfig = DEFAULT_TOL):
     """Modified relative entropy of the pair: ``(1/N) sum eta(|(u* v)_ij|^2)``.
 
     Defined for any two unitaries of one dimension; the squared moduli of
     ``u* v`` form a doubly stochastic matrix, which is asserted within
     ``tol.eps_entry`` (the scale at which the inputs were accepted as
     unitary) before summing.  Natural-log units; ranges over [0, log N].
+    Two stacks of shape ``(B, N, N)`` give the B entropies as an array.
     """
-    u = as_matrix(u)
-    v = as_matrix(v)
+    u, v = (as_stack(m) if np.ndim(m) == 3 else as_matrix(m) for m in (u, v))
     if u.shape != v.shape:
         raise DimMismatch(f"cannot compare {u.shape} with {v.shape}")
-    if not is_unitary(u, tol) or not is_unitary(v, tol):
+    if not unitary_mask(u, tol).all() or not unitary_mask(v, tol).all():
         raise NonUnitary("entropy needs two unitary matrices")
-    n = u.shape[0]
-    profile = np.abs(dagger(u) @ v) ** 2
-    row_err = np.abs(profile.sum(axis=1) - 1.0).max()
-    col_err = np.abs(profile.sum(axis=0) - 1.0).max()
-    if max(row_err, col_err) > tol.eps_entry:
+    entropy, stochastic = _dense_entropies(dagger(u) @ v, tol.eps_entry)
+    if not stochastic.all():
         raise OracleMismatch("squared-modulus profile failed the doubly stochastic check")
-    return float(_eta_array(profile).sum() / n)
+    return entropy if entropy.ndim else float(entropy)
 
 
 def _component_labels(adj: np.ndarray) -> np.ndarray:
-    """Per vertex of a boolean graph, the smallest vertex of its connected component.
+    """Per vertex of a boolean graph, or of each graph of a stack, the smallest vertex of its component.
 
-    Squares the reachability matrix until it stops growing, so at most
+    Squares the reachability matrices until none grows, so at most
     ``log2(#vertices) + 1`` products of 0/1 matrices are taken.
     """
-    reach = (adj | adj.T | np.eye(adj.shape[0], dtype=bool)).astype(float)
+    reach = (adj | np.swapaxes(adj, -1, -2) | np.eye(adj.shape[-1], dtype=bool)).astype(np.float32)
     while True:
-        grown = (reach @ reach > 0).astype(float)
+        grown = (reach @ reach > 0).astype(np.float32)
         if (grown == reach).all():
-            return reach.argmax(axis=1)
+            return reach.argmax(axis=-1)
         reach = grown
 
 
-def _support_graph_invariants(u: np.ndarray, x: np.ndarray, eps: float) -> tuple[int, int]:
-    """``(dimA, relcomm_dims)`` from the support graphs of ``X = U* V`` and of the ``U P_c U*``."""
-    n = u.shape[0]
-    big = np.abs(x) > eps
-    bipartite = np.zeros((2 * n, 2 * n), dtype=bool)
-    bipartite[:n, n:] = big
+def _component_count(labels: np.ndarray) -> np.ndarray:
+    """Components per graph: the vertices that label their own component."""
+    return (labels == np.arange(labels.shape[-1])).sum(axis=-1)
+
+
+def _support_graph_invariants(u: np.ndarray, x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair of the stacks ``u`` and ``x = u* v``: ``(dimA, relcomm_dims)`` from the support graphs.
+
+    The bipartite graphs of all X are labelled together; the graph on [N]
+    of each pair takes one product ``U P_c U*`` per component c.
+    """
+    b, n = x.shape[0], x.shape[-1]
+    bipartite = np.zeros((b, 2 * n, 2 * n), dtype=bool)
+    bipartite[:, :n, n:] = np.abs(x) > eps
     labels = _component_labels(bipartite)
-    rows = labels[:n]
-    support = np.zeros((n, n), dtype=bool)
-    for c in np.unique(rows):
-        cols = u[:, rows == c]
-        support |= np.abs(cols @ dagger(cols)) > eps
-    return len(np.unique(labels)), len(np.unique(_component_labels(support)))
+    dim_a = _component_count(labels)
+    support = np.zeros((b, n, n), dtype=bool)
+    # a single component has P_c = 1, so its product is U U*, taken for all such pairs at once
+    single = dim_a == 1
+    support[single] = np.abs(u[single] @ dagger(u[single])) > eps
+    for k in np.flatnonzero(~single):
+        rows = labels[k, :n]
+        for c in np.unique(rows):
+            cols = u[k][:, rows == c]
+            support[k] |= np.abs(cols @ dagger(cols)) > eps
+    return dim_a, _component_count(_component_labels(support))
 
 
 @dataclass(frozen=True)
@@ -179,11 +234,16 @@ class InvariantReport:
     flags: tuple[str, ...]
 
 
-def _conjugate_diagonal(form_u: DpwForm, form_v: DpwForm) -> np.ndarray:
-    """For conjugate forms, the d with ``U* V = W* diag(d) W``: ``diag(d) = P* conj(D_u) D_v P``."""
-    d = np.empty(form_u.dim, dtype=complex)
-    d[list(form_u.perm)] = np.conj(form_u.phases) * np.asarray(form_v.phases)
+def _conjugate_diagonals(perm: np.ndarray, phases_u: np.ndarray, phases_v: np.ndarray) -> np.ndarray:
+    """Per row of conjugate forms, the d with ``U* V = W* diag(d) W``: ``diag(d) = P* conj(D_u) D_v P``."""
+    d = np.empty(phases_u.shape, dtype=complex)
+    np.put_along_axis(d, perm, np.conj(phases_u) * phases_v, axis=-1)
     return d
+
+
+def _conjugate_diagonal(form_u: DpwForm, form_v: DpwForm) -> np.ndarray:
+    """The d of one conjugate pair of normal forms."""
+    return _conjugate_diagonals(np.asarray(form_u.perm), np.asarray(form_u.phases), np.asarray(form_v.phases))
 
 
 # rounding between the dense and the Fourier decision values of one pair
@@ -193,13 +253,13 @@ _ROUTE_ROUNDING = 1e-12
 
 class _FourierSide(NamedTuple):
     decisions: np.ndarray
-    slack: float
-    entropy: float
-    allowance: float
+    slack: np.ndarray
+    entropy: np.ndarray
+    allowance: np.ndarray
 
 
-def _fourier_side(form_u: DpwForm, form_v: DpwForm, x: np.ndarray) -> _FourierSide:
-    """The Fourier route of a conjugate pair.
+def _fourier_sides(d: np.ndarray, x: np.ndarray, orders: tuple[int, ...]) -> _FourierSide:
+    """The Fourier route of conjugate pairs, one row of ``d`` and one matrix of ``x = U* V`` each.
 
     ``decisions`` are ``fourier_decisions(d)`` and ``entropy`` is the
     Shannon entropy of ``p = |f|^2``, ``f = inverse_dft(d)``.  The two
@@ -209,18 +269,23 @@ def _fourier_side(form_u: DpwForm, form_v: DpwForm, x: np.ndarray) -> _FourierSi
     more than ``c (2 |f| + c)``, so ``slack`` bounds the distance to
     ``extract_decisions``; and as ``|eta(a) - eta(b)| <= eta(min(|a - b|, 1/e))``
     on [0, 1], ``allowance`` bounds the distance of ``entropy`` to
-    ``modified_entropy`` beyond rounding.
+    ``modified_entropy`` beyond rounding.  Each field holds one entry per pair.
     """
-    orders = form_u.spec.orders
-    d = _conjugate_diagonal(form_u, form_v)
+    n = d.shape[-1]
     f = inverse_dft(d, orders)
     x_form = convolution(f, orders)
-    c = float(np.sqrt((np.abs(x - x_form) ** 2).sum(axis=0)).max())
-    slack = c * (2.0 * float(np.linalg.norm(f)) + c) + _ROUTE_ROUNDING
+    c = np.sqrt((np.abs(x - x_form) ** 2).sum(axis=-2)).max(axis=-1)
+    slack = c * (2.0 * np.linalg.norm(f, axis=-1) + c) + _ROUTE_ROUNDING
     moved = np.abs(np.abs(x) ** 2 - np.abs(x_form) ** 2)
-    allowance = float(_eta_array(np.minimum(moved, 1.0 / math.e)).sum()) / form_u.dim
-    entropy = float(_eta_array(np.abs(f) ** 2).sum())
+    allowance = _eta_array(np.minimum(moved, 1.0 / math.e)).sum(axis=(-2, -1)) / n
+    entropy = _eta_array(np.abs(f) ** 2).sum(axis=-1)
     return _FourierSide(fourier_decisions(d, orders), slack, entropy, allowance)
+
+
+def _fourier_side(form_u: DpwForm, form_v: DpwForm, x: np.ndarray) -> _FourierSide:
+    """The Fourier route of one conjugate pair: ``_fourier_sides`` on a batch of one."""
+    sides = _fourier_sides(_conjugate_diagonal(form_u, form_v)[None], x[None], form_u.spec.orders)
+    return _FourierSide(*(field[0] for field in sides))
 
 
 def _nearest_decision(values: np.ndarray, orders: tuple[int, ...], eps: float) -> str:
@@ -244,112 +309,155 @@ def pair_report(u, v, spec, tol: ToleranceConfig = DEFAULT_TOL) -> InvariantRepo
     respectively be at most, N/|H|.  On conjugate pairs the Shannon
     entropy of ``p`` must match ``modified_entropy``.  Any disagreement
     raises ``OracleMismatch``; a subgroup mismatch names the route and the
-    decision value nearest ``eps_entry``.
+    decision value nearest ``eps_entry``.  This is ``pair_reports`` on a
+    batch of one.
+    """
+    spec = FourierSpec.of(spec)
+    result = pair_reports(as_matrix(u)[None], as_matrix(v)[None], spec, tol)[0]
+    if isinstance(result, HadinvError):
+        raise result
+    return result
+
+
+def pair_reports(us, vs, spec, tol: ToleranceConfig = DEFAULT_TOL) -> list[InvariantReport | HadinvError]:
+    """``pair_report`` of each pair ``(us[b], vs[b])`` of two stacks of shape ``(B, N, N)``.
+
+    Entry b is the report of pair b, or the error ``pair_report`` raises
+    on it; stacks of the wrong shape raise.  The Hadamard validation, ``X
+    = U* V``, the identical and distinct tests, the normal forms, the
+    support-graph labels, the Fourier side of the conjugate pairs and the
+    dense entropy all run along the batch axis, each matrix validated
+    once and each X formed once.  Per pair remain the products of the
+    relative commutant's components, the subgroup H (with the
+    ``extract_subgroup`` fallback) and the assembly of the report.
     """
     spec = FourierSpec.of(spec)
     n = spec.dim
-    u = as_matrix(u)
-    v = as_matrix(v)
-    if u.shape[0] != n or v.shape[0] != n:
+    us = as_stack(us)
+    vs = as_stack(vs)
+    if us.shape[1] != n or vs.shape[1] != n:
         raise DimMismatch(f"matrices must have dimension {n} for spec {spec.orders}")
-    require_hadamard(u, tol)
-    require_hadamard(v, tol)
+    if len(us) != len(vs):
+        raise DimMismatch(f"stacks of {len(us)} and {len(vs)} matrices do not pair up")
     eps = tol.eps_entry
-    # U* V, shared by the distinctness test, the support graphs and the Fourier route
-    x = dagger(u) @ v
-
-    flags: list[str] = []
-    identical = bool(np.abs(u - v).max() <= eps)
-    if identical:
-        flags.append("identical")
-
+    hadamard = hadamard_mask(us, tol) & hadamard_mask(vs, tol)
+    # U* V, shared by the distinctness test, the support graphs, the Fourier route and the entropy
+    x = dagger(us) @ vs
+    identical = np.abs(us - vs).max(axis=(-2, -1)) <= eps
     # distinct exactly when perm_phase_certificate finds no certificate
-    distinct = not is_complex_permutation(x, tol)
+    distinct = ~complex_permutation_mask(x, tol)
+    form_u, perm_u, phases_u = dpw_parts(us, spec, tol)
+    form_v, perm_v, phases_v = dpw_parts(vs, spec, tol)
+    normal = form_u & form_v
+    conjugate = hadamard & normal & (perm_u == perm_v).all(axis=-1)
+    # broadcast, as a substitute for the support graphs (in tests) may give one count for all pairs
+    dims, relcomms = (np.broadcast_to(c, len(us)) for c in _support_graph_invariants(us, x, eps))
+    entropies, stochastic = _dense_entropies(x, eps)
 
-    forms = None
-    try:
-        forms = decompose_dpw(u, spec, tol), decompose_dpw(v, spec, tol)
-    except NotDpwForm:
-        flags.append("not-dpw-form")
-    conjugate = forms is not None and forms[0].perm == forms[1].perm
-
-    dim_a, relcomm_dims = _support_graph_invariants(u, x, eps)
-
-    fourier = _fourier_side(*forms, x) if conjugate else None
-    route, decisions = "extract", None
+    on_route = np.flatnonzero(conjugate)
+    d = _conjugate_diagonals(perm_u[on_route], phases_u[on_route], phases_v[on_route])
+    sides = _fourier_sides(d, x[on_route], spec.orders)
     # a decision value within the distance bound of eps could fall on either side of it
-    if fourier is not None and not (np.abs(fourier.decisions - eps) <= fourier.slack).any():
-        route, decisions = "fourier", fourier.decisions
-    subgroup: SubgroupSet | None = None
-    if identical:
-        flags.append("subgroup-skipped-identical")
-    else:
-        try:
-            if decisions is None:
-                subgroup = extract_subgroup(u, v, GroupStructure(spec.orders), tol)
-            else:
-                subgroup = subgroup_below(decisions, spec.orders, eps)
-        except NotClosed:
-            flags.append("subgroup-not-closed")
+    clear = ~(np.abs(sides.decisions - eps) <= sides.slack[:, None]).any(axis=-1)
+    slot = {k: j for j, k in enumerate(on_route.tolist())}
 
-    if subgroup is not None:
-        # the clock conjugates U D_r U* (r in H) span all of A only for
-        # conjugate and equivalent pairs; otherwise they span a subalgebra
-        spans_a = conjugate or not distinct
-        size, orbits = subgroup.size, n // subgroup.size
-        dim_ok = size == dim_a if spans_a else size <= dim_a
-        relcomm_ok = relcomm_dims == orbits if spans_a else relcomm_dims <= orbits
-        if not dim_ok or ("not-dpw-form" not in flags and not relcomm_ok):
-            if decisions is None:
-                decisions = extract_decisions(u, v, spec.orders)
-            evidence = f"H from the {route} route; {_nearest_decision(decisions, spec.orders, eps)}"
-            if not dim_ok:
+    def report(k: int) -> InvariantReport:
+        if not hadamard[k]:
+            raise NotHadamard("matrix is not complex Hadamard within tolerance")
+        u, v = us[k], vs[k]
+        dim_a, relcomm_dims = int(dims[k]), int(relcomms[k])
+        is_distinct, is_conjugate = bool(distinct[k]), bool(conjugate[k])
+        flags: list[str] = []
+        if identical[k]:
+            flags.append("identical")
+        if not normal[k]:
+            flags.append("not-dpw-form")
+
+        j = slot.get(k)
+        side = None if j is None else _FourierSide(*(field[j] for field in sides))
+        route, decisions = "extract", None
+        if side is not None and clear[j]:
+            route, decisions = "fourier", side.decisions
+        subgroup: SubgroupSet | None = None
+        if identical[k]:
+            flags.append("subgroup-skipped-identical")
+        else:
+            try:
+                if decisions is None:
+                    subgroup = extract_subgroup(u, v, GroupStructure(spec.orders), tol)
+                else:
+                    subgroup = subgroup_below(decisions, spec.orders, eps)
+            except NotClosed:
+                flags.append("subgroup-not-closed")
+
+        if subgroup is not None:
+            # the clock conjugates U D_r U* (r in H) span all of A only for
+            # conjugate and equivalent pairs; otherwise they span a subalgebra
+            spans_a = is_conjugate or not is_distinct
+            size, orbits = subgroup.size, n // subgroup.size
+            dim_ok = size == dim_a if spans_a else size <= dim_a
+            relcomm_ok = relcomm_dims == orbits if spans_a else relcomm_dims <= orbits
+            if not dim_ok or ("not-dpw-form" not in flags and not relcomm_ok):
+                if decisions is None:
+                    decisions = extract_decisions(u, v, spec.orders)
+                evidence = f"H from the {route} route; {_nearest_decision(decisions, spec.orders, eps)}"
+                if not dim_ok:
+                    raise OracleMismatch(
+                        f"subgroup order {size} disagrees with intersection dimension {dim_a} ({evidence})"
+                    )
                 raise OracleMismatch(
-                    f"subgroup order {size} disagrees with intersection dimension {dim_a} ({evidence})"
+                    f"relative commutant dimension {relcomm_dims} disagrees with N/|H| = {n}/{size} "
+                    f"({evidence})"
                 )
+        if not 1 <= dim_a <= n:
+            raise OracleMismatch(f"intersection dimension {dim_a} outside [1, {n}]")
+
+        index = Fraction(n * n, dim_a)
+        if not stochastic[k]:
+            raise OracleMismatch("squared-modulus profile failed the doubly stochastic check")
+        entropy = float(entropies[k])
+        upper = math.log(n / dim_a)
+
+        if not -ENTROPY_TOL <= entropy <= math.log(n) + ENTROPY_TOL:
+            raise OracleMismatch(f"entropy {entropy} outside [0, log {n}]")
+        if side is not None and abs(entropy - side.entropy) > ENTROPY_TOL + side.allowance:
             raise OracleMismatch(
-                f"relative commutant dimension {relcomm_dims} disagrees with N/|H| = {n}/{size} ({evidence})"
+                f"entropy {entropy} disagrees with the Shannon entropy {side.entropy} of |ifftn(d)|^2 "
+                f"beyond {ENTROPY_TOL:g} + {side.allowance:.3e}, the allowance for the distance "
+                "of the pair from its normal forms"
             )
-    if not 1 <= dim_a <= n:
-        raise OracleMismatch(f"intersection dimension {dim_a} outside [1, {n}]")
+        if is_conjugate and entropy > upper + ENTROPY_BOUND_TOL:
+            raise OracleMismatch(
+                f"entropy {entropy} exceeds the bound log(N/dimA) = {upper} on a conjugate pair"
+            )
 
-    index = Fraction(n * n, dim_a)
-    vertex = dim_a == 1
-    entropy = modified_entropy(u, v, tol)
-    upper = math.log(n / dim_a)
+        certified = is_distinct and is_conjugate and subgroup is not None
+        if not certified:
+            flags.append("hypotheses-unverified")
 
-    if not -ENTROPY_TOL <= entropy <= math.log(n) + ENTROPY_TOL:
-        raise OracleMismatch(f"entropy {entropy} outside [0, log {n}]")
-    if fourier is not None and abs(entropy - fourier.entropy) > ENTROPY_TOL + fourier.allowance:
-        raise OracleMismatch(
-            f"entropy {entropy} disagrees with the Shannon entropy {fourier.entropy} of |ifftn(d)|^2 "
-            f"beyond {ENTROPY_TOL:g} + {fourier.allowance:.3e}, the allowance for the distance "
-            "of the pair from its normal forms"
+        return InvariantReport(
+            n=n,
+            spec=spec.orders,
+            distinct=is_distinct,
+            conjugate=is_conjugate,
+            dim_a=dim_a,
+            subgroup=subgroup,
+            index=index,
+            relcomm_dims=relcomm_dims,
+            vertex=dim_a == 1,
+            entropy_h=entropy,
+            entropy_upper=upper,
+            certified=certified,
+            flags=tuple(flags),
         )
-    if conjugate and entropy > upper + ENTROPY_BOUND_TOL:
-        raise OracleMismatch(
-            f"entropy {entropy} exceeds the bound log(N/dimA) = {upper} on a conjugate pair"
-        )
 
-    certified = distinct and conjugate and subgroup is not None
-    if not certified:
-        flags.append("hypotheses-unverified")
-
-    return InvariantReport(
-        n=n,
-        spec=spec.orders,
-        distinct=distinct,
-        conjugate=conjugate,
-        dim_a=dim_a,
-        subgroup=subgroup,
-        index=index,
-        relcomm_dims=relcomm_dims,
-        vertex=vertex,
-        entropy_h=entropy,
-        entropy_upper=upper,
-        certified=certified,
-        flags=tuple(flags),
-    )
+    results: list[InvariantReport | HadinvError] = []
+    for k in range(len(us)):
+        try:
+            results.append(report(k))
+        except HadinvError as exc:
+            results.append(exc)
+    return results
 
 
 REALIZATION_ORDER_CAP = 16

@@ -2,7 +2,9 @@
 
 Everything else in the package is built on this module: Kronecker products,
 unitary conjugation, the single-flag predicates ``is_unitary`` and
-``is_complex_permutation``, structural classification (all flags at once,
+``is_complex_permutation`` (with ``unitary_mask`` and
+``complex_permutation_mask``, their forms over stacks of matrices),
+structural classification (all flags at once,
 composed from those predicates), the inner product
 ``<A, B> = tr(B* A) / N``, Gram-Schmidt orthonormalization in that inner
 product, and subspace intersection via a stacked null-space computation.
@@ -26,10 +28,13 @@ __all__ = [
     "DEFAULT_TOL",
     "MatrixClass",
     "as_matrix",
+    "as_stack",
     "dagger",
     "tensor",
     "ad",
+    "unitary_mask",
     "is_unitary",
+    "complex_permutation_mask",
     "is_complex_permutation",
     "classify",
     "trace_inner",
@@ -87,9 +92,19 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
+def as_stack(m) -> np.ndarray:
+    """Coerce to a stack ``(B, N, N)`` of square complex matrices with finite entries."""
+    arr = np.asarray(m, dtype=complex)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] < 1:
+        raise ValueError(f"expected a stack of square matrices, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+    return arr
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose, of each matrix of a stack."""
+    return np.swapaxes(np.asarray(m).conj(), -1, -2)
 
 
 def tensor(a, b) -> np.ndarray:
@@ -97,19 +112,29 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
+def unitary_mask(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """``is_unitary`` of each matrix of a stack ``(..., N, N)``, as a boolean array."""
+    err = np.abs(m @ dagger(m) - np.eye(m.shape[-1])).max(axis=(-2, -1))
+    return err < tol.eps_entry
+
+
 def is_unitary(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when ``m m*`` equals the identity entrywise within ``tol.eps_entry``."""
-    a = as_matrix(m)
-    return bool(np.abs(a @ dagger(a) - np.eye(a.shape[0])).max() < tol.eps_entry)
+    return bool(unitary_mask(as_matrix(m), tol))
+
+
+def complex_permutation_mask(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """``is_complex_permutation`` of each matrix of a stack ``(..., N, N)``, as a boolean array."""
+    mag = np.abs(m)
+    big = mag > tol.eps_entry
+    one_each = (big.sum(axis=-2) == 1).all(axis=-1) & (big.sum(axis=-1) == 1).all(axis=-1)
+    unit = np.where(big, np.abs(mag - 1.0), 0.0).max(axis=(-2, -1)) < tol.eps_entry
+    return one_each & unit
 
 
 def is_complex_permutation(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when every row and column has exactly one entry above ``tol.eps_entry``, of modulus one."""
-    mag = np.abs(as_matrix(m))
-    big = mag > tol.eps_entry
-    if not ((big.sum(axis=0) == 1).all() and (big.sum(axis=1) == 1).all()):
-        return False
-    return bool(np.abs(mag[big] - 1.0).max() < tol.eps_entry)
+    return bool(complex_permutation_mask(as_matrix(m), tol))
 
 
 def ad(u, x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

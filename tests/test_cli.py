@@ -326,6 +326,11 @@ class TestSweep:
         _, out2, _ = run(capsys, *base, "--jobs", "3")
         assert out1 == out2
 
+    def test_golden_sweeps_span_several_stacks(self):
+        from hadinv.invariants import STACK_ENTRIES
+
+        assert 40 > 2 * (STACK_ENTRIES // 64**2)
+
     def test_random_mode_needs_seed(self, capsys):
         code, _, err = run(capsys, "sweep", "--spec", "2", "--mode", "random")
         assert code == 2
@@ -368,9 +373,20 @@ class TestSweep:
             ("--spec", "2,4", "--mode", "realize", "--format", "text"),
             "82e60e98abff640ed099022f78707fb923466609f158e803311cc140f130f86a",
         ),
+        # N = 64: 40 samples span three stacks of STACK_ENTRIES / 64^2 = 16 rows
+        (
+            ("--spec", "8,8", "--mode", "random", "--samples", "40", "--seed", "5"),
+            "083519a1bcae3878e2104552c75e32b2fae822eb2dd867a8e46e5e8f9cd036c7",
+        ),
+        (
+            ("--spec", "64", "--mode", "random", "--samples", "40", "--seed", "2", "--jobs", "2"),
+            "a6a7a6201038c90396d73ad43d73defacfe7bc82631440754b5c3b1f5202a558",
+        ),
     ]
 
-    @pytest.mark.parametrize("argv,digest", GOLDEN, ids=["random-2,4", "random-3,3", "realize-2,4"])
+    @pytest.mark.parametrize(
+        "argv,digest", GOLDEN, ids=["random-2,4", "random-3,3", "realize-2,4", "random-8,8", "random-64"]
+    )
     def test_seeded_output_is_pinned(self, capsys, argv, digest):
         code, out, _ = run(capsys, "sweep", *argv)
         assert code == 0

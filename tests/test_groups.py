@@ -66,6 +66,42 @@ class TestSubgroupSet:
             SubgroupSet(orders=(4,), members=frozenset({(0,), (1,)}))
         assert info.value.members == frozenset({(0,), (1,)})
 
+    @pytest.mark.parametrize(
+        "orders,members",
+        [
+            ((4,), {(0,), (4,)}),
+            ((4,), {(0,), (-1,), (1,)}),
+            ((2, 3), {(0, 0), (0, 3)}),
+            ((2, 2), {(0, 0, 0)}),
+        ],
+    )
+    def test_rejects_non_elements(self, orders, members):
+        # (4,) + (4,) = (0,) mod 4, so closure alone would accept {(0,), (4,)}
+        assert not is_subgroup(orders, members)
+        with pytest.raises(NotClosed):
+            SubgroupSet(orders=orders, members=frozenset(members))
+
+    def test_closure_matches_pairwise_sums(self):
+        # the table lookup against the plain |H|^2 loop of additions, on every
+        # subset of Z_2 x Z_4 that holds the identity
+        group = GroupStructure((2, 4))
+        rest = [g for g in elements(group) if g != group.identity]
+        for size in range(len(rest) + 1):
+            for extra in itertools.combinations(rest, size):
+                members = {group.identity, *extra}
+                expected = all(group.add(a, b) in members for a in members for b in members)
+                assert is_subgroup(group, members) == expected
+
+    def test_full_group_of_order_64(self):
+        members = frozenset(elements((8, 8)))
+        assert SubgroupSet(orders=(8, 8), members=members).size == 64
+        with pytest.raises(NotClosed):
+            SubgroupSet(orders=(8, 8), members=members - {(3, 5)})
+
+    def test_group_order_cap(self):
+        with pytest.raises(OrderTooLarge):
+            is_subgroup((128,), {(0,)})
+
 
 class TestAllSubgroups:
     def test_cyclic_four(self):

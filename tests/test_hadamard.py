@@ -323,3 +323,18 @@ class TestDpwFormValidation:
     def test_rejects_wrong_length(self):
         with pytest.raises(DimMismatch):
             DpwForm(spec=FourierSpec((2, 2)), perm=(0, 1), phases=(1.0, 1.0))
+
+    def test_stores_python_ints_and_complexes(self):
+        # arrays, numpy scalars and plain numbers all store the same tuples
+        rng = np.random.default_rng(21)
+        perm = rng.permutation(6)
+        phases = np.exp(2j * np.pi * rng.random(6))
+        inputs = [(perm, phases), (list(perm), list(phases)), (tuple(perm.tolist()), tuple(phases.tolist()))]
+        for p, z in inputs:
+            form = DpwForm(spec=FourierSpec((2, 3)), perm=p, phases=z)
+            assert form.perm == tuple(int(i) for i in perm)
+            assert form.phases == tuple(complex(c) for c in phases)
+            assert {type(i) for i in form.perm} == {int}
+            assert {type(c) for c in form.phases} == {complex}
+        real = DpwForm(spec=FourierSpec((2,)), perm=(1.0, 0.0), phases=(1, -1))
+        assert real.perm == (1, 0) and real.phases == (1 + 0j, -1 + 0j)

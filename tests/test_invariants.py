@@ -1,5 +1,6 @@
 """Tests for entropy, pair reports, and realization sweeps."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hadinv import (
     DimMismatch,
     DomainError,
     HadinvError,
+    InvariantReport,
     NonUnitary,
     NotClosed,
     NotHadamard,
@@ -33,6 +35,7 @@ from hadinv import (
     intersect_algebras,
     modified_entropy,
     pair_report,
+    pair_reports,
     perm_matrix,
     random_conjugate_forms,
     random_conjugate_pair,
@@ -448,6 +451,97 @@ class TestMismatchEvidence:
         nearest = values[np.abs(np.log(values / 1e-9)).argmin()]
         assert f"{nearest:.3e}" in str(info.value)
         assert 1e-10 < nearest < 1e-8
+
+
+def _per_pair(u, v, spec):
+    try:
+        return pair_report(u, v, spec)
+    except HadinvError as exc:
+        return exc
+
+
+class TestStackedReports:
+    """pair_reports on one mixed stack against pair_report on each pair."""
+
+    SPEC = (8,)
+
+    def _mixed_stack(self):
+        rng = np.random.default_rng(66)
+        f8 = fourier(8)
+        u = random_dpw(self.SPEC, rng)
+        w = fourier_tensor((2, 4))
+        # a decision value within rounding of eps_entry 1e-9: the extract route decides
+        d = 1j ** (np.arange(8) // 2) * np.exp(4e-9j * (np.arange(8) == 0))
+        pairs = [
+            (np.eye(8), f8),  # not Hadamard; first, so that a mix-up of U across pairs shows
+            (w, np.diag([1, 1j, 1, 1j, 1, 1, 1, 1]) @ w),  # not normal forms over (8,)
+            random_conjugate_pair(self.SPEC, rng),
+            realize_subgroup(self.SPEC, (4,)),
+            (f8, perm_matrix([0, 1, 3, 2, 4, 5, 6, 7]) @ f8),  # different permutations
+            (u, u @ perm_matrix(rng.permutation(8)) @ np.diag(np.exp(2j * np.pi * rng.random(8)))),
+            (u, u),
+            (f8, np.diag(d) @ f8),
+            random_conjugate_pair(self.SPEC, rng),
+        ]
+        return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+
+    def _assert_stack_matches_pairs(self, us, vs):
+        stacked = pair_reports(us, vs, self.SPEC)
+        assert len(stacked) == len(us)
+        for k, got in enumerate(stacked):
+            want = _per_pair(us[k], vs[k], self.SPEC)
+            assert type(got) is type(want), k
+            if isinstance(want, HadinvError):
+                assert str(got) == str(want), k
+                continue
+            for field in dataclasses.fields(want):
+                assert getattr(got, field.name) == getattr(want, field.name), (k, field.name)
+        return stacked
+
+    def test_mixed_stack(self, monkeypatch):
+        calls = []
+        real = hadinv.invariants.extract_subgroup
+        monkeypatch.setattr(hadinv.invariants, "extract_subgroup", lambda *a: calls.append(a) or real(*a))
+        us, vs = self._mixed_stack()
+        stacked = self._assert_stack_matches_pairs(us, vs)
+        # the stack and the per-pair calls take the same routes: four pairs extract each time
+        assert len(calls) == 8
+        # the pair on the threshold: the dense decision gives H = {0} against dimA 4
+        kinds = [type(r).__name__ for r in stacked]
+        assert kinds == ["NotHadamard"] + ["InvariantReport"] * 6 + ["OracleMismatch", "InvariantReport"]
+        assert "not-dpw-form" in stacked[1].flags and "identical" in stacked[6].flags
+        assert stacked[3].subgroup.size == 4 and not stacked[5].distinct
+
+    def test_oracle_mismatch_stays_with_its_pair(self, monkeypatch):
+        us, vs = self._mixed_stack()
+        marker = us[2]
+        real = hadinv.invariants._support_graph_invariants
+
+        def skewed(u, x, eps):
+            dims, relcomms = real(u, x, eps)
+            marked = np.array([np.array_equal(m, marker) for m in u])
+            return dims + marked, relcomms
+
+        monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", skewed)
+        stacked = self._assert_stack_matches_pairs(us, vs)
+        assert isinstance(stacked[2], OracleMismatch) and "subgroup order 1" in str(stacked[2])
+        assert isinstance(stacked[-1], InvariantReport)
+
+    def test_entropy_stacks_match_pairs(self):
+        us, vs = self._mixed_stack()
+        keep = [1, 2, 3, 4, 5, 6, 8]
+        got = modified_entropy(us[keep], vs[keep])
+        assert got.shape == (len(keep),)
+        assert [float(h) for h in got] == [modified_entropy(us[k], vs[k]) for k in keep]
+
+    def test_rejects_mismatched_stacks(self):
+        us, vs = self._mixed_stack()
+        with pytest.raises(DimMismatch):
+            pair_reports(us, vs[:-1], self.SPEC)
+        with pytest.raises(DimMismatch):
+            pair_reports(us, vs, (4,))
+        with pytest.raises(ValueError):
+            pair_reports(us[0], vs[0], self.SPEC)
 
 
 class TestRealizationSweep:

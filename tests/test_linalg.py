@@ -139,6 +139,20 @@ class TestSingleFlagPredicates:
         loose = ToleranceConfig(eps_entry=1e-5)
         assert is_complex_permutation(noisy, loose) and is_unitary(noisy, loose)
 
+    def test_stack_masks_agree_with_each_matrix(self):
+        from hadinv.linalg import as_stack, complex_permutation_mask, unitary_mask
+
+        rng = np.random.default_rng(7)
+        mats = [m for m in self.matrices() if m.shape == (2, 2)] + [
+            haar_unitary(2, rng),
+            np.diag([1j, -1]) @ shift(2, 1) + 1e-7,
+        ]
+        stack = as_stack(mats)
+        assert unitary_mask(stack).tolist() == [is_unitary(m) for m in mats]
+        assert complex_permutation_mask(stack).tolist() == [is_complex_permutation(m) for m in mats]
+        with pytest.raises(ValueError):
+            as_stack(mats[0])
+
     def test_a_modulus_off_one_is_not_a_complex_permutation(self):
         assert not is_complex_permutation(np.diag([1.0, 0.5]))
 

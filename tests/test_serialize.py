@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import maxabs
-from hadinv import DpwForm, FourierSpec, SubgroupSet, diag_conj_algebra, fourier, pair_report
+from hadinv import DpwForm, FourierSpec, NotClosed, SubgroupSet, diag_conj_algebra, fourier, pair_report
 from hadinv.serialize import (
     algebra_from_obj,
     algebra_to_obj,
@@ -63,6 +63,10 @@ class TestSubgroupFormat:
         obj = subgroup_to_obj(s)
         assert obj == {"orders": [4], "members": [[0], [2]]}
         assert subgroup_from_obj(obj) == s
+
+    def test_rejects_non_elements(self):
+        with pytest.raises(NotClosed):
+            subgroup_from_obj({"orders": [4], "members": [[0], [4]]})
 
 
 class TestAlgebraFormat:
