@@ -36,10 +36,12 @@ from .hadamard import (
     are_conjugate,
     clock_vec,
     decompose_dpw,
+    diag_times,
     fourier,
     fourier_tensor,
     is_hadamard,
     perm_phase_certificate,
+    realize_forms,
     shift_vec,
 )
 from .invariants import (
@@ -260,14 +262,6 @@ def _sweep_realize_rows(spec: FourierSpec, tol: ToleranceConfig) -> list[dict]:
     return rows
 
 
-def _diag_times(phases: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """``diag(phases[b]) @ mats[b]`` for each b: the matrix product of ``DpwForm.realize``, bit for bit."""
-    diag = np.zeros(mats.shape, dtype=complex)
-    idx = np.arange(mats.shape[-1])
-    diag[:, idx, idx] = phases
-    return diag @ mats
-
-
 def _random_row(
     sample: int, form_u: DpwForm, form_v: DpwForm, report: InvariantReport | OracleMismatch, misses: tuple[bool, bool]
 ) -> dict:
@@ -319,13 +313,12 @@ def _sweep_random_rows(spec: FourierSpec, seed: int, samples: int, tol: Toleranc
         draws.append((form_u, form_v, np.exp(2j * np.pi * rng.random(n))))
 
     rows = []
-    w = fourier_tensor(spec)
     step = max(1, STACK_ENTRIES // (n * n))
     for start in range(0, samples, step):
         chunk = draws[start : start + step]
-        base = w[np.array([form_u.perm for form_u, _, _ in chunk])]
-        us = _diag_times(np.array([form_u.phases for form_u, _, _ in chunk]), base)
-        vs = _diag_times(np.array([form_v.phases for _, form_v, _ in chunk]), base)
+        perms = [form_u.perm for form_u, _, _ in chunk]
+        us = realize_forms(perms, [form_u.phases for form_u, _, _ in chunk], spec)
+        vs = realize_forms(perms, [form_v.phases for _, form_v, _ in chunk], spec)
         reports = pair_reports(us, vs, spec, tol)
         for report in reports:
             if isinstance(report, HadinvError) and not isinstance(report, OracleMismatch):
@@ -337,7 +330,7 @@ def _sweep_random_rows(spec: FourierSpec, seed: int, samples: int, tol: Toleranc
         extra = np.array([chunk[k][2] for k in done]).reshape(-1, n)
         us, vs = us[done], vs[done]
         symmetry = np.abs(modified_entropy(vs, us, tol) - h) > ENTROPY_TOL
-        left = np.abs(modified_entropy(_diag_times(extra, us), _diag_times(extra, vs), tol) - h) > ENTROPY_TOL
+        left = np.abs(modified_entropy(diag_times(extra, us), diag_times(extra, vs), tol) - h) > ENTROPY_TOL
         misses = dict(zip(done, zip(symmetry, left)))
 
         for k, ((form_u, form_v, _), report) in enumerate(zip(chunk, reports)):

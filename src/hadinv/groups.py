@@ -175,14 +175,8 @@ def extract_decisions(u, v, group) -> np.ndarray:
 def subgroup_below(values, group, eps: float) -> SubgroupSet:
     """The elements r with ``values[r] < eps``, verified as a subgroup (else ``NotClosed``)."""
     group = GroupStructure.of(group)
-    return _subgroup_of_mask(group.orders, (np.asarray(values) < eps).tobytes())
-
-
-@functools.lru_cache(maxsize=1024)
-def _subgroup_of_mask(orders: tuple[int, ...], below: bytes) -> SubgroupSet:
-    """The verified subgroup of a membership mask over the elements; built once per distinct mask."""
-    found = np.unravel_index(np.flatnonzero(np.frombuffer(below, dtype=bool)), orders)
-    return SubgroupSet(orders=orders, members=frozenset(zip(*(c.tolist() for c in found))))
+    found = np.unravel_index(np.flatnonzero(np.asarray(values) < eps), group.orders)
+    return SubgroupSet(orders=group.orders, members=frozenset(zip(*(c.tolist() for c in found))))
 
 
 def extract_subgroup(u, v, group, tol: ToleranceConfig = DEFAULT_TOL) -> SubgroupSet:

@@ -37,6 +37,8 @@ __all__ = [
     "DIM_CAP",
     "FourierSpec",
     "DpwForm",
+    "diag_times",
+    "realize_forms",
     "fourier",
     "fourier_tensor",
     "clock",
@@ -279,7 +281,7 @@ class DpwForm:
         n = spec.dim
         if perm.shape != (n,) or phases.shape != (n,):
             raise DimMismatch(f"perm/phases must have length {n}")
-        if sorted(self.perm) != list(range(n)):
+        if (np.sort(perm) != np.arange(n)).any():
             raise ValueError(f"perm is not a permutation of 0..{n - 1}")
         if np.abs(np.abs(phases) - 1.0).max() >= self.tol.eps_entry:
             raise ValueError("phases must have modulus one")
@@ -289,8 +291,29 @@ class DpwForm:
         return self.spec.dim
 
     def realize(self) -> np.ndarray:
-        # row i of P W is row perm[i] of W
-        return np.diag(np.asarray(self.phases)) @ _fourier_tensor(self.spec.orders)[list(self.perm)]
+        """The matrix of the form: ``realize_forms`` on a batch of one."""
+        return realize_forms([self.perm], [self.phases], self.spec)[0]
+
+
+def diag_times(phases, mats) -> np.ndarray:
+    """``diag(phases[b]) @ mats[b]`` for each matrix of a stack ``(B, N, N)``.
+
+    Taken as a dense matrix product, not as a row scaling, so every entry
+    comes out bit for bit as ``np.diag(phases[b]) @ mats[b]``; the sha256
+    goldens of ``hadinv sweep`` pin these bits.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    diag = np.zeros(mats.shape, dtype=complex)
+    idx = np.arange(mats.shape[-1])
+    diag[:, idx, idx] = phases
+    return diag @ mats
+
+
+def realize_forms(perms, phases, spec) -> np.ndarray:
+    """The matrices ``diag(phases[b]) @ perm_matrix(perms[b]) @ W`` of a stack of normal forms."""
+    w = _fourier_tensor(FourierSpec.of(spec).orders)
+    # row i of P W is row perm[i] of W
+    return diag_times(phases, w[np.asarray(perms)])
 
 
 def dpw_parts(x: np.ndarray, spec: FourierSpec, tol: ToleranceConfig = DEFAULT_TOL):

@@ -44,7 +44,9 @@ the batch axis: each matrix is validated once, each ``X = U* V`` formed
 once and shared by the distinctness test, the support graphs, the
 Fourier route and the dense entropy.  Only the relative commutant's
 per-component products, H and its ``extract_subgroup`` fallback, and the
-assembly of each report run per pair.  ``pair_report`` is its batch of
+assembly of each report run per pair, in ``pair_report``, which
+``pair_reports`` calls once per pair with that pair's row of the stacked
+stages; called on its own, ``pair_report`` runs the stages on a batch of
 one.  Callers that stack many pairs keep ``B * N^2`` at or below
 ``STACK_ENTRIES``; ``hadinv sweep --mode random`` sends its rows in
 chunks of that size.
@@ -241,11 +243,6 @@ def _conjugate_diagonals(perm: np.ndarray, phases_u: np.ndarray, phases_v: np.nd
     return d
 
 
-def _conjugate_diagonal(form_u: DpwForm, form_v: DpwForm) -> np.ndarray:
-    """The d of one conjugate pair of normal forms."""
-    return _conjugate_diagonals(np.asarray(form_u.perm), np.asarray(form_u.phases), np.asarray(form_v.phases))
-
-
 # rounding between the dense and the Fourier decision values of one pair
 # (seen up to 1.3e-13 on exact normal forms at N = 64)
 _ROUTE_ROUNDING = 1e-12
@@ -282,12 +279,6 @@ def _fourier_sides(d: np.ndarray, x: np.ndarray, orders: tuple[int, ...]) -> _Fo
     return _FourierSide(fourier_decisions(d, orders), slack, entropy, allowance)
 
 
-def _fourier_side(form_u: DpwForm, form_v: DpwForm, x: np.ndarray) -> _FourierSide:
-    """The Fourier route of one conjugate pair: ``_fourier_sides`` on a batch of one."""
-    sides = _fourier_sides(_conjugate_diagonal(form_u, form_v)[None], x[None], form_u.spec.orders)
-    return _FourierSide(*(field[0] for field in sides))
-
-
 def _nearest_decision(values: np.ndarray, orders: tuple[int, ...], eps: float) -> str:
     """The decision value nearest ``eps`` by ratio, with its element r."""
     k = int(np.abs(np.log(np.maximum(values, 1e-300) / eps)).argmin())
@@ -295,46 +286,26 @@ def _nearest_decision(values: np.ndarray, orders: tuple[int, ...], eps: float) -
     return f"decision value nearest eps_entry {eps:g}: {values[k]:.3e} at r=({r})"
 
 
-def pair_report(u, v, spec, tol: ToleranceConfig = DEFAULT_TOL) -> InvariantReport:
-    """Compute every pair invariant, cross-checked between independent routes.
+class _PairStage(NamedTuple):
+    """One pair's row of the stages that ``pair_reports`` runs along the batch axis."""
 
-    dimA and the relative commutant dimension are component counts of
-    support graphs at ``tol.eps_entry`` (see the module docstring).  The
-    subgroup H comes from ``fourier_decisions`` on a conjugate pair whose
-    decision values all lie clear of ``eps_entry`` by more than their
-    distance bound to the dense route, and from ``extract_subgroup``
-    otherwise.  dimA must equal |H| on conjugate and on equivalent pairs
-    and be at least |H| on the others; when in addition both matrices are
-    in normal form, the relative commutant dimension must equal,
-    respectively be at most, N/|H|.  On conjugate pairs the Shannon
-    entropy of ``p`` must match ``modified_entropy``.  Any disagreement
-    raises ``OracleMismatch``; a subgroup mismatch names the route and the
-    decision value nearest ``eps_entry``.  This is ``pair_reports`` on a
-    batch of one.
-    """
-    spec = FourierSpec.of(spec)
-    result = pair_reports(as_matrix(u)[None], as_matrix(v)[None], spec, tol)[0]
-    if isinstance(result, HadinvError):
-        raise result
-    return result
+    hadamard: bool
+    identical: bool
+    distinct: bool
+    normal: bool
+    conjugate: bool
+    dim_a: int
+    relcomm_dims: int
+    entropy: float
+    stochastic: bool
+    # the Fourier route of a conjugate pair, and whether its decisions all lie clear of eps
+    side: _FourierSide | None
+    clear: bool
 
 
-def pair_reports(us, vs, spec, tol: ToleranceConfig = DEFAULT_TOL) -> list[InvariantReport | HadinvError]:
-    """``pair_report`` of each pair ``(us[b], vs[b])`` of two stacks of shape ``(B, N, N)``.
-
-    Entry b is the report of pair b, or the error ``pair_report`` raises
-    on it; stacks of the wrong shape raise.  The Hadamard validation, ``X
-    = U* V``, the identical and distinct tests, the normal forms, the
-    support-graph labels, the Fourier side of the conjugate pairs and the
-    dense entropy all run along the batch axis, each matrix validated
-    once and each X formed once.  Per pair remain the products of the
-    relative commutant's components, the subgroup H (with the
-    ``extract_subgroup`` fallback) and the assembly of the report.
-    """
-    spec = FourierSpec.of(spec)
+def _stages(us: np.ndarray, vs: np.ndarray, spec: FourierSpec, tol: ToleranceConfig) -> list[_PairStage]:
+    """The stacked stages of ``pair_reports``, split into one ``_PairStage`` per pair."""
     n = spec.dim
-    us = as_stack(us)
-    vs = as_stack(vs)
     if us.shape[1] != n or vs.shape[1] != n:
         raise DimMismatch(f"matrices must have dimension {n} for spec {spec.orders}")
     if len(us) != len(vs):
@@ -359,102 +330,146 @@ def pair_reports(us, vs, spec, tol: ToleranceConfig = DEFAULT_TOL) -> list[Invar
     sides = _fourier_sides(d, x[on_route], spec.orders)
     # a decision value within the distance bound of eps could fall on either side of it
     clear = ~(np.abs(sides.decisions - eps) <= sides.slack[:, None]).any(axis=-1)
-    slot = {k: j for j, k in enumerate(on_route.tolist())}
+    routes = iter([(_FourierSide(*(field[j] for field in sides)), bool(clear[j])) for j in range(len(on_route))])
+    columns = (hadamard, identical, distinct, normal, conjugate, dims, relcomms, entropies, stochastic)
+    return [
+        _PairStage(*row, *(next(routes) if row[4] else (None, False)))
+        for row in zip(*(c.tolist() for c in columns))
+    ]
 
-    def report(k: int) -> InvariantReport:
-        if not hadamard[k]:
-            raise NotHadamard("matrix is not complex Hadamard within tolerance")
-        u, v = us[k], vs[k]
-        dim_a, relcomm_dims = int(dims[k]), int(relcomms[k])
-        is_distinct, is_conjugate = bool(distinct[k]), bool(conjugate[k])
-        flags: list[str] = []
-        if identical[k]:
-            flags.append("identical")
-        if not normal[k]:
-            flags.append("not-dpw-form")
 
-        j = slot.get(k)
-        side = None if j is None else _FourierSide(*(field[j] for field in sides))
-        route, decisions = "extract", None
-        if side is not None and clear[j]:
-            route, decisions = "fourier", side.decisions
-        subgroup: SubgroupSet | None = None
-        if identical[k]:
-            flags.append("subgroup-skipped-identical")
-        else:
-            try:
-                if decisions is None:
-                    subgroup = extract_subgroup(u, v, GroupStructure(spec.orders), tol)
-                else:
-                    subgroup = subgroup_below(decisions, spec.orders, eps)
-            except NotClosed:
-                flags.append("subgroup-not-closed")
+def pair_report(u, v, spec, tol: ToleranceConfig = DEFAULT_TOL, *, stage: _PairStage | None = None) -> InvariantReport:
+    """Compute every pair invariant, cross-checked between independent routes.
 
-        if subgroup is not None:
-            # the clock conjugates U D_r U* (r in H) span all of A only for
-            # conjugate and equivalent pairs; otherwise they span a subalgebra
-            spans_a = is_conjugate or not is_distinct
-            size, orbits = subgroup.size, n // subgroup.size
-            dim_ok = size == dim_a if spans_a else size <= dim_a
-            relcomm_ok = relcomm_dims == orbits if spans_a else relcomm_dims <= orbits
-            if not dim_ok or ("not-dpw-form" not in flags and not relcomm_ok):
-                if decisions is None:
-                    decisions = extract_decisions(u, v, spec.orders)
-                evidence = f"H from the {route} route; {_nearest_decision(decisions, spec.orders, eps)}"
-                if not dim_ok:
-                    raise OracleMismatch(
-                        f"subgroup order {size} disagrees with intersection dimension {dim_a} ({evidence})"
-                    )
-                raise OracleMismatch(
-                    f"relative commutant dimension {relcomm_dims} disagrees with N/|H| = {n}/{size} "
-                    f"({evidence})"
-                )
-        if not 1 <= dim_a <= n:
-            raise OracleMismatch(f"intersection dimension {dim_a} outside [1, {n}]")
+    dimA and the relative commutant dimension are component counts of
+    support graphs at ``tol.eps_entry`` (see the module docstring).  The
+    subgroup H comes from ``fourier_decisions`` on a conjugate pair whose
+    decision values all lie clear of ``eps_entry`` by more than their
+    distance bound to the dense route, and from ``extract_subgroup``
+    otherwise.  dimA must equal |H| on conjugate and on equivalent pairs
+    and be at least |H| on the others; when in addition both matrices are
+    in normal form, the relative commutant dimension must equal,
+    respectively be at most, N/|H|.  On conjugate pairs the Shannon
+    entropy of ``p`` must match ``modified_entropy``.  Any disagreement
+    raises ``OracleMismatch``; a subgroup mismatch names the route and the
+    decision value nearest ``eps_entry``.
 
-        index = Fraction(n * n, dim_a)
-        if not stochastic[k]:
-            raise OracleMismatch("squared-modulus profile failed the doubly stochastic check")
-        entropy = float(entropies[k])
-        upper = math.log(n / dim_a)
+    The stacked stages run on a batch of one; ``pair_reports`` runs them
+    on its whole stack and passes each pair its row as ``stage``, so that
+    the per-pair step below is this function for every pair.
+    """
+    spec = FourierSpec.of(spec)
+    n = spec.dim
+    eps = tol.eps_entry
+    if stage is None:
+        u, v = as_matrix(u), as_matrix(v)
+        (stage,) = _stages(u[None], v[None], spec, tol)
+    if not stage.hadamard:
+        raise NotHadamard("matrix is not complex Hadamard within tolerance")
+    dim_a, relcomm_dims = stage.dim_a, stage.relcomm_dims
+    is_distinct, is_conjugate = stage.distinct, stage.conjugate
+    flags: list[str] = []
+    if stage.identical:
+        flags.append("identical")
+    if not stage.normal:
+        flags.append("not-dpw-form")
 
-        if not -ENTROPY_TOL <= entropy <= math.log(n) + ENTROPY_TOL:
-            raise OracleMismatch(f"entropy {entropy} outside [0, log {n}]")
-        if side is not None and abs(entropy - side.entropy) > ENTROPY_TOL + side.allowance:
-            raise OracleMismatch(
-                f"entropy {entropy} disagrees with the Shannon entropy {side.entropy} of |ifftn(d)|^2 "
-                f"beyond {ENTROPY_TOL:g} + {side.allowance:.3e}, the allowance for the distance "
-                "of the pair from its normal forms"
-            )
-        if is_conjugate and entropy > upper + ENTROPY_BOUND_TOL:
-            raise OracleMismatch(
-                f"entropy {entropy} exceeds the bound log(N/dimA) = {upper} on a conjugate pair"
-            )
-
-        certified = is_distinct and is_conjugate and subgroup is not None
-        if not certified:
-            flags.append("hypotheses-unverified")
-
-        return InvariantReport(
-            n=n,
-            spec=spec.orders,
-            distinct=is_distinct,
-            conjugate=is_conjugate,
-            dim_a=dim_a,
-            subgroup=subgroup,
-            index=index,
-            relcomm_dims=relcomm_dims,
-            vertex=dim_a == 1,
-            entropy_h=entropy,
-            entropy_upper=upper,
-            certified=certified,
-            flags=tuple(flags),
-        )
-
-    results: list[InvariantReport | HadinvError] = []
-    for k in range(len(us)):
+    side = stage.side
+    route, decisions = "extract", None
+    if stage.clear:
+        route, decisions = "fourier", side.decisions
+    subgroup: SubgroupSet | None = None
+    if stage.identical:
+        flags.append("subgroup-skipped-identical")
+    else:
         try:
-            results.append(report(k))
+            if decisions is None:
+                subgroup = extract_subgroup(u, v, GroupStructure(spec.orders), tol)
+            else:
+                subgroup = subgroup_below(decisions, spec.orders, eps)
+        except NotClosed:
+            flags.append("subgroup-not-closed")
+
+    if subgroup is not None:
+        # the clock conjugates U D_r U* (r in H) span all of A only for
+        # conjugate and equivalent pairs; otherwise they span a subalgebra
+        spans_a = is_conjugate or not is_distinct
+        size, orbits = subgroup.size, n // subgroup.size
+        dim_ok = size == dim_a if spans_a else size <= dim_a
+        relcomm_ok = relcomm_dims == orbits if spans_a else relcomm_dims <= orbits
+        if not dim_ok or ("not-dpw-form" not in flags and not relcomm_ok):
+            if decisions is None:
+                decisions = extract_decisions(u, v, spec.orders)
+            evidence = f"H from the {route} route; {_nearest_decision(decisions, spec.orders, eps)}"
+            if not dim_ok:
+                raise OracleMismatch(
+                    f"subgroup order {size} disagrees with intersection dimension {dim_a} ({evidence})"
+                )
+            raise OracleMismatch(
+                f"relative commutant dimension {relcomm_dims} disagrees with N/|H| = {n}/{size} "
+                f"({evidence})"
+            )
+    if not 1 <= dim_a <= n:
+        raise OracleMismatch(f"intersection dimension {dim_a} outside [1, {n}]")
+
+    index = Fraction(n * n, dim_a)
+    if not stage.stochastic:
+        raise OracleMismatch("squared-modulus profile failed the doubly stochastic check")
+    entropy = stage.entropy
+    upper = math.log(n / dim_a)
+
+    if not -ENTROPY_TOL <= entropy <= math.log(n) + ENTROPY_TOL:
+        raise OracleMismatch(f"entropy {entropy} outside [0, log {n}]")
+    if side is not None and abs(entropy - side.entropy) > ENTROPY_TOL + side.allowance:
+        raise OracleMismatch(
+            f"entropy {entropy} disagrees with the Shannon entropy {side.entropy} of |ifftn(d)|^2 "
+            f"beyond {ENTROPY_TOL:g} + {side.allowance:.3e}, the allowance for the distance "
+            "of the pair from its normal forms"
+        )
+    if is_conjugate and entropy > upper + ENTROPY_BOUND_TOL:
+        raise OracleMismatch(f"entropy {entropy} exceeds the bound log(N/dimA) = {upper} on a conjugate pair")
+
+    certified = is_distinct and is_conjugate and subgroup is not None
+    if not certified:
+        flags.append("hypotheses-unverified")
+
+    return InvariantReport(
+        n=n,
+        spec=spec.orders,
+        distinct=is_distinct,
+        conjugate=is_conjugate,
+        dim_a=dim_a,
+        subgroup=subgroup,
+        index=index,
+        relcomm_dims=relcomm_dims,
+        vertex=dim_a == 1,
+        entropy_h=entropy,
+        entropy_upper=upper,
+        certified=certified,
+        flags=tuple(flags),
+    )
+
+
+def pair_reports(us, vs, spec, tol: ToleranceConfig = DEFAULT_TOL) -> list[InvariantReport | HadinvError]:
+    """``pair_report`` of each pair ``(us[b], vs[b])`` of two stacks of shape ``(B, N, N)``.
+
+    Entry b is the report of pair b, or the error ``pair_report`` raises
+    on it; stacks of the wrong shape raise.  The Hadamard validation, ``X
+    = U* V``, the identical and distinct tests, the normal forms, the
+    support-graph labels, the Fourier side of the conjugate pairs and the
+    dense entropy all run along the batch axis, each matrix validated
+    once and each X formed once.  Then ``pair_report`` runs once per pair
+    on its row of those stages: the products of the relative commutant's
+    components, the subgroup H (with the ``extract_subgroup`` fallback)
+    and the assembly of the report.
+    """
+    spec = FourierSpec.of(spec)
+    us = as_stack(us)
+    vs = as_stack(vs)
+    results: list[InvariantReport | HadinvError] = []
+    for u, v, stage in zip(us, vs, _stages(us, vs, spec, tol)):
+        try:
+            results.append(pair_report(u, v, spec, tol, stage=stage))
         except HadinvError as exc:
             results.append(exc)
     return results

@@ -28,6 +28,7 @@ from hadinv import (
     shift,
     shift_vec,
 )
+from hadinv.hadamard import diag_times, realize_forms
 
 
 class TestFourier:
@@ -338,3 +339,23 @@ class TestDpwFormValidation:
             assert {type(c) for c in form.phases} == {complex}
         real = DpwForm(spec=FourierSpec((2,)), perm=(1.0, 0.0), phases=(1, -1))
         assert real.perm == (1, 0) and real.phases == (1 + 0j, -1 + 0j)
+
+
+class TestRealizeForms:
+    """The stacked realization against the dense product ``np.diag(phases) @ W[perm]``, bit for bit."""
+
+    @pytest.mark.parametrize("spec", [(2,), (3, 3), (2, 3, 5), (8, 8), (64,)], ids=lambda s: ",".join(map(str, s)))
+    def test_rows_match_the_dense_product(self, spec):
+        rng = np.random.default_rng(len(spec) + spec[0])
+        n = int(np.prod(spec))
+        perms = np.array([rng.permutation(n) for _ in range(5)])
+        phases = np.exp(2j * np.pi * rng.random((5, n)))
+        w = fourier_tensor(spec)
+        stacked = realize_forms(perms, phases, spec)
+        extra = np.exp(2j * np.pi * rng.random((5, n)))
+        twice = diag_times(extra, stacked)
+        for k in range(5):
+            dense = np.diag(phases[k]) @ w[perms[k]]
+            assert np.array_equal(stacked[k], dense)
+            assert np.array_equal(DpwForm(FourierSpec(spec), perms[k], phases[k]).realize(), dense)
+            assert np.array_equal(twice[k], np.diag(extra[k]) @ dense)

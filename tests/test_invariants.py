@@ -43,7 +43,7 @@ from hadinv import (
     realize_subgroup,
 )
 from hadinv.groups import extract_decisions, fourier_decisions, inverse_dft, shift_spectrum, subgroup_below
-from hadinv.invariants import _conjugate_diagonal, _fourier_side
+from hadinv.invariants import _conjugate_diagonals, _fourier_sides, _FourierSide
 
 
 class TestEta:
@@ -252,6 +252,17 @@ class TestSupportGraphOracle:
         monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", lambda u, v, eps: (1, 4))
         with pytest.raises(OracleMismatch, match="subgroup order 2"):
             pair_report(f4, np.diag([1, 1, -1, -1]) @ f4, (4,))
+
+
+def _conjugate_diagonal(form_u, form_v):
+    """The d of one conjugate pair of normal forms: ``_conjugate_diagonals`` on a batch of one."""
+    return _conjugate_diagonals(np.asarray(form_u.perm), np.asarray(form_u.phases), np.asarray(form_v.phases))
+
+
+def _fourier_side(form_u, form_v, x):
+    """The Fourier route of one conjugate pair: ``_fourier_sides`` on a batch of one."""
+    sides = _fourier_sides(_conjugate_diagonal(form_u, form_v)[None], x[None], form_u.spec.orders)
+    return _FourierSide(*(field[0] for field in sides))
 
 
 def _assert_fourier_route_matches(u, v, spec):
