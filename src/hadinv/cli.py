@@ -42,6 +42,7 @@ from .hadamard import (
     is_hadamard,
     perm_phase_certificate,
     realize_forms,
+    require_forms,
     shift_vec,
 )
 from .invariants import (
@@ -49,7 +50,7 @@ from .invariants import (
     ENTROPY_TOL,
     STACK_ENTRIES,
     InvariantReport,
-    modified_entropy,
+    _checked_entropies,
     pair_report,
     pair_reports,
     random_conjugate_forms,
@@ -263,14 +264,14 @@ def _sweep_realize_rows(spec: FourierSpec, tol: ToleranceConfig) -> list[dict]:
 
 
 def _random_row(
-    sample: int, form_u: DpwForm, form_v: DpwForm, report: InvariantReport | OracleMismatch, misses: tuple[bool, bool]
+    sample: int,
+    perm: list[int],
+    phases_u: list[list[float]],
+    phases_v: list[list[float]],
+    report: InvariantReport | OracleMismatch,
+    misses: tuple[bool, bool],
 ) -> dict:
-    row: dict = {
-        "sample": sample,
-        "perm": list(form_u.perm),
-        "phases_u": [[z.real, z.imag] for z in form_u.phases],
-        "phases_v": [[z.real, z.imag] for z in form_v.phases],
-    }
+    row: dict = {"sample": sample, "perm": perm, "phases_u": phases_u, "phases_v": phases_v}
     if isinstance(report, OracleMismatch):
         row.update({"dimA": None, "index": None, "entropy_h": None, "entropy_upper": None, "gap": None})
         row["violations"] = [f"oracle-mismatch: {report}"]
@@ -303,38 +304,47 @@ def _random_row(
     return row
 
 
+def _pairs(phases: np.ndarray) -> list:
+    """``[re, im]`` lists of a ``(B, N)`` complex stack, from one ``tolist``."""
+    return phases.view(float).reshape(*phases.shape, 2).tolist()
+
+
+def _random_draw(spec: FourierSpec, seed: int, sample: int) -> tuple[np.ndarray, ...]:
+    """Row ``sample``'s ``(perm, phases_u, phases_v, extra)``: the forms, then the left-invariance phases."""
+    # per-row generator keyed by (seed, sample): a row depends on nothing else
+    rng = np.random.default_rng([seed, sample])
+    return (*random_conjugate_forms(spec, rng), np.exp(2j * np.pi * rng.random(spec.dim)))
+
+
 def _sweep_random_rows(spec: FourierSpec, seed: int, samples: int, tol: ToleranceConfig) -> list[dict]:
     n = spec.dim
-    draws = []
-    for sample in range(samples):
-        # per-row generator keyed by (seed, sample): a row depends on nothing else
-        rng = np.random.default_rng([seed, sample])
-        form_u, form_v = random_conjugate_forms(spec, rng)
-        draws.append((form_u, form_v, np.exp(2j * np.pi * rng.random(n))))
-
+    eps = tol.eps_entry
+    draws = [_random_draw(spec, seed, sample) for sample in range(samples)]
     rows = []
     step = max(1, STACK_ENTRIES // (n * n))
     for start in range(0, samples, step):
-        chunk = draws[start : start + step]
-        perms = [form_u.perm for form_u, _, _ in chunk]
-        us = realize_forms(perms, [form_u.phases for form_u, _, _ in chunk], spec)
-        vs = realize_forms(perms, [form_v.phases for _, form_v, _ in chunk], spec)
+        perms, phases_u, phases_v, extra = (np.array(column) for column in zip(*draws[start : start + step]))
+        # the checks of DpwForm, once for the chunk; |extra| = 1 keeps the stacks below unitary
+        require_forms(perms, np.stack([phases_u, phases_v, extra]), tol)
+        us = realize_forms(perms, phases_u, spec)
+        vs = realize_forms(perms, phases_v, spec)
         reports = pair_reports(us, vs, spec, tol)
         for report in reports:
             if isinstance(report, HadinvError) and not isinstance(report, OracleMismatch):
                 raise report
 
-        # the entropy's symmetry and left invariance, on the rows with a report
+        # the entropy's symmetry and left invariance, on the rows with a report; pair_reports
+        # has checked us and vs unitary, so only the doubly stochastic check runs again
         done = [k for k, report in enumerate(reports) if isinstance(report, InvariantReport)]
         h = np.array([reports[k].entropy_h for k in done])
-        extra = np.array([chunk[k][2] for k in done]).reshape(-1, n)
-        us, vs = us[done], vs[done]
-        symmetry = np.abs(modified_entropy(vs, us, tol) - h) > ENTROPY_TOL
-        left = np.abs(modified_entropy(diag_times(extra, us), diag_times(extra, vs), tol) - h) > ENTROPY_TOL
-        misses = dict(zip(done, zip(symmetry, left)))
+        us, vs, extra = us[done], vs[done], extra[done]
+        symmetry = np.abs(_checked_entropies(vs, us, eps) - h) > ENTROPY_TOL
+        left = np.abs(_checked_entropies(diag_times(extra, us), diag_times(extra, vs), eps) - h) > ENTROPY_TOL
+        misses = dict(zip(done, zip(symmetry.tolist(), left.tolist())))
 
-        for k, ((form_u, form_v, _), report) in enumerate(zip(chunk, reports)):
-            rows.append(_random_row(start + k, form_u, form_v, report, misses.get(k, (False, False))))
+        lists = (perms.tolist(), _pairs(phases_u), _pairs(phases_v))
+        for k, (perm, row_u, row_v) in enumerate(zip(*lists)):
+            rows.append(_random_row(start + k, perm, row_u, row_v, reports[k], misses.get(k, (False, False))))
     return rows
 
 

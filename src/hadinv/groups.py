@@ -118,10 +118,25 @@ def is_subgroup(group, members) -> bool:
     coords = np.array(list(members))
     if not ((coords >= 0) & (coords < group.orders)).all():
         return False
-    flat = np.ravel_multi_index(tuple(coords.T), group.orders)
     inside = np.zeros(group.order, dtype=bool)
-    inside[flat] = True
-    return bool(inside[0] and inside[_translates(group.orders, 1)[flat[:, None], flat]].all())
+    inside[np.ravel_multi_index(tuple(coords.T), group.orders)] = True
+    return _mask_is_subgroup(group.orders, inside)
+
+
+def _mask_is_subgroup(orders: tuple[int, ...], inside: np.ndarray) -> bool:
+    """Whether the flat membership mask holds the identity and is closed: one lookup in ``_translates``."""
+    flat = np.flatnonzero(inside)
+    return bool(inside[0] and inside[_translates(orders, 1)[flat[:, None], flat]].all())
+
+
+def _require_subgroup(group: GroupStructure, members: frozenset, closed: bool) -> None:
+    """Raise ``NotClosed`` unless the set is ``closed`` (holds 0, closed under +) and its size divides ``|G|``."""
+    if not closed:
+        raise NotClosed(f"set of size {len(members)} is not a subgroup of {group.orders}", members=members)
+    if group.order % len(members) != 0:
+        raise NotClosed(  # unreachable for a closed set; kept as a hard guard
+            f"size {len(members)} does not divide {group.order}", members=members
+        )
 
 
 @dataclass(frozen=True)
@@ -136,15 +151,15 @@ class SubgroupSet:
         members = frozenset(tuple(int(x) for x in m) for m in self.members)
         object.__setattr__(self, "orders", group.orders)
         object.__setattr__(self, "members", members)
-        if not is_subgroup(group, members):
-            raise NotClosed(
-                f"set of size {len(members)} is not a subgroup of {group.orders}",
-                members=members,
-            )
-        if group.order % len(members) != 0:
-            raise NotClosed(  # unreachable for a closed set; kept as a hard guard
-                f"size {len(members)} does not divide {group.order}", members=members
-            )
+        _require_subgroup(group, members, is_subgroup(group, members))
+
+    @classmethod
+    def _verified(cls, orders: tuple[int, ...], members: frozenset[tuple[int, ...]]) -> "SubgroupSet":
+        """A set its caller has just verified as a subgroup, built without verifying it again."""
+        subgroup = object.__new__(cls)
+        object.__setattr__(subgroup, "orders", orders)
+        object.__setattr__(subgroup, "members", members)
+        return subgroup
 
     @property
     def size(self) -> int:
@@ -173,10 +188,21 @@ def extract_decisions(u, v, group) -> np.ndarray:
 
 
 def subgroup_below(values, group, eps: float) -> SubgroupSet:
-    """The elements r with ``values[r] < eps``, verified as a subgroup (else ``NotClosed``)."""
+    """The elements r with ``values[r] < eps``, verified as a subgroup (else ``NotClosed``).
+
+    The membership mask is checked as it stands, as ``SubgroupSet`` checks
+    its members, and the set is built without a second check.
+    """
     group = GroupStructure.of(group)
-    found = np.unravel_index(np.flatnonzero(np.asarray(values) < eps), group.orders)
-    return SubgroupSet(orders=group.orders, members=frozenset(zip(*(c.tolist() for c in found))))
+    if group.order > DIM_CAP:
+        raise OrderTooLarge(f"group order {group.order} exceeds {DIM_CAP}")
+    inside = np.asarray(values) < eps
+    if inside.shape != (group.order,):
+        raise DimMismatch(f"expected {group.order} decision values, got an array of shape {inside.shape}")
+    found = np.unravel_index(np.flatnonzero(inside), group.orders)
+    members = frozenset(zip(*(c.tolist() for c in found)))
+    _require_subgroup(group, members, _mask_is_subgroup(group.orders, inside))
+    return SubgroupSet._verified(group.orders, members)
 
 
 def extract_subgroup(u, v, group, tol: ToleranceConfig = DEFAULT_TOL) -> SubgroupSet:

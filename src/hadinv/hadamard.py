@@ -37,6 +37,7 @@ __all__ = [
     "DIM_CAP",
     "FourierSpec",
     "DpwForm",
+    "require_forms",
     "diag_times",
     "realize_forms",
     "fourier",
@@ -88,6 +89,8 @@ class FourierSpec:
             return spec
         if isinstance(spec, int):
             return cls((spec,))
+        if isinstance(spec, str):  # tuple("64") would read the digits as the orders (6, 4)
+            return cls.parse(spec)
         return cls(tuple(spec))
 
     @classmethod
@@ -281,10 +284,7 @@ class DpwForm:
         n = spec.dim
         if perm.shape != (n,) or phases.shape != (n,):
             raise DimMismatch(f"perm/phases must have length {n}")
-        if (np.sort(perm) != np.arange(n)).any():
-            raise ValueError(f"perm is not a permutation of 0..{n - 1}")
-        if np.abs(np.abs(phases) - 1.0).max() >= self.tol.eps_entry:
-            raise ValueError("phases must have modulus one")
+        require_forms(perm, phases, self.tol)
 
     @property
     def dim(self) -> int:
@@ -293,6 +293,20 @@ class DpwForm:
     def realize(self) -> np.ndarray:
         """The matrix of the form: ``realize_forms`` on a batch of one."""
         return realize_forms([self.perm], [self.phases], self.spec)[0]
+
+
+def require_forms(perms: np.ndarray, phases: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    """The checks of ``DpwForm`` on a whole stack of normal-form parts; ``ValueError`` on a miss.
+
+    Each row of ``perms`` (shape ``(..., N)``) must be a permutation of
+    0..N-1, and every entry of ``phases`` must have modulus one within
+    ``tol.eps_entry``.
+    """
+    n = perms.shape[-1]
+    if (np.sort(perms, axis=-1) != np.arange(n)).any():
+        raise ValueError(f"perm is not a permutation of 0..{n - 1}")
+    if np.abs(np.abs(phases) - 1.0).max() >= tol.eps_entry:
+        raise ValueError("phases must have modulus one")
 
 
 def diag_times(phases, mats) -> np.ndarray:

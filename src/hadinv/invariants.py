@@ -164,10 +164,19 @@ def modified_entropy(u, v, tol: ToleranceConfig = DEFAULT_TOL):
         raise DimMismatch(f"cannot compare {u.shape} with {v.shape}")
     if not unitary_mask(u, tol).all() or not unitary_mask(v, tol).all():
         raise NonUnitary("entropy needs two unitary matrices")
-    entropy, stochastic = _dense_entropies(dagger(u) @ v, tol.eps_entry)
+    entropy = _checked_entropies(u, v, tol.eps_entry)
+    return entropy if entropy.ndim else float(entropy)
+
+
+def _checked_entropies(u: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
+    """``modified_entropy`` of matrices, or stacks, that the caller has already checked unitary.
+
+    The doubly stochastic check of ``|u* v|^2`` within ``eps`` still runs.
+    """
+    entropy, stochastic = _dense_entropies(dagger(u) @ v, eps)
     if not stochastic.all():
         raise OracleMismatch("squared-modulus profile failed the doubly stochastic check")
-    return entropy if entropy.ndim else float(entropy)
+    return entropy
 
 
 def _component_labels(adj: np.ndarray) -> np.ndarray:
@@ -505,21 +514,25 @@ def realization_sweep(spec, tol: ToleranceConfig = DEFAULT_TOL):
     return rows
 
 
-def random_conjugate_forms(spec, rng: np.random.Generator) -> tuple[DpwForm, DpwForm]:
-    """Sample a conjugate pair of normal forms: shared uniform permutation, i.i.d. unit phases.
+def random_conjugate_forms(spec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample the parts ``(perm, phases_u, phases_v)`` of a conjugate pair of normal forms.
 
-    Draws the permutation, then the phases of U, then those of V.  Sharing
-    the permutation makes the two forms conjugate by construction.
+    A shared uniform permutation and i.i.d. unit phases, drawn in that
+    order: the permutation, then the phases of U, then those of V.
+    Sharing the permutation makes the two forms ``DpwForm(spec, perm,
+    phases_u)`` and ``DpwForm(spec, perm, phases_v)`` conjugate by
+    construction.  ``hadinv sweep`` stacks the arrays of many draws and
+    makes the checks of ``DpwForm`` on the stack (``require_forms``).
     """
-    spec = FourierSpec.of(spec)
-    n = spec.dim
+    n = FourierSpec.of(spec).dim
     perm = rng.permutation(n)
     phases_u = np.exp(2j * np.pi * rng.random(n))
     phases_v = np.exp(2j * np.pi * rng.random(n))
-    return DpwForm(spec, perm, phases_u), DpwForm(spec, perm, phases_v)
+    return perm, phases_u, phases_v
 
 
 def random_conjugate_pair(spec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The realized matrices ``(D P W, D~ P W)`` of ``random_conjugate_forms``."""
-    form_u, form_v = random_conjugate_forms(spec, rng)
-    return form_u.realize(), form_v.realize()
+    """The realized matrices ``(D P W, D~ P W)`` of the forms of ``random_conjugate_forms``."""
+    spec = FourierSpec.of(spec)
+    perm, phases_u, phases_v = random_conjugate_forms(spec, rng)
+    return DpwForm(spec, perm, phases_u).realize(), DpwForm(spec, perm, phases_v).realize()

@@ -3,18 +3,19 @@
 Matrix JSON is ``{"dim": N, "entries": [[re, im], ...]}`` row-major with
 an integer N and exactly N^2 pairs of finite numbers; readers reject
 anything else with ``ValueError``.  The other formats
-(normal forms, subgroups, algebra bases, pair reports) are documented on
-their readers/writers below.
+(normal forms, subgroups, pair reports) are documented on their
+readers/writers below.  Every writer emits its text through ``dumps``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .algebra import AlgebraBasis
 from .groups import SubgroupSet
 from .hadamard import DpwForm, FourierSpec
 from .invariants import InvariantReport
@@ -26,8 +27,6 @@ __all__ = [
     "dpw_from_obj",
     "subgroup_to_obj",
     "subgroup_from_obj",
-    "algebra_to_obj",
-    "algebra_from_obj",
     "report_to_obj",
     "dumps",
     "load_matrix",
@@ -93,20 +92,6 @@ def subgroup_from_obj(obj) -> SubgroupSet:
     )
 
 
-def algebra_to_obj(algebra: AlgebraBasis) -> dict:
-    return {
-        "ambient_dim": algebra.ambient_dim,
-        "basis": [matrix_to_obj(b) for b in algebra.basis],
-    }
-
-
-def algebra_from_obj(obj) -> AlgebraBasis:
-    dim = int(obj["ambient_dim"])
-    mats = [matrix_from_obj(m) for m in obj["basis"]]
-    stack = np.stack(mats) if mats else np.zeros((0, dim, dim), dtype=complex)
-    return AlgebraBasis(ambient_dim=dim, basis=stack)
-
-
 def report_to_obj(report: InvariantReport) -> dict:
     return {
         "N": report.n,
@@ -126,9 +111,115 @@ def report_to_obj(report: InvariantReport) -> dict:
     }
 
 
+class _Unsupported(Exception):
+    """A value or key that ``dumps`` leaves to the stdlib encoder."""
+
+
+_INDENT = "  "
+
+
+def _float_text(x: float) -> str:
+    """A float as the stdlib spells it: ``float.__repr__``, or NaN, Infinity, -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == float("-inf"):
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _flat_list(lst: list, level: int) -> str | None:
+    """One join for a list of only floats or only ints, or of equal-length lists of floats.
+
+    The floats of a list are spelled with ``float.__repr__``; a NaN or an
+    infinity (the only reprs with an ``n``) sends the list back to
+    ``_encode``, as does any other list (``None``).
+    """
+    kinds = set(map(type, lst))
+    if len(kinds) != 1:
+        return None
+    (kind,) = kinds
+    inner = "\n" + _INDENT * (level + 1)
+    if kind is float or kind is int:
+        body = ("," + inner).join(map(kind.__repr__, lst))
+    elif kind is list:
+        widths = set(map(len, lst))
+        if len(widths) != 1 or set(map(type, itertools.chain.from_iterable(lst))) != {float}:
+            return None
+        # one template per row, e.g. "[\n    {},\n    {}\n  ]", filled column by column
+        deeper = "\n" + _INDENT * (level + 2)
+        template = "[" + deeper + ("," + deeper).join(["{}"] * widths.pop()) + inner + "]"
+        columns = [map(float.__repr__, column) for column in zip(*lst)]
+        body = ("," + inner).join(map(template.format, *columns))
+    else:
+        return None
+    if "n" in body:
+        return None
+    return "[" + inner + body + "\n" + _INDENT * level + "]"
+
+
+def _encode(o, level: int, out: list[str]) -> None:
+    """Append the text of ``o`` at nesting ``level`` as ``json.dumps(indent=2, sort_keys=True)`` writes it."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        flat = _flat_list(o, level) if type(o) is list and o else None
+        if flat is not None:
+            out.append(flat)
+        elif not o:
+            out.append("[]")
+        else:
+            inner = "\n" + _INDENT * (level + 1)
+            out.append("[")
+            for k, value in enumerate(o):
+                out.append(inner if k == 0 else "," + inner)
+                _encode(value, level + 1, out)
+            out.append("\n" + _INDENT * level + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        if set(map(type, o)) != {str}:
+            raise _Unsupported
+        inner = "\n" + _INDENT * (level + 1)
+        out.append("{")
+        for k, (key, value) in enumerate(sorted(o.items())):
+            out.append((inner if k == 0 else "," + inner) + encode_basestring_ascii(key) + ": ")
+            _encode(value, level + 1, out)
+        out.append("\n" + _INDENT * level + "}")
+    else:
+        raise _Unsupported
+
+
 def dumps(obj) -> str:
-    """Stable JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Stable JSON text: sorted keys, two-space indent, trailing newline.
+
+    The text is byte for byte ``json.dumps(obj, indent=2, sort_keys=True) +
+    "\\n"``.  With ``indent`` set, the stdlib takes its pure-Python encoder;
+    this one writes the same text with the C string escaper and one join per
+    flat list of numbers or of ``[re, im]`` pairs.  A key that is not a
+    ``str``, a value of a type that JSON has no spelling for, and a
+    structure too deep (or circular) for the recursion go to the stdlib call
+    for the whole object, so its errors are the stdlib's too.
+    """
+    out: list[str] = []
+    try:
+        _encode(obj, 0, out)
+    except (_Unsupported, RecursionError):
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def load_matrix(path) -> np.ndarray:

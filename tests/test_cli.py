@@ -349,7 +349,7 @@ class TestSweep:
         from hadinv import cli
 
         # force the symmetry cross-check to miss so every row records a violation
-        monkeypatch.setattr(cli, "modified_entropy", lambda u, v, tol=None: 123.0)
+        monkeypatch.setattr(cli, "_checked_entropies", lambda u, v, eps: 123.0)
         code, out, _ = run(
             capsys,
             "sweep", "--spec", "2", "--mode", "random", "--samples", "2", "--seed", "1",
@@ -357,6 +357,32 @@ class TestSweep:
         assert code == 3
         obj = json.loads(out)
         assert obj["violations"] > 0
+
+    @pytest.mark.parametrize(
+        "part,message",
+        [(0, "not a permutation"), (1, "modulus one"), (2, "modulus one"), (3, "modulus one")],
+        ids=["perm", "phases-u", "phases-v", "extra"],
+    )
+    def test_a_chunk_with_a_spoiled_draw_is_rejected(self, capsys, monkeypatch, part, message):
+        from hadinv import cli
+
+        # spoil one part of sample 30's draw; the stacked check of its chunk must catch it
+        draw = cli._random_draw
+
+        def spoiled(spec, seed, sample):
+            parts = list(draw(spec, seed, sample))
+            if sample == 30:
+                x = parts[part]
+                parts[part] = np.where(x == x[1], x[0], x) if part == 0 else x * (1 + 2e-9)
+            return tuple(parts)
+
+        monkeypatch.setattr(cli, "_random_draw", spoiled)
+        code, out, err = run(
+            capsys, "sweep", "--spec", "8,8", "--mode", "random", "--samples", "40", "--seed", "5"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err
 
     # sha256 of seeded sweep output: a change to the sampler's draw order,
     # to how a row's pair is realized or to the row arithmetic shows up here

@@ -9,6 +9,7 @@ import pytest
 from conftest import SPECS_UP_TO_16, maxabs, random_dpw
 from hadinv import (
     DEFAULT_TOL,
+    DimMismatch,
     FourierSpec,
     GroupStructure,
     NotClosed,
@@ -28,6 +29,7 @@ from hadinv import (
     realize_subgroup,
     subspace_intersection,
 )
+from hadinv.groups import subgroup_below
 
 
 class TestElements:
@@ -101,6 +103,64 @@ class TestSubgroupSet:
     def test_group_order_cap(self):
         with pytest.raises(OrderTooLarge):
             is_subgroup((128,), {(0,)})
+
+
+class TestSubgroupBelow:
+    """``subgroup_below`` checks the membership mask as the ``SubgroupSet`` constructor checks members."""
+
+    @staticmethod
+    def _values(orders, members):
+        values = np.ones(math.prod(orders))
+        for m in members:
+            values[np.ravel_multi_index(m, orders)] = 0.0
+        return values
+
+    @pytest.mark.parametrize(
+        "orders,members",
+        [
+            ((4,), {(0,), (1,)}),  # not closed
+            ((4,), {(2,)}),  # without the identity
+            ((6,), {(0,), (1,), (2,), (3,)}),  # size 4 does not divide 6
+            ((2, 3), {(0, 0), (1, 1), (0, 2), (1, 2)}),  # size 4 does not divide 6
+            ((2, 2), set()),  # no value below eps
+        ],
+        ids=["not-closed", "no-identity", "size-4-of-6", "size-4-of-2x3", "empty"],
+    )
+    def test_non_subgroups_raise_as_the_constructor_does(self, orders, members):
+        with pytest.raises(NotClosed) as from_mask:
+            subgroup_below(self._values(orders, members), orders, 0.5)
+        with pytest.raises(NotClosed) as from_members:
+            SubgroupSet(orders=orders, members=frozenset(members))
+        assert str(from_mask.value) == str(from_members.value)
+        assert from_mask.value.members == from_members.value.members == frozenset(members)
+
+    def test_every_subset_of_z2_x_z4(self):
+        group = GroupStructure((2, 4))
+        for size in range(group.order + 1):
+            for members in itertools.combinations(elements(group), size):
+                values = self._values(group.orders, members)
+                if is_subgroup(group, members):
+                    found = subgroup_below(values, group, 0.5)
+                    assert found == SubgroupSet(orders=group.orders, members=frozenset(members))
+                    assert {type(x) for m in found.members for x in m} == {int}
+                else:
+                    with pytest.raises(NotClosed):
+                        subgroup_below(values, group, 0.5)
+
+    def test_each_set_is_verified_once(self, monkeypatch):
+        from hadinv import groups
+
+        calls = []
+        check = groups._mask_is_subgroup
+        monkeypatch.setattr(groups, "_mask_is_subgroup", lambda *args: calls.append(1) or check(*args))
+        subgroup_below(self._values((8, 8), elements((8, 8))), (8, 8), 0.5)
+        assert len(calls) == 1
+        SubgroupSet(orders=(4,), members=frozenset({(0,), (2,)}))
+        assert len(calls) == 2
+
+    def test_rejects_a_wrong_number_of_values(self):
+        with pytest.raises(DimMismatch):
+            subgroup_below(np.zeros(5), (2, 3), 0.5)
 
 
 class TestAllSubgroups:

@@ -28,7 +28,7 @@ from hadinv import (
     shift,
     shift_vec,
 )
-from hadinv.hadamard import diag_times, realize_forms
+from hadinv.hadamard import diag_times, realize_forms, require_forms
 
 
 class TestFourier:
@@ -62,6 +62,16 @@ class TestFourierTensor:
     def test_spec_cap(self):
         with pytest.raises(OrderOutOfRange):
             FourierSpec((5, 17))  # product 85 > 64
+
+    @pytest.mark.parametrize("text,orders", [("23", (23,)), ("64", (64,)), ("2,3", (2, 3))])
+    def test_of_parses_a_string(self, text, orders):
+        # a string is a comma list, never a sequence of one-digit orders
+        assert FourierSpec.of(text).orders == orders
+        assert FourierSpec.of(text) == FourierSpec.parse(text)
+
+    def test_of_rejects_a_malformed_string(self):
+        with pytest.raises(OrderOutOfRange):
+            FourierSpec.of("2,x")
 
     def test_returns_a_fresh_writable_array(self):
         # the tensor is cached per spec; writing into one result must not
@@ -339,6 +349,34 @@ class TestDpwFormValidation:
             assert {type(c) for c in form.phases} == {complex}
         real = DpwForm(spec=FourierSpec((2,)), perm=(1.0, 0.0), phases=(1, -1))
         assert real.perm == (1, 0) and real.phases == (1 + 0j, -1 + 0j)
+
+
+class TestRequireForms:
+    """The checks of ``DpwForm`` on a stack, as the random sweep makes them once per chunk."""
+
+    def _stack(self, rng):
+        # six draws over N = 9: perms (6, 9), and the phases of U, of V and the extra ones (3, 6, 9)
+        perms = np.array([rng.permutation(9) for _ in range(6)])
+        return perms, np.exp(2j * np.pi * rng.random((3, 6, 9)))
+
+    def test_accepts_sampled_forms_and_phase_noise_below_eps(self):
+        perms, phases = self._stack(np.random.default_rng(5))
+        require_forms(perms, phases)
+        phases[1, 2, 3] *= 1 + 0.5e-9
+        require_forms(perms, phases)
+
+    def test_rejects_one_non_permutation(self):
+        perms, phases = self._stack(np.random.default_rng(6))
+        perms[4, 0] = perms[4, 1]
+        with pytest.raises(ValueError, match="not a permutation of 0..8"):
+            require_forms(perms, phases)
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_rejects_one_non_unit_phase_in_any_row(self, row):
+        perms, phases = self._stack(np.random.default_rng(7))
+        phases[row, 3, 5] *= 1 + 2e-9
+        with pytest.raises(ValueError, match="modulus one"):
+            require_forms(perms, phases)
 
 
 class TestRealizeForms:

@@ -15,6 +15,7 @@ from conftest import SPECS_UP_TO_16, haar_unitary, maxabs, random_dpw
 from hadinv import (
     DimMismatch,
     DomainError,
+    DpwForm,
     HadinvError,
     InvariantReport,
     NonUnitary,
@@ -43,7 +44,7 @@ from hadinv import (
     realize_subgroup,
 )
 from hadinv.groups import extract_decisions, fourier_decisions, inverse_dft, shift_spectrum, subgroup_below
-from hadinv.invariants import _conjugate_diagonals, _fourier_sides, _FourierSide
+from hadinv.invariants import _checked_entropies, _conjugate_diagonals, _fourier_sides, _FourierSide
 
 
 class TestEta:
@@ -103,6 +104,17 @@ class TestModifiedEntropy:
         with pytest.raises(DimMismatch):
             modified_entropy(fourier(2), fourier(3))
 
+    def test_checked_entropies_keep_the_doubly_stochastic_check(self):
+        # the sweep's route for stacks already checked unitary: same values, and the
+        # squared-modulus profile is still checked
+        rng = np.random.default_rng(53)
+        us = np.array([haar_unitary(4, rng) for _ in range(3)])
+        vs = np.array([haar_unitary(4, rng) for _ in range(3)])
+        assert np.array_equal(_checked_entropies(us, vs, 1e-9), modified_entropy(us, vs))
+        vs[1] *= 1 + 1e-8
+        with pytest.raises(OracleMismatch, match="doubly stochastic"):
+            _checked_entropies(us, vs, 1e-9)
+
 
 class TestPairReport:
     def test_quarter_phase_pair(self):
@@ -117,6 +129,13 @@ class TestPairReport:
         assert abs(rep.entropy_upper - math.log(2)) < 1e-12
         assert rep.certified
         assert rep.subgroup is not None and rep.subgroup.size == 1
+
+    @pytest.mark.parametrize("spec,orders", [("64", (64,)), ("8,8", (8, 8))])
+    def test_spec_given_as_a_string(self, spec, orders):
+        # "64" is the order 64, not the factors (6, 4)
+        w = fourier_tensor(orders)
+        rep = pair_report(w, np.diag(np.exp(2j * np.pi * np.arange(64) / 7)) @ w, spec)
+        assert rep.spec == orders and rep.n == 64
 
     def test_sign_pair_not_distinct(self):
         f2 = fourier(2)
@@ -316,7 +335,8 @@ class TestFourierRouteOracle:
         # d a scalar times a character: X is a complex permutation and H is the whole group
         rng = np.random.default_rng(61)
         n = math.prod(spec)
-        form_u, _ = random_conjugate_forms(spec, rng)
+        perm, phases_u, _ = random_conjugate_forms(spec, rng)
+        form_u = DpwForm(spec, perm, phases_u)
         character = np.sqrt(n) * fourier_tensor(spec)[1 + int(rng.integers(n - 1))]
         d = np.exp(2j * np.pi * rng.random()) * character
         u = form_u.realize()

@@ -1,14 +1,17 @@
 """Round-trip and contract tests for the JSON wire formats."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import maxabs
-from hadinv import DpwForm, FourierSpec, NotClosed, SubgroupSet, diag_conj_algebra, fourier, pair_report
+from hadinv import DpwForm, FourierSpec, NotClosed, SubgroupSet, fourier, pair_report
 from hadinv.serialize import (
-    algebra_from_obj,
-    algebra_to_obj,
     dpw_from_obj,
+    dumps,
     dpw_to_obj,
     matrix_from_obj,
     matrix_to_obj,
@@ -69,15 +72,6 @@ class TestSubgroupFormat:
             subgroup_from_obj({"orders": [4], "members": [[0], [4]]})
 
 
-class TestAlgebraFormat:
-    def test_round_trip(self):
-        alg = diag_conj_algebra(fourier(3))
-        back = algebra_from_obj(algebra_to_obj(alg))
-        assert back.ambient_dim == 3
-        assert back.dim == 3
-        assert maxabs(back.basis - alg.basis) < 1e-15
-
-
 class TestReportFormat:
     def test_field_contract(self):
         f2 = fourier(2)
@@ -110,3 +104,95 @@ class TestReportFormat:
         f2 = fourier(2)
         rep = pair_report(f2, f2, (2,))
         assert report_to_obj(rep)["subgroup"] is None
+
+
+def _stdlib(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _outcome(encode, obj):
+    """The text ``encode`` gives, or the type and message of what it raises."""
+    try:
+        return encode(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 2.225e-308, 1e22, 1e16, 0.1, -1.5]
+
+_floats = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+_scalars = st.one_of(
+    _floats,
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.text(alphabet=st.characters(max_codepoint=0x1F)),
+    _floats.map(np.float64),  # a float subclass whose repr is not float.__repr__
+)
+# the list shapes that take the one-join route, and their near misses
+_flat_lists = st.one_of(
+    st.lists(_floats),
+    st.lists(st.integers()),
+    st.lists(st.booleans() | st.integers(min_value=0, max_value=1)),
+    st.lists(st.lists(_floats, min_size=2, max_size=2)),
+    st.lists(st.lists(_floats, min_size=3, max_size=3), min_size=1),
+    st.lists(st.lists(_floats, max_size=3)),  # ragged, and lists of empty lists
+    st.lists(st.lists(_floats | st.integers(), min_size=2, max_size=2)),  # mixed float/int pairs
+    st.lists(st.tuples(_floats, _floats)),
+)
+_keys = st.one_of(st.text(), st.text(alphabet="ab", max_size=2))
+_objects = st.recursive(
+    _scalars | _flat_lists,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_keys, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestDumps:
+    """``dumps`` is byte for byte ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(obj=_objects)
+    @example(obj={"b": [[0.5, -0.0]], "a": [float("nan"), float("inf"), float("-inf")], "c": []})
+    @example(obj=[[1.0, 2], [3.0, 4.0]])
+    @example(obj=[[5e-324, 1e22], [-0.0, 1e16]])
+    @example(obj=[True, 1, False, 0])
+    @example(obj={"k\u00e9\x00\n": ["\u2603", "\x1f", '"\\']})
+    @example(obj=[[], {}, [[]], [{}], ()])
+    @example(obj=[10**40, -(10**40)])
+    def test_matches_the_stdlib(self, obj):
+        assert dumps(obj) == _stdlib(obj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        obj=st.dictionaries(
+            st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), st.text()), _scalars, max_size=4
+        )
+    )
+    def test_keys_that_are_not_strings_behave_as_in_the_stdlib(self, obj):
+        # the stdlib converts or sorts them, or raises; dumps hands them over unchanged
+        assert _outcome(dumps, obj) == _outcome(_stdlib, obj)
+
+    @pytest.mark.parametrize(
+        "obj", [{"a": object()}, [1, {2, 3}], {"a": np.int64(3)}, {1: "x", "y": 2}], ids=["object", "set", "int64", "mixed-keys"]
+    )
+    def test_unencodable_values_raise_as_in_the_stdlib(self, obj):
+        assert _outcome(dumps, obj) == _outcome(_stdlib, obj)
+
+    def test_circular_reference_raises_as_in_the_stdlib(self):
+        loop: list = []
+        loop.append({"loop": loop})
+        assert _outcome(dumps, loop) == (ValueError, "Circular reference detected")
+
+    def test_matrix_and_report_objects(self):
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        f2 = fourier(2)
+        for obj in (matrix_to_obj(m), report_to_obj(pair_report(f2, np.diag([1, 1j]) @ f2, (2,)))):
+            assert dumps(obj) == _stdlib(obj)
