@@ -19,15 +19,12 @@ from .algebra import (
     AlgebraBasis,
     SquareResult,
     TowerBaseResult,
-    algebra_close,
     commutant,
-    conditional_expectation,
     diag_conj_algebra,
     diagonal_algebra,
     full_matrix_algebra,
     intersect_algebras,
     is_commuting_square,
-    jones_projections,
     scalar_algebra,
     span_algebra,
     tensor_algebra,
@@ -51,9 +48,7 @@ from .errors import (
     RealizationFailed,
 )
 from .groups import (
-    GroupStructure,
     SubgroupSet,
-    all_subgroups,
     divisors,
     elements,
     extract_subgroup,
@@ -70,7 +65,6 @@ from .hadamard import (
     clock,
     clock_vec,
     decompose_dpw,
-    entry_diagonal,
     fourier,
     fourier_tensor,
     is_biunitary,
@@ -95,14 +89,12 @@ from .linalg import (
     DEFAULT_TOL,
     MatrixClass,
     ToleranceConfig,
-    ad,
     classify,
     is_complex_permutation,
     is_unitary,
     orthonormal_basis,
     subspace_intersection,
     tensor,
-    trace_inner,
 )
 from .verify import CheckResult, run_verification
 

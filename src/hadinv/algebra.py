@@ -1,10 +1,11 @@
 """Finite-dimensional *-algebra machinery inside M_n.
 
 An algebra is carried by a trace-orthonormal basis.  On top of that sit the
-trace-preserving conditional expectation (the orthogonal projection in the
-trace inner product, which is the unique trace-preserving expectation onto
-a *-subalgebra in finite dimension), commutants via a stacked commutator
-kernel, algebra intersection and the commuting-square test.  The base square
+trace-preserving conditional expectation (``AlgebraBasis.project_many``,
+the orthogonal projection in the trace inner product, which is the unique
+trace-preserving expectation onto a *-subalgebra in finite dimension),
+commutants via a stacked commutator kernel, algebra intersection and the
+commuting-square test.  The base square
 of the vertex-model tower of a Hadamard matrix sits in M_{N^2} but is block
 diagonal, so it is computed on its N diagonal blocks in M_N; it commutes
 exactly when the expectation onto ``I x M_N`` maps the right algebra into
@@ -17,16 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimMismatch,
-    InclusionViolation,
-    NonUnitary,
-    OrderOutOfRange,
-    OrderTooLarge,
-)
+from .errors import DimMismatch, InclusionViolation, NonUnitary, OrderTooLarge
 from .hadamard import FourierSpec, fourier_tensor, require_hadamard
 from .linalg import (
     DEFAULT_TOL,
+    EPS_RANK,
     ToleranceConfig,
     as_matrix,
     dagger,
@@ -43,8 +39,6 @@ __all__ = [
     "diagonal_algebra",
     "full_matrix_algebra",
     "tensor_algebra",
-    "algebra_close",
-    "conditional_expectation",
     "commutant",
     "intersect_algebras",
     "diag_conj_algebra",
@@ -53,7 +47,6 @@ __all__ = [
     "vertex_square",
     "TowerBaseResult",
     "vertex_model_square",
-    "jones_projections",
 ]
 
 # products of the two middle algebras get rank-checked only up to this
@@ -74,7 +67,6 @@ class AlgebraBasis:
 
     ambient_dim: int
     basis: np.ndarray
-    unital: bool = True
 
     def __post_init__(self):
         arr = np.asarray(self.basis, dtype=complex)
@@ -99,17 +91,17 @@ class AlgebraBasis:
         coeffs = flat_mats @ self.flat.conj().T / self.ambient_dim
         return coeffs @ self.flat
 
-    def contains(self, m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    def contains(self, m) -> bool:
         m = as_matrix(m)
         if m.shape[0] != self.ambient_dim:
             raise DimMismatch("dimension mismatch in span membership test")
         flat = m.reshape(1, -1)
         residual = flat - self.project_many(flat)
         norm = np.sqrt((np.abs(residual) ** 2).sum() / self.ambient_dim)
-        return bool(norm < tol.eps_rank)
+        return bool(norm < EPS_RANK)
 
 
-def _verify_algebra(stack: np.ndarray, n: int, unital: bool, tol: ToleranceConfig):
+def _verify_algebra(stack: np.ndarray, n: int):
     """Assert orthonormality and closure of the span under * and products."""
     dim = stack.shape[0]
     flat = stack.reshape(dim, -1)
@@ -122,47 +114,37 @@ def _verify_algebra(stack: np.ndarray, n: int, unital: bool, tol: ToleranceConfi
         res = mats_flat - coeffs @ flat
         return float(np.sqrt((np.abs(res) ** 2).max(initial=0.0)))
 
-    if unital:
-        eye_res = residual(np.eye(n, dtype=complex).reshape(1, -1))
-        if eye_res > tol.eps_rank:
-            raise ValueError("identity is not in the span of a unital algebra basis")
+    if residual(np.eye(n, dtype=complex).reshape(1, -1)) > EPS_RANK:
+        raise ValueError("identity is not in the span of a unital algebra basis")
 
     adj = stack.conj().transpose(0, 2, 1).reshape(dim, -1)
-    if residual(adj) > tol.eps_rank:
+    if residual(adj) > EPS_RANK:
         raise ValueError("span is not closed under adjoints")
 
     for i in range(dim):
         prods = (stack[i] @ stack).reshape(dim, -1)
-        if residual(prods) > tol.eps_rank:
+        if residual(prods) > EPS_RANK:
             raise ValueError("span is not closed under multiplication")
 
 
-def span_algebra(
-    mats,
-    ambient_dim: int | None = None,
-    *,
-    unital: bool = True,
-    check: bool = True,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> AlgebraBasis:
+def span_algebra(mats, ambient_dim: int | None = None) -> AlgebraBasis:
     """Orthonormalize a spanning family and wrap it as an algebra basis.
 
-    With ``check=True`` the span is verified to contain the identity (when
-    unital) and to be closed under adjoints and products; factories whose
-    output is closed by construction skip the check.
+    The span is verified to contain the identity and to be closed under
+    adjoints and products; an empty family spans the scalars.  Factories
+    whose output is closed by construction build ``AlgebraBasis`` directly.
     """
-    basis = orthonormal_basis(mats, tol)
+    basis = orthonormal_basis(mats)
     if not basis:
         if ambient_dim is None:
             raise ValueError("cannot infer dimension from an empty family")
-        basis = [np.eye(ambient_dim, dtype=complex)] if unital else []
-    n = basis[0].shape[0] if basis else ambient_dim
+        basis = [np.eye(ambient_dim, dtype=complex)]
+    n = basis[0].shape[0]
     if ambient_dim is not None and n != ambient_dim:
         raise DimMismatch(f"expected ambient dimension {ambient_dim}, got {n}")
-    stack = np.stack(basis) if basis else np.zeros((0, n, n), dtype=complex)
-    if check:
-        _verify_algebra(stack, n, unital, tol)
-    return AlgebraBasis(ambient_dim=n, basis=stack, unital=unital)
+    stack = np.stack(basis)
+    _verify_algebra(stack, n)
+    return AlgebraBasis(ambient_dim=n, basis=stack)
 
 
 def scalar_algebra(n: int) -> AlgebraBasis:
@@ -189,46 +171,10 @@ def full_matrix_algebra(n: int) -> AlgebraBasis:
 def tensor_algebra(a: AlgebraBasis, b: AlgebraBasis) -> AlgebraBasis:
     """Kronecker product algebra; tensors of orthonormal bases stay orthonormal."""
     stack = np.stack([np.kron(x, y) for x in a.basis for y in b.basis])
-    return AlgebraBasis(
-        ambient_dim=a.ambient_dim * b.ambient_dim,
-        basis=stack,
-        unital=a.unital and b.unital,
-    )
+    return AlgebraBasis(ambient_dim=a.ambient_dim * b.ambient_dim, basis=stack)
 
 
-def algebra_close(generators, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
-    """Smallest unital *-closed span containing the generators.
-
-    Iterates adjoint and pairwise-product closure until the span dimension
-    stabilizes; an empty generator list yields the scalars.
-    """
-    basis = orthonormal_basis([np.eye(n, dtype=complex), *generators], tol)
-    while True:
-        candidates = list(basis)
-        candidates.extend(dagger(g) for g in basis)
-        candidates.extend(x @ y for x in basis for y in basis)
-        grown = orthonormal_basis(candidates, tol)
-        if len(grown) == len(basis):
-            return span_algebra(grown, n, check=True, tol=tol)
-        basis = grown
-
-
-def conditional_expectation(x, algebra: AlgebraBasis) -> np.ndarray:
-    """Trace-preserving conditional expectation of x onto the algebra.
-
-    Computed as ``sum_i <x, b_i> b_i`` over the orthonormal basis; this is
-    idempotent, selfadjoint- and trace-preserving, and a bimodule map over
-    the algebra.
-    """
-    x = as_matrix(x)
-    if x.shape[0] != algebra.ambient_dim:
-        raise DimMismatch(
-            f"matrix dimension {x.shape[0]} does not match ambient {algebra.ambient_dim}"
-        )
-    return algebra.project_many(x.reshape(1, -1)).reshape(x.shape)
-
-
-def commutant(algebra: AlgebraBasis, ambient: AlgebraBasis, tol: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
+def commutant(algebra: AlgebraBasis, ambient: AlgebraBasis) -> AlgebraBasis:
     """Elements of the ambient span commuting with every basis element.
 
     Writes the candidate as ``x = sum c_k g_k`` over the ambient basis,
@@ -243,17 +189,17 @@ def commutant(algebra: AlgebraBasis, ambient: AlgebraBasis, tol: ToleranceConfig
         rows = [(g @ a - a @ g).reshape(-1) for a in algebra.basis]
         cols.append(np.concatenate(rows))
     system = np.stack(cols, axis=1)
-    kernel = nullspace(system, tol.eps_rank)
+    kernel = nullspace(system, EPS_RANK)
     members = [np.tensordot(coeff, ambient.basis, axes=1) for coeff in kernel.T]
-    return span_algebra(members, ambient.ambient_dim, check=True, tol=tol)
+    return span_algebra(members, ambient.ambient_dim)
 
 
-def intersect_algebras(a: AlgebraBasis, b: AlgebraBasis, tol: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
+def intersect_algebras(a: AlgebraBasis, b: AlgebraBasis) -> AlgebraBasis:
     """Intersection of two algebra spans, re-verified as a unital *-algebra."""
     if a.ambient_dim != b.ambient_dim:
         raise DimMismatch("intersection needs one ambient dimension")
-    members = subspace_intersection(list(a.basis), list(b.basis), tol)
-    return span_algebra(members, a.ambient_dim, check=True, tol=tol)
+    members = subspace_intersection(list(a.basis), list(b.basis))
+    return span_algebra(members, a.ambient_dim)
 
 
 def diag_conj_algebra(u, tol: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
@@ -280,11 +226,11 @@ class SquareResult:
     max_commuting_err: float
 
 
-def _span_contained(inner: AlgebraBasis, outer: AlgebraBasis, tol: ToleranceConfig) -> bool:
+def _span_contained(inner: AlgebraBasis, outer: AlgebraBasis) -> bool:
     flat = inner.flat
     res = flat - outer.project_many(flat)
     worst = np.sqrt((np.abs(res) ** 2).sum(axis=1) / inner.ambient_dim)
-    return bool(worst.max(initial=0.0) < np.sqrt(tol.eps_rank))
+    return bool(worst.max(initial=0.0) < np.sqrt(EPS_RANK))
 
 
 def is_commuting_square(
@@ -312,7 +258,7 @@ def is_commuting_square(
         (left, ambient, "left in ambient"),
         (right, ambient, "right in ambient"),
     ):
-        if not _span_contained(inner, outer, tol):
+        if not _span_contained(inner, outer):
             raise InclusionViolation(f"span containment fails: {what}")
 
     g = ambient.flat
@@ -328,7 +274,7 @@ def is_commuting_square(
             [(x @ y).reshape(-1) for x in left.basis for y in right.basis]
         )
         sv = np.linalg.svd(prods, compute_uv=False)
-        rank = int((sv > tol.eps_rank).sum())
+        rank = int((sv > EPS_RANK).sum())
         nondeg = rank == ambient.dim
     return SquareResult(commuting=commuting, nondegenerate=nondeg, max_commuting_err=err)
 
@@ -394,7 +340,7 @@ def vertex_model_square(u, spec, tol: ToleranceConfig = DEFAULT_TOL) -> TowerBas
     eye = np.eye(n)
     # y[i] = B_i W = u diag(sqrt(N) conj(u[i, :])) W
     y = u @ (root * u.conj()[:, :, None] * fourier_tensor(spec))
-    if np.abs(y.conj().swapaxes(1, 2) @ y - eye).max() > np.sqrt(tol.eps_rank):
+    if np.abs(y.conj().swapaxes(1, 2) @ y - eye).max() > np.sqrt(EPS_RANK):
         raise InclusionViolation("span containment fails: corner in right")
 
     # cols[k] has the v_ik as columns, so cols[k] cols[k]* = sum_i v_ik v_ik*
@@ -404,7 +350,7 @@ def vertex_model_square(u, spec, tol: ToleranceConfig = DEFAULT_TOL) -> TowerBas
     nondeg = None
     if n <= TOWER_NONDEG_CAP:
         prods = n * np.einsum("ijk,ilk->kjil", y, y.conj()).reshape(n * n, n * n)
-        nondeg = int((np.linalg.svd(prods, compute_uv=False) > tol.eps_rank).sum()) == n * n
+        nondeg = int((np.linalg.svd(prods, compute_uv=False) > EPS_RANK).sum()) == n * n
 
     # fold the rows for each X_i (X_0 = I gives none) into the system's
     # triangular factor: same singular values, O(N^3) memory
@@ -416,22 +362,7 @@ def vertex_model_square(u, spec, tol: ToleranceConfig = DEFAULT_TOL) -> TowerBas
         blocks=y,
         commuting=err < tol.eps_entry,
         nondegenerate=nondeg,
-        relcomm_dim=nullspace(tri, tol.eps_rank).shape[1],
+        relcomm_dim=nullspace(tri, EPS_RANK).shape[1],
         max_commuting_err=err,
     )
 
-
-def jones_projections(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two basic-construction projections for the diagonal inclusion.
-
-    ``e1`` in M_n has every entry 1/n; ``e2`` in M_{n^2} is the 0/1 diagonal
-    ``sum_i E_ii x E_ii``.  Both are selfadjoint idempotents of normalized
-    trace 1/n.
-    """
-    if not 1 <= n <= 64:
-        raise OrderOutOfRange(f"order must be in [1, 64], got {n}")
-    e1 = np.full((n, n), 1.0 / n, dtype=complex)
-    e2 = np.zeros((n * n, n * n), dtype=complex)
-    idx = np.arange(n) * n + np.arange(n)
-    e2[idx, idx] = 1.0
-    return e1, e2

@@ -90,7 +90,7 @@ def _tolerance(args) -> ToleranceConfig:
             eps = float(env)
     if eps is None:
         return DEFAULT_TOL
-    return ToleranceConfig(eps_entry=float(eps), eps_rank=DEFAULT_TOL.eps_rank)
+    return ToleranceConfig(eps_entry=float(eps))
 
 
 def _write(text: str, out: str | None) -> None:

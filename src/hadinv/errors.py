@@ -40,7 +40,7 @@ class NotClosed(HadinvError):
         self.members = frozenset(members)
 
 
-class OrderTooLarge(HadinvError):
+class OrderTooLarge(OrderOutOfRange):
     """The group or matrix order exceeds the cap for this operation."""
 
 

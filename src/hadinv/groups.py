@@ -1,5 +1,8 @@
 """The product group Z_{n_1} x ... x Z_{n_k} behind a spec, and its subgroups.
 
+The group is given by its ``FourierSpec`` (or anything ``FourierSpec.of``
+accepts), whose constructor enforces ``DIM_CAP``; ``spec.dim`` is ``|G|``.
+
 A matrix pair (U, V) of one dimension singles out the exponent vectors r
 for which the clock conjugate ``U D_r U*`` lands inside ``V Delta V*``;
 that set is automatically closed under addition and is the subgroup H
@@ -33,22 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimMismatch,
-    NotClosed,
-    NotDivisor,
-    OrderTooLarge,
-    RealizationFailed,
-)
-from .hadamard import DIM_CAP, FourierSpec, fourier_tensor, require_hadamard
+from .errors import DimMismatch, NotClosed, NotDivisor, RealizationFailed
+from .hadamard import FourierSpec, fourier_tensor, require_hadamard
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, dagger
 
 __all__ = [
-    "GroupStructure",
     "SubgroupSet",
     "elements",
     "is_subgroup",
-    "all_subgroups",
     "extract_decisions",
     "extract_subgroup",
     "inverse_dft",
@@ -60,47 +55,9 @@ __all__ = [
     "realize_subgroup",
 ]
 
-SUBGROUP_ENUM_CAP = 16
-
-
-@dataclass(frozen=True)
-class GroupStructure:
-    """Finite abelian group given by cyclic factor orders."""
-
-    orders: tuple[int, ...]
-
-    def __post_init__(self):
-        orders = tuple(int(n) for n in self.orders)
-        object.__setattr__(self, "orders", orders)
-        if not orders or any(n < 2 for n in orders):
-            raise ValueError(f"factor orders must all be >= 2, got {orders}")
-
-    @property
-    def order(self) -> int:
-        return math.prod(self.orders)
-
-    @classmethod
-    def of(cls, group) -> "GroupStructure":
-        if isinstance(group, GroupStructure):
-            return group
-        if isinstance(group, FourierSpec):
-            return cls(group.orders)
-        return cls(tuple(group))
-
-    def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
-
-    @property
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * len(self.orders)
-
-
 def elements(group) -> list[tuple[int, ...]]:
     """All group elements in lexicographic order."""
-    group = GroupStructure.of(group)
-    if group.order > DIM_CAP:
-        raise OrderTooLarge(f"group order {group.order} exceeds {DIM_CAP}")
-    return list(itertools.product(*[range(n) for n in group.orders]))
+    return list(itertools.product(*[range(n) for n in FourierSpec.of(group).orders]))
 
 
 def is_subgroup(group, members) -> bool:
@@ -109,16 +66,14 @@ def is_subgroup(group, members) -> bool:
     Closure is read off the cached addition table, one lookup per pair of
     members.  Groups above ``DIM_CAP`` raise ``OrderTooLarge``.
     """
-    group = GroupStructure.of(group)
-    if group.order > DIM_CAP:
-        raise OrderTooLarge(f"group order {group.order} exceeds {DIM_CAP}")
+    group = FourierSpec.of(group)
     members = {tuple(int(x) for x in m) for m in members}
     if not members or any(len(m) != len(group.orders) for m in members):
         return False
     coords = np.array(list(members))
     if not ((coords >= 0) & (coords < group.orders)).all():
         return False
-    inside = np.zeros(group.order, dtype=bool)
+    inside = np.zeros(group.dim, dtype=bool)
     inside[np.ravel_multi_index(tuple(coords.T), group.orders)] = True
     return _mask_is_subgroup(group.orders, inside)
 
@@ -129,13 +84,13 @@ def _mask_is_subgroup(orders: tuple[int, ...], inside: np.ndarray) -> bool:
     return bool(inside[0] and inside[_translates(orders, 1)[flat[:, None], flat]].all())
 
 
-def _require_subgroup(group: GroupStructure, members: frozenset, closed: bool) -> None:
+def _require_subgroup(group: FourierSpec, members: frozenset, closed: bool) -> None:
     """Raise ``NotClosed`` unless the set is ``closed`` (holds 0, closed under +) and its size divides ``|G|``."""
     if not closed:
         raise NotClosed(f"set of size {len(members)} is not a subgroup of {group.orders}", members=members)
-    if group.order % len(members) != 0:
+    if group.dim % len(members) != 0:
         raise NotClosed(  # unreachable for a closed set; kept as a hard guard
-            f"size {len(members)} does not divide {group.order}", members=members
+            f"size {len(members)} does not divide {group.dim}", members=members
         )
 
 
@@ -147,7 +102,7 @@ class SubgroupSet:
     members: frozenset[tuple[int, ...]]
 
     def __post_init__(self):
-        group = GroupStructure(self.orders)
+        group = FourierSpec(self.orders)
         members = frozenset(tuple(int(x) for x in m) for m in self.members)
         object.__setattr__(self, "orders", group.orders)
         object.__setattr__(self, "members", members)
@@ -175,11 +130,11 @@ def extract_decisions(u, v, group) -> np.ndarray:
     ``X = U* V`` is computed once; the diagonal of ``D_r`` is the
     character r, row r of ``sqrt(N) W``.  One dense product per r.
     """
-    group = GroupStructure.of(group)
+    group = FourierSpec.of(group)
     x = dagger(as_matrix(u)) @ as_matrix(v)
     x_adj = dagger(x)
-    characters = np.sqrt(group.order) * fourier_tensor(group.orders)
-    values = np.empty(group.order)
+    characters = np.sqrt(group.dim) * fourier_tensor(group)
+    values = np.empty(group.dim)
     for r, character in enumerate(characters):
         m = x_adj @ (character[:, None] * x)
         np.fill_diagonal(m, 0.0)
@@ -193,12 +148,10 @@ def subgroup_below(values, group, eps: float) -> SubgroupSet:
     The membership mask is checked as it stands, as ``SubgroupSet`` checks
     its members, and the set is built without a second check.
     """
-    group = GroupStructure.of(group)
-    if group.order > DIM_CAP:
-        raise OrderTooLarge(f"group order {group.order} exceeds {DIM_CAP}")
+    group = FourierSpec.of(group)
     inside = np.asarray(values) < eps
-    if inside.shape != (group.order,):
-        raise DimMismatch(f"expected {group.order} decision values, got an array of shape {inside.shape}")
+    if inside.shape != (group.dim,):
+        raise DimMismatch(f"expected {group.dim} decision values, got an array of shape {inside.shape}")
     found = np.unravel_index(np.flatnonzero(inside), group.orders)
     members = frozenset(zip(*(c.tolist() for c in found)))
     _require_subgroup(group, members, _mask_is_subgroup(group.orders, inside))
@@ -213,10 +166,10 @@ def extract_subgroup(u, v, group, tol: ToleranceConfig = DEFAULT_TOL) -> Subgrou
     one spec this is the subgroup whose order equals the dimension of the
     intersection algebra.
     """
-    group = GroupStructure.of(group)
+    group = FourierSpec.of(group)
     u = as_matrix(u)
     v = as_matrix(v)
-    n = group.order
+    n = group.dim
     if u.shape[0] != n or v.shape[0] != n:
         raise DimMismatch(f"matrices must have dimension {n}")
     if np.abs(u - v).max() <= tol.eps_entry:
@@ -242,8 +195,7 @@ def inverse_dft(values, group) -> np.ndarray:
     passes cost 1.6 ms on 64 rows over (2,)^6 against 0.08 ms for the
     product (numpy 2.4 with OpenBLAS, 2 cores).
     """
-    orders = GroupStructure.of(group).orders
-    w = fourier_tensor(orders)
+    w = fourier_tensor(group)
     return np.asarray(values, dtype=complex) @ w / np.sqrt(w.shape[0])
 
 
@@ -255,9 +207,9 @@ def shift_spectrum(d, group) -> np.ndarray:
     rows come from one batched transform in ``O(N^2)`` memory; a stack
     ``d`` of shape ``(B, N)`` gives one such ``N x N`` array per row.
     """
-    orders = GroupStructure.of(group).orders
+    group = FourierSpec.of(group)
     d = np.asarray(d, dtype=complex)
-    return inverse_dft(d.conj()[..., None, :] * d[..., _translates(orders, 1)], orders)
+    return inverse_dft(d.conj()[..., None, :] * d[..., _translates(group.orders, 1)], group)
 
 
 def fourier_decisions(d, group) -> np.ndarray:
@@ -273,45 +225,7 @@ def convolution(f, group) -> np.ndarray:
 
     A stack ``f`` of shape ``(B, N)`` gives one matrix per row.
     """
-    orders = GroupStructure.of(group).orders
-    return np.asarray(f, dtype=complex)[..., _translates(orders, -1)]
-
-
-def all_subgroups(group) -> list[SubgroupSet]:
-    """Every subgroup, found by closing generator sets; sorted by size then members."""
-    group = GroupStructure.of(group)
-    if group.order > SUBGROUP_ENUM_CAP:
-        raise OrderTooLarge(f"subgroup enumeration capped at order {SUBGROUP_ENUM_CAP}")
-
-    all_elems = elements(group)
-
-    def close(gens: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
-        closed = set(gens) | {group.identity}
-        frontier = list(closed)
-        while frontier:
-            a = frontier.pop()
-            for b in list(closed):
-                for c in (group.add(a, b), group.add(b, a)):
-                    if c not in closed:
-                        closed.add(c)
-                        frontier.append(c)
-        return frozenset(closed)
-
-    found = {frozenset([group.identity])}
-    frontier = [frozenset([group.identity])]
-    while frontier:
-        base = frontier.pop()
-        for g in all_elems:
-            if g in base:
-                continue
-            grown = close(base | {g})
-            if grown not in found:
-                found.add(grown)
-                frontier.append(grown)
-
-    subgroups = [SubgroupSet(orders=group.orders, members=m) for m in found]
-    subgroups.sort(key=lambda s: (s.size, s.sorted_members()))
-    return subgroups
+    return np.asarray(f, dtype=complex)[..., _translates(FourierSpec.of(group).orders, -1)]
 
 
 def divisors(n: int) -> list[int]:
@@ -361,7 +275,7 @@ def realize_subgroup(spec, divisor_vec, tol: ToleranceConfig = DEFAULT_TOL):
 
     expected = math.prod(mvec)
     try:
-        found = extract_subgroup(u, v, GroupStructure(spec.orders), tol)
+        found = extract_subgroup(u, v, spec, tol)
     except NotClosed as exc:
         raise RealizationFailed(f"extracted set not closed for divisors {mvec}") from exc
     if found.size != expected:

@@ -21,6 +21,7 @@ from .errors import (
     NotDpwForm,
     NotHadamard,
     OrderOutOfRange,
+    OrderTooLarge,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -49,7 +50,6 @@ __all__ = [
     "hadamard_mask",
     "is_hadamard",
     "require_hadamard",
-    "entry_diagonal",
     "block_unitary",
     "perm_matrix",
     "perm_phase_certificate",
@@ -77,7 +77,7 @@ class FourierSpec:
         if any(n < 2 for n in orders):
             raise OrderOutOfRange(f"every factor order must be >= 2, got {orders}")
         if self.dim > DIM_CAP:
-            raise OrderOutOfRange(f"product of orders {self.dim} exceeds cap {DIM_CAP}")
+            raise OrderTooLarge(f"product of orders {self.dim} exceeds cap {DIM_CAP}")
 
     @property
     def dim(self) -> int:
@@ -195,23 +195,14 @@ def require_hadamard(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return a
 
 
-def entry_diagonal(u, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Diagonal unitary of dimension N^2 carrying the rescaled conjugate entries of u.
-
-    Entry (i*N + j) equals ``sqrt(N) * conj(u[i, j])``; the sqrt(N) factor
-    makes the result unitary for Hadamard input.
-    """
-    u = require_hadamard(u, tol)
-    n = u.shape[0]
-    return np.diag(np.sqrt(n) * u.conj().reshape(-1))
-
-
 def block_unitary(u, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Block-diagonal unitary ``(I_N x u) * entry_diagonal(u)`` of dimension N^2.
+    """Block-diagonal unitary ``(I_N x u) * E`` of dimension N^2.
 
-    Block i equals ``u @ diag(sqrt(N) * conj(u[i, :]))``.  For a Fourier
-    tensor input this matrix factors as a block-diagonal permutation times
-    ``I_N x u`` (checked in the verification suite).
+    ``E`` is diagonal with ``sqrt(N) * conj(u[i, j])`` at entry ``i*N + j``
+    (unitary for Hadamard u), so block i equals
+    ``u @ diag(sqrt(N) * conj(u[i, :]))``.  For a Fourier tensor input this
+    matrix factors as a block-diagonal permutation times ``I_N x u``
+    (checked in the verification suite).
     """
     u = require_hadamard(u, tol)
     n = u.shape[0]
@@ -305,7 +296,8 @@ def require_forms(perms: np.ndarray, phases: np.ndarray, tol: ToleranceConfig = 
     n = perms.shape[-1]
     if (np.sort(perms, axis=-1) != np.arange(n)).any():
         raise ValueError(f"perm is not a permutation of 0..{n - 1}")
-    if np.abs(np.abs(phases) - 1.0).max() >= tol.eps_entry:
+    # written so that a NaN phase, which compares false, fails the test
+    if not np.abs(np.abs(phases) - 1.0).max() < tol.eps_entry:
         raise ValueError("phases must have modulus one")
 
 

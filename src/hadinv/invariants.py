@@ -75,7 +75,6 @@ from .errors import (
     OrderTooLarge,
 )
 from .groups import (
-    GroupStructure,
     SubgroupSet,
     convolution,
     divisors,
@@ -264,7 +263,7 @@ class _FourierSide(NamedTuple):
     allowance: np.ndarray
 
 
-def _fourier_sides(d: np.ndarray, x: np.ndarray, orders: tuple[int, ...]) -> _FourierSide:
+def _fourier_sides(d: np.ndarray, x: np.ndarray, spec: FourierSpec) -> _FourierSide:
     """The Fourier route of conjugate pairs, one row of ``d`` and one matrix of ``x = U* V`` each.
 
     ``decisions`` are ``fourier_decisions(d)`` and ``entropy`` is the
@@ -278,14 +277,14 @@ def _fourier_sides(d: np.ndarray, x: np.ndarray, orders: tuple[int, ...]) -> _Fo
     ``modified_entropy`` beyond rounding.  Each field holds one entry per pair.
     """
     n = d.shape[-1]
-    f = inverse_dft(d, orders)
-    x_form = convolution(f, orders)
+    f = inverse_dft(d, spec)
+    x_form = convolution(f, spec)
     c = np.sqrt((np.abs(x - x_form) ** 2).sum(axis=-2)).max(axis=-1)
     slack = c * (2.0 * np.linalg.norm(f, axis=-1) + c) + _ROUTE_ROUNDING
     moved = np.abs(np.abs(x) ** 2 - np.abs(x_form) ** 2)
     allowance = _eta_array(np.minimum(moved, 1.0 / math.e)).sum(axis=(-2, -1)) / n
     entropy = _eta_array(np.abs(f) ** 2).sum(axis=-1)
-    return _FourierSide(fourier_decisions(d, orders), slack, entropy, allowance)
+    return _FourierSide(fourier_decisions(d, spec), slack, entropy, allowance)
 
 
 def _nearest_decision(values: np.ndarray, orders: tuple[int, ...], eps: float) -> str:
@@ -330,13 +329,12 @@ def _stages(us: np.ndarray, vs: np.ndarray, spec: FourierSpec, tol: ToleranceCon
     form_v, perm_v, phases_v = dpw_parts(vs, spec, tol)
     normal = form_u & form_v
     conjugate = hadamard & normal & (perm_u == perm_v).all(axis=-1)
-    # broadcast, as a substitute for the support graphs (in tests) may give one count for all pairs
-    dims, relcomms = (np.broadcast_to(c, len(us)) for c in _support_graph_invariants(us, x, eps))
+    dims, relcomms = _support_graph_invariants(us, x, eps)
     entropies, stochastic = _dense_entropies(x, eps)
 
     on_route = np.flatnonzero(conjugate)
     d = _conjugate_diagonals(perm_u[on_route], phases_u[on_route], phases_v[on_route])
-    sides = _fourier_sides(d, x[on_route], spec.orders)
+    sides = _fourier_sides(d, x[on_route], spec)
     # a decision value within the distance bound of eps could fall on either side of it
     clear = ~(np.abs(sides.decisions - eps) <= sides.slack[:, None]).any(axis=-1)
     routes = iter([(_FourierSide(*(field[j] for field in sides)), bool(clear[j])) for j in range(len(on_route))])
@@ -393,9 +391,9 @@ def pair_report(u, v, spec, tol: ToleranceConfig = DEFAULT_TOL, *, stage: _PairS
     else:
         try:
             if decisions is None:
-                subgroup = extract_subgroup(u, v, GroupStructure(spec.orders), tol)
+                subgroup = extract_subgroup(u, v, spec, tol)
             else:
-                subgroup = subgroup_below(decisions, spec.orders, eps)
+                subgroup = subgroup_below(decisions, spec, eps)
         except NotClosed:
             flags.append("subgroup-not-closed")
 
@@ -408,7 +406,7 @@ def pair_report(u, v, spec, tol: ToleranceConfig = DEFAULT_TOL, *, stage: _PairS
         relcomm_ok = relcomm_dims == orbits if spans_a else relcomm_dims <= orbits
         if not dim_ok or ("not-dpw-form" not in flags and not relcomm_ok):
             if decisions is None:
-                decisions = extract_decisions(u, v, spec.orders)
+                decisions = extract_decisions(u, v, spec)
             evidence = f"H from the {route} route; {_nearest_decision(decisions, spec.orders, eps)}"
             if not dim_ok:
                 raise OracleMismatch(

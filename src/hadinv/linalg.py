@@ -1,13 +1,12 @@
 """Dense complex matrix kernel over the normalized trace inner product.
 
 Everything else in the package is built on this module: Kronecker products,
-unitary conjugation, the single-flag predicates ``is_unitary`` and
-``is_complex_permutation`` (with ``unitary_mask`` and
-``complex_permutation_mask``, their forms over stacks of matrices),
-structural classification (all flags at once,
-composed from those predicates), the inner product
-``<A, B> = tr(B* A) / N``, Gram-Schmidt orthonormalization in that inner
-product, and subspace intersection via a stacked null-space computation.
+the single-flag predicates ``is_unitary`` and ``is_complex_permutation``
+(with ``unitary_mask`` and ``complex_permutation_mask``, their forms over
+stacks of matrices), structural classification (all flags at once,
+composed from those predicates), Gram-Schmidt orthonormalization in the
+inner product ``<A, B> = tr(B* A) / N``, and subspace intersection via a
+stacked null-space computation.
 
 Matrices are plain complex ndarrays.  Comparisons are absolute and
 per-entry; all identities checked downstream are exact in exact arithmetic,
@@ -21,23 +20,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NonUnitary
+from .errors import DimMismatch
 
 __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
+    "EPS_RANK",
     "MatrixClass",
     "as_matrix",
     "as_stack",
     "dagger",
     "tensor",
-    "ad",
     "unitary_mask",
     "is_unitary",
     "complex_permutation_mask",
     "is_complex_permutation",
     "classify",
-    "trace_inner",
     "orthonormal_basis",
     "nullspace",
     "subspace_intersection",
@@ -46,23 +44,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical thresholds.
-
-    ``eps_entry`` is the absolute per-entry comparison threshold;
-    ``eps_rank`` is the pivot threshold for linear-independence decisions.
-    """
+    """``eps_entry``, the absolute per-entry comparison threshold."""
 
     eps_entry: float = 1e-9
-    eps_rank: float = 1e-8
 
     def __post_init__(self):
-        for name in ("eps_entry", "eps_rank"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1e-2:
-                raise ValueError(f"{name} must lie in (0, 1e-2), got {value!r}")
+        if not 0.0 < self.eps_entry < 1e-2:
+            raise ValueError(f"eps_entry must lie in (0, 1e-2), got {self.eps_entry!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+# the pivot of every rank decision (SVD rank cuts, Gram-Schmidt, span
+# membership); a constant, as ``--tolerance`` moves only eps_entry
+EPS_RANK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -137,17 +132,6 @@ def is_complex_permutation(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return bool(complex_permutation_mask(as_matrix(m), tol))
 
 
-def ad(u, x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Conjugation ``u x u*`` by a unitary; preserves trace and spectrum."""
-    u = as_matrix(u)
-    x = as_matrix(x)
-    if u.shape != x.shape:
-        raise DimMismatch(f"cannot conjugate {x.shape} by {u.shape}")
-    if not is_unitary(u, tol):
-        raise NonUnitary("conjugating matrix is not unitary within tolerance")
-    return u @ x @ dagger(u)
-
-
 def classify(m, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixClass:
     """Classify a matrix by per-entry comparison within ``tol.eps_entry``."""
     a = as_matrix(m)
@@ -164,20 +148,11 @@ def classify(m, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixClass:
     )
 
 
-def trace_inner(a, b) -> complex:
-    """Normalized trace pairing ``tr(b* a) / N``; linear in ``a``."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise DimMismatch(f"trace pairing of {a.shape} with {b.shape}")
-    return complex(np.vdot(b, a) / a.shape[0])
-
-
-def orthonormal_basis(mats, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
+def orthonormal_basis(mats) -> list[np.ndarray]:
     """Gram-Schmidt in the trace inner product.
 
     Returns a trace-orthonormal basis of the span of ``mats``; vectors whose
-    post-projection norm falls below ``tol.eps_rank`` are discarded, so the
+    post-projection norm falls below ``EPS_RANK`` are discarded, so the
     output length is the rank of the input family.
     """
     basis: list[np.ndarray] = []
@@ -191,7 +166,7 @@ def orthonormal_basis(mats, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarr
             for g in basis:
                 v = v - (np.vdot(g, v) / n) * g
         norm = float(np.sqrt(np.vdot(v, v).real / n))
-        if norm > tol.eps_rank:
+        if norm > EPS_RANK:
             basis.append(v / norm)
     return basis
 
@@ -209,7 +184,7 @@ def nullspace(m: np.ndarray, eps: float) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def subspace_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
+def subspace_intersection(a, b) -> list[np.ndarray]:
     """Trace-orthonormal basis of ``span(a) & span(b)``.
 
     Flattens the matrices to vectors, stacks the coefficient system
@@ -217,16 +192,16 @@ def subspace_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.n
     coordinates back to matrices.  The dimension of the result is invariant
     under permutations of either input family.
     """
-    abasis = orthonormal_basis(a, tol)
-    bbasis = orthonormal_basis(b, tol)
+    abasis = orthonormal_basis(a)
+    bbasis = orthonormal_basis(b)
     if not abasis or not bbasis:
         return []
     if abasis[0].shape != bbasis[0].shape:
         raise DimMismatch("subspace intersection needs one ambient dimension")
 
     stacked = np.stack([m.reshape(-1) for m in abasis] + [-m.reshape(-1) for m in bbasis], axis=1)
-    kernel = nullspace(stacked, tol.eps_rank)
+    kernel = nullspace(stacked, EPS_RANK)
 
     astack = np.stack(abasis)
     members = [np.tensordot(coeff[: len(abasis)], astack, axes=1) for coeff in kernel.T]
-    return orthonormal_basis(members, tol)
+    return orthonormal_basis(members)

@@ -1,10 +1,10 @@
 """JSON wire formats shared by the CLI and file I/O.
 
 Matrix JSON is ``{"dim": N, "entries": [[re, im], ...]}`` row-major with
-an integer N and exactly N^2 pairs of finite numbers; readers reject
-anything else with ``ValueError``.  The other formats
-(normal forms, subgroups, pair reports) are documented on their
-readers/writers below.  Every writer emits its text through ``dumps``.
+an integer N (not a boolean) and exactly N^2 pairs of finite numbers; the
+reader rejects anything else with ``ValueError``.  The other formats
+(normal forms, subgroups, pair reports) are only written.  Every writer
+emits its text through ``dumps``.
 """
 
 from __future__ import annotations
@@ -17,16 +17,14 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .groups import SubgroupSet
-from .hadamard import DpwForm, FourierSpec
+from .hadamard import DpwForm
 from .invariants import InvariantReport
 
 __all__ = [
     "matrix_to_obj",
     "matrix_from_obj",
     "dpw_to_obj",
-    "dpw_from_obj",
     "subgroup_to_obj",
-    "subgroup_from_obj",
     "report_to_obj",
     "dumps",
     "load_matrix",
@@ -49,6 +47,8 @@ def matrix_from_obj(obj) -> np.ndarray:
     """Matrix JSON to an N x N complex array; any malformed payload raises ``ValueError``."""
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ValueError("matrix JSON must carry 'dim' and 'entries'")
+    if isinstance(obj["dim"], bool):  # operator.index would read true as 1
+        raise ValueError(f"matrix dim must be an integer, got {json.dumps(obj['dim'])}")
     try:
         dim = operator.index(obj["dim"])
         flat = np.ascontiguousarray(obj["entries"], dtype=float)
@@ -71,25 +71,11 @@ def dpw_to_obj(form: DpwForm) -> dict:
     }
 
 
-def dpw_from_obj(obj) -> DpwForm:
-    spec = FourierSpec(tuple(int(n) for n in obj["spec"]))
-    perm = tuple(int(p) for p in obj["perm"])
-    phases = tuple(complex(float(p[0]), float(p[1])) for p in obj["phases"])
-    return DpwForm(spec=spec, perm=perm, phases=phases)
-
-
 def subgroup_to_obj(subgroup: SubgroupSet) -> dict:
     return {
         "orders": list(subgroup.orders),
         "members": [list(m) for m in subgroup.sorted_members()],
     }
-
-
-def subgroup_from_obj(obj) -> SubgroupSet:
-    return SubgroupSet(
-        orders=tuple(int(n) for n in obj["orders"]),
-        members=frozenset(tuple(int(x) for x in m) for m in obj["members"]),
-    )
 
 
 def report_to_obj(report: InvariantReport) -> dict:

@@ -7,16 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import SPECS_UP_TO_16, haar_unitary, maxabs, random_dpw
+from oracles import conditional_expectation
 from hadinv import (
     AlgebraBasis,
-    DimMismatch,
     InclusionViolation,
     NonUnitary,
     OrderTooLarge,
-    algebra_close,
     block_unitary,
     commutant,
-    conditional_expectation,
     diag_conj_algebra,
     diagonal_algebra,
     fourier,
@@ -26,31 +24,14 @@ from hadinv import (
     is_biunitary,
     is_commuting_square,
     is_hadamard,
-    jones_projections,
     random_conjugate_pair,
     scalar_algebra,
     shift,
     span_algebra,
     tensor_algebra,
-    trace_inner,
     vertex_model_square,
     vertex_square,
 )
-
-
-class TestAlgebraClose:
-    def test_empty_generators_give_scalars(self):
-        assert algebra_close([], 3).dim == 1
-
-    def test_diagonal_units(self):
-        gens = [np.diag(np.eye(4)[i]).astype(complex) for i in range(4)]
-        assert algebra_close(gens, 4).dim == 4
-
-    def test_two_cycle_group_algebra(self):
-        assert algebra_close([shift(2, 1)], 2).dim == 2
-
-    def test_shift_generates_circulants(self):
-        assert algebra_close([shift(4, 1)], 4).dim == 4
 
 
 class TestConditionalExpectation:
@@ -90,10 +71,6 @@ class TestConditionalExpectation:
         rhs = a @ conditional_expectation(x, alg) @ b
         assert maxabs(lhs - rhs) < 1e-10
 
-    def test_rejects_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
-            conditional_expectation(np.eye(3), diagonal_algebra(2))
-
 
 class TestCommutant:
     def test_diagonal_is_maximal_abelian(self):
@@ -104,7 +81,7 @@ class TestCommutant:
         assert commutant(full_matrix_algebra(3), full_matrix_algebra(3)).dim == 1
 
     def test_half_shift_inside_diagonals(self):
-        alg = algebra_close([shift(4, 2)], 4)
+        alg = span_algebra([np.eye(4), shift(4, 2)], 4)
         got = commutant(alg, diagonal_algebra(4))
         # oracle: a diagonal d commutes with the two-step shift iff d_j = d_{j+2}
         s = shift(4, 2)
@@ -371,30 +348,17 @@ class TestTowerFullDomain:
         assert peak < 37 * 37 * 16
 
 
-class TestJonesProjections:
-    def test_first_projection_entries(self):
-        e1, _ = jones_projections(2)
-        assert maxabs(e1 - np.full((2, 2), 0.5)) < 1e-15
-
-    def test_normalized_traces(self):
-        for n in (2, 3, 5):
-            e1, e2 = jones_projections(n)
-            assert abs(trace_inner(e1, e1) - 1.0 / n) < 1e-12
-            assert abs(np.trace(e2) / (n * n) - 1.0 / n) < 1e-12
-
-    def test_selfadjoint_idempotents(self):
-        e1, e2 = jones_projections(3)
-        for p in (e1, e2):
-            assert maxabs(p @ p - p) < 1e-12
-            assert maxabs(p - p.conj().T) < 1e-12
-
-
 class TestSpanAlgebra:
     def test_detects_adjoint_closure_failure(self):
         e12 = np.zeros((2, 2), dtype=complex)
         e12[0, 1] = 1
         with pytest.raises(ValueError):
             span_algebra([np.eye(2), e12], 2)
+
+    def test_detects_missing_identity(self):
+        # span{E_11} is *-closed and closed under products, but not unital
+        with pytest.raises(ValueError, match="identity"):
+            span_algebra([np.diag([1.0, 0.0]).astype(complex)], 2)
 
     def test_detects_product_closure_failure(self):
         # span{I, diag(0,1,2)} is *-closed but the square diag(0,1,4) escapes it

@@ -77,6 +77,14 @@ class TestGen:
         )
         assert code == 1
 
+    def test_nan_phase_is_an_input_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "gen", "--spec", "2,2", "--kind", "dpw", "--perm", "0,1,2,3", "--phases", "nan,1,1,1",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "modulus one" in err
+
 
 class TestCheck:
     def test_single_matrix(self, capsys, tmp_path):
@@ -113,8 +121,13 @@ class TestCheck:
             '{"dim": 1, "entries": "1, 0"}',
             '{"dim": 2, "entries": [[1, 0], [0], [0, 0], [1, 0]]}',
             '{"dim": 1, "entries": [[1e400, 0]]}',
+            '{"dim": true, "entries": [[1, 0]]}',
+            '{"dim": false, "entries": []}',
         ],
-        ids=["null", "nested", "null-dim", "float-dim", "int-entries", "str-entries", "ragged", "overflow"],
+        ids=[
+            "null", "nested", "null-dim", "float-dim", "int-entries", "str-entries", "ragged", "overflow",
+            "true-dim", "false-dim",
+        ],
     )
     def test_malformed_matrix_is_an_input_error(self, capsys, tmp_path, payload):
         path = tmp_path / "bad.json"
@@ -189,7 +202,9 @@ class TestReport:
 
         # the support graph reports the right dimA but a relative commutant
         # dimension other than N/|H|
-        monkeypatch.setattr(invariants, "_support_graph_invariants", lambda u, v, eps: (2, 1))
+        monkeypatch.setattr(
+            invariants, "_support_graph_invariants", lambda u, x, eps: (np.full(len(u), 2), np.full(len(u), 1))
+        )
         pu = write_matrix(tmp_path / "u.json", fourier(4))
         pv = write_matrix(tmp_path / "v.json", np.diag([1, 1, -1, -1]) @ fourier(4))
         code, _, err = run(capsys, "report", pu, pv, "--spec", "4")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import SPECS_UP_TO_16, haar_unitary, maxabs, random_dpw
+from oracles import entry_diagonal
 from hadinv import (
     DimMismatch,
     DpwForm,
@@ -17,7 +18,6 @@ from hadinv import (
     clock,
     clock_vec,
     decompose_dpw,
-    entry_diagonal,
     fourier,
     fourier_tensor,
     is_biunitary,
@@ -149,6 +149,8 @@ class TestVectorGenerators:
 
 
 class TestEntryDiagonal:
+    """The dense oracle of ``TestBlockUnitary::test_matches_dense_diagonal_product``."""
+
     def test_fourier_two(self):
         assert maxabs(entry_diagonal(fourier(2)) - np.diag([1, 1, 1, -1])) < 1e-12
 
@@ -377,6 +379,16 @@ class TestRequireForms:
         phases[row, 3, 5] *= 1 + 2e-9
         with pytest.raises(ValueError, match="modulus one"):
             require_forms(perms, phases)
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.0), complex(1.0, np.nan)])
+    def test_rejects_a_nan_phase(self, bad):
+        # NaN compares false, so a test of the form "error >= eps" would let it through
+        perms, phases = self._stack(np.random.default_rng(8))
+        phases[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="modulus one"):
+            require_forms(perms, phases)
+        with pytest.raises(ValueError, match="modulus one"):
+            DpwForm((3, 3), perms[2], phases[1, 2])
 
 
 class TestRealizeForms:

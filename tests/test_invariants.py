@@ -226,6 +226,11 @@ def _assert_matches_dense(u, v, spec):
         assert rep.dim_a * rep.relcomm_dims == u.shape[0]
 
 
+def _fixed_counts(dim_a, relcomm_dims):
+    """A substitute for ``_support_graph_invariants`` that gives every pair of the stack the same counts."""
+    return lambda u, x, eps: (np.full(len(u), dim_a), np.full(len(u), relcomm_dims))
+
+
 class TestSupportGraphOracle:
     """The support-graph invariants of pair_report against the dense algebra routes."""
 
@@ -262,13 +267,13 @@ class TestSupportGraphOracle:
 
     def test_relcomm_disagreement_raises(self, monkeypatch):
         f4 = fourier(4)
-        monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", lambda u, v, eps: (2, 1))
+        monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", _fixed_counts(2, 1))
         with pytest.raises(OracleMismatch, match="relative commutant"):
             pair_report(f4, np.diag([1, 1, -1, -1]) @ f4, (4,))
 
     def test_dim_disagreement_raises(self, monkeypatch):
         f4 = fourier(4)
-        monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", lambda u, v, eps: (1, 4))
+        monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", _fixed_counts(1, 4))
         with pytest.raises(OracleMismatch, match="subgroup order 2"):
             pair_report(f4, np.diag([1, 1, -1, -1]) @ f4, (4,))
 
@@ -280,7 +285,7 @@ def _conjugate_diagonal(form_u, form_v):
 
 def _fourier_side(form_u, form_v, x):
     """The Fourier route of one conjugate pair: ``_fourier_sides`` on a batch of one."""
-    sides = _fourier_sides(_conjugate_diagonal(form_u, form_v)[None], x[None], form_u.spec.orders)
+    sides = _fourier_sides(_conjugate_diagonal(form_u, form_v)[None], x[None], form_u.spec)
     return _FourierSide(*(field[0] for field in sides))
 
 
@@ -458,7 +463,7 @@ class TestMismatchEvidence:
 
     def test_fourier_route(self, monkeypatch):
         f4 = fourier(4)
-        monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", lambda u, v, eps: (1, 4))
+        monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", _fixed_counts(1, 4))
         message = r"subgroup order 2 .*fourier route.*nearest eps_entry 1e-09"
         with pytest.raises(OracleMismatch, match=message):
             pair_report(f4, np.diag([1, 1, -1, -1]) @ f4, (4,))
@@ -466,7 +471,7 @@ class TestMismatchEvidence:
     def test_extract_route(self, monkeypatch):
         rng = np.random.default_rng(65)
         u = random_dpw((2, 4), rng)
-        monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", lambda u, v, eps: (1, 8))
+        monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", _fixed_counts(1, 8))
         with pytest.raises(OracleMismatch, match=r"subgroup order 8 .*extract route.*at r=\(\d,\d\)"):
             pair_report(u, u @ perm_matrix(rng.permutation(8)), (2, 4))
 
@@ -476,7 +481,7 @@ class TestMismatchEvidence:
         d = 1j ** (np.arange(8) // 2)
         d = d * np.exp(1j * 1.5e-9 * 8 / np.sqrt(2) * (np.arange(8) == 0))
         values = fourier_decisions(d, (8,))
-        monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", lambda u, v, eps: (3, 1))
+        monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", _fixed_counts(3, 1))
         with pytest.raises(OracleMismatch) as info:
             pair_report(f8, np.diag(d) @ f8, (8,))
         nearest = values[np.abs(np.log(values / 1e-9)).argmin()]

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary, maxabs
+from oracles import trace_inner
 from hadinv import (
-    DimMismatch,
-    NonUnitary,
     ToleranceConfig,
-    ad,
     classify,
     clock_vec,
     fourier,
@@ -19,8 +17,8 @@ from hadinv import (
     shift,
     subspace_intersection,
     tensor,
-    trace_inner,
 )
+from hadinv.linalg import EPS_RANK
 
 
 def diag_units(n):
@@ -41,39 +39,6 @@ class TestTensor:
 
     def test_dim_multiplies(self):
         assert tensor(np.eye(3), np.eye(4)).shape == (12, 12)
-
-
-class TestAd:
-    def test_identity_conjugation(self):
-        x = np.arange(9, dtype=complex).reshape(3, 3)
-        assert maxabs(ad(np.eye(3), x) - x) < 1e-15
-
-    def test_fourier_sends_clock_to_shift(self):
-        got = ad(fourier(2), np.diag([1, -1]))
-        assert maxabs(got - np.array([[0, 1], [1, 0]])) < 1e-12
-
-    def test_preserves_trace(self):
-        rng = np.random.default_rng(3)
-        u = haar_unitary(4, rng)
-        x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert abs(np.trace(ad(u, x)) - np.trace(x)) < 1e-10
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(NonUnitary):
-            ad(np.ones((2, 2)), np.eye(2))
-
-    def test_rejects_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
-            ad(np.eye(2), np.eye(3))
-
-    def test_frobenius_isometry(self):
-        rng = np.random.default_rng(4)
-        for n in (2, 3, 5):
-            u = haar_unitary(n, rng)
-            x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            before = np.linalg.norm(x)
-            after = np.linalg.norm(ad(u, x))
-            assert abs(after - before) <= 1e-12 * before
 
 
 class TestClassify:
@@ -164,6 +129,8 @@ class TestSingleFlagPredicates:
 
 
 class TestTraceInner:
+    """The orthonormality oracle of ``TestOrthonormalBasis``."""
+
     def test_identity_has_unit_norm(self):
         assert abs(trace_inner(np.eye(5), np.eye(5)) - 1) < 1e-15
 
@@ -257,12 +224,12 @@ class TestSubspaceIntersection:
 
 class TestToleranceConfig:
     def test_defaults(self):
-        tol = ToleranceConfig()
-        assert tol.eps_entry == 1e-9 and tol.eps_rank == 1e-8
+        assert ToleranceConfig().eps_entry == 1e-9
+        assert EPS_RANK == 1e-8
+        with pytest.raises(TypeError):  # the rank pivot is a constant, not an option
+            ToleranceConfig(eps_rank=1e-6)
 
     @pytest.mark.parametrize("bad", [0.0, -1e-9, 1e-2, 0.5])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             ToleranceConfig(eps_entry=bad)
-        with pytest.raises(ValueError):
-            ToleranceConfig(eps_rank=bad)

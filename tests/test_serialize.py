@@ -8,15 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import maxabs
-from hadinv import DpwForm, FourierSpec, NotClosed, SubgroupSet, fourier, pair_report
+from hadinv import DpwForm, FourierSpec, SubgroupSet, fourier, pair_report
 from hadinv.serialize import (
-    dpw_from_obj,
     dumps,
     dpw_to_obj,
     matrix_from_obj,
     matrix_to_obj,
     report_to_obj,
-    subgroup_from_obj,
     subgroup_to_obj,
 )
 
@@ -53,11 +51,14 @@ class TestMatrixFormat:
 class TestDpwFormat:
     def test_round_trip(self):
         form = DpwForm(spec=FourierSpec((2, 2)), perm=(2, 0, 3, 1), phases=(1, 1j, -1, -1j))
-        back = dpw_from_obj(dpw_to_obj(form))
-        assert back.spec.orders == (2, 2)
-        assert back.perm == (2, 0, 3, 1)
-        assert maxabs(np.asarray(back.phases) - np.asarray(form.phases)) < 1e-15
-        assert maxabs(back.realize() - form.realize()) < 1e-12
+        obj = dpw_to_obj(form)
+        assert obj == {
+            "spec": [2, 2],
+            "perm": [2, 0, 3, 1],
+            "phases": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [-0.0, -1.0]],
+        }
+        assert {type(x) for pair in obj["phases"] for x in pair} == {float}
+        assert {type(p) for p in obj["perm"] + obj["spec"]} == {int}
 
 
 class TestSubgroupFormat:
@@ -65,11 +66,7 @@ class TestSubgroupFormat:
         s = SubgroupSet(orders=(4,), members=frozenset({(0,), (2,)}))
         obj = subgroup_to_obj(s)
         assert obj == {"orders": [4], "members": [[0], [2]]}
-        assert subgroup_from_obj(obj) == s
-
-    def test_rejects_non_elements(self):
-        with pytest.raises(NotClosed):
-            subgroup_from_obj({"orders": [4], "members": [[0], [4]]})
+        assert {type(x) for m in obj["members"] for x in m} == {int}
 
 
 class TestReportFormat:
