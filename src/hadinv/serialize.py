@@ -60,6 +60,10 @@ def matrix_from_obj(obj) -> np.ndarray:
         raise ValueError(f"expected {dim * dim} [re, im] entry pairs, got an array of shape {flat.shape}")
     if not np.isfinite(flat).all():
         raise ValueError("matrix entries must be finite numbers")
+    # float() reads true as 1.0 and false as 0.0, so only those values can hide a boolean
+    rows, cols = np.nonzero((flat == 0.0) | (flat == 1.0))
+    if any(type(obj["entries"][i][j]) is bool for i, j in zip(rows.tolist(), cols.tolist())):
+        raise ValueError("matrix entries must be numbers, not booleans")
     return flat.view(complex).reshape(dim, dim)
 
 

@@ -1,6 +1,10 @@
 """Dense reference computations that tests compare the library against."""
 
+import functools
+
 import numpy as np
+
+from hadinv import fourier_tensor
 
 
 def entry_diagonal(u) -> np.ndarray:
@@ -19,3 +23,19 @@ def conditional_expectation(x, algebra) -> np.ndarray:
     """Trace-preserving conditional expectation of x onto an ``AlgebraBasis``: ``sum_i <x, b_i> b_i``."""
     x = np.asarray(x, dtype=complex)
     return algebra.project_many(x.reshape(1, -1)).reshape(x.shape)
+
+
+def staircase_diagonal(n: int, m: int) -> np.ndarray:
+    """Dense diagonal singling out the order-m subgroup of Z_n: ``diag(zeta^(j // (n/m)))``, ``zeta = exp(2 pi i/m)``.
+
+    For m = 1 it is ``diag(1, i, ..., i)``, whose difference sequences are all non-constant.
+    """
+    if m == 1:
+        return np.diag([1.0] + [1j] * (n - 1))
+    return np.diag(np.exp(2j * np.pi / m) ** (np.arange(n) // (n // m)))
+
+
+def staircase_pair(spec, divisor_vec) -> tuple[np.ndarray, np.ndarray]:
+    """The pair ``(W, D W)`` with D the Kronecker product of dense staircase diagonals, as a dense product."""
+    w = fourier_tensor(spec)
+    return w, functools.reduce(np.kron, [staircase_diagonal(n, m) for n, m in zip(spec, divisor_vec)]) @ w

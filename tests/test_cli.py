@@ -70,6 +70,21 @@ class TestGen:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "--spec", "2", "--kind", "fourier"),
+            ("check", "m.json"),
+            ("realize", "--spec", "4", "--divisors", "2"),
+        ],
+        ids=["gen", "check", "realize"],
+    )
+    def test_format_is_a_usage_error_outside_report_and_sweep(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--format", "text"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --format text" in capsys.readouterr().err
+
     def test_bad_phase_modulus(self, capsys):
         code, _, _ = run(
             capsys,
@@ -123,10 +138,12 @@ class TestCheck:
             '{"dim": 1, "entries": [[1e400, 0]]}',
             '{"dim": true, "entries": [[1, 0]]}',
             '{"dim": false, "entries": []}',
+            '{"dim": 1, "entries": [[true, false]]}',
+            '{"dim": 2, "entries": [[0.5, true], [0.5, 0.0], [0.5, 0.0], [-0.5, 0.0]]}',
         ],
         ids=[
             "null", "nested", "null-dim", "float-dim", "int-entries", "str-entries", "ragged", "overflow",
-            "true-dim", "false-dim",
+            "true-dim", "false-dim", "bool-entries", "mixed-bool-entry",
         ],
     )
     def test_malformed_matrix_is_an_input_error(self, capsys, tmp_path, payload):

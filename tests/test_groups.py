@@ -28,6 +28,7 @@ from hadinv import (
     subspace_intersection,
 )
 from hadinv.groups import subgroup_below
+from oracles import staircase_pair
 
 
 class TestElements:
@@ -296,6 +297,14 @@ class TestRealizeSubgroup:
             u, v = realize_subgroup(orders, mvec)
             expected = int(np.prod(mvec))
             assert extract_subgroup(u, v, orders).size == expected
+
+    @pytest.mark.parametrize("spec", SPECS_UP_TO_16, ids=lambda s: ",".join(map(str, s)))
+    def test_equals_dense_staircase_product(self, spec):
+        # the normal forms (W, diag(d) W) from realize_forms, bit for bit the dense product
+        for mvec in itertools.product(*[divisors(order) for order in spec]):
+            u, v = realize_subgroup(spec, mvec)
+            w, dense_v = staircase_pair(spec, mvec)
+            assert np.array_equal(u, w) and np.array_equal(v, dense_v)
 
     def test_pair_differs_from_base(self):
         for mvec in [(1,), (2,), (4,)]:

@@ -325,6 +325,12 @@ class TestBiunitary:
 
 
 class TestDpwFormValidation:
+    def test_rejects_non_integer_perm_entries(self):
+        # an integer cast would read 1.7 as 1 and accept the permutation (0, 1)
+        for perm in [(0, 1.7), (0.5, 1)]:
+            with pytest.raises(ValueError, match="perm entries must be integers"):
+                DpwForm(spec=FourierSpec((2,)), perm=perm, phases=(1.0, 1.0))
+
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             DpwForm(spec=FourierSpec((2,)), perm=(0, 0), phases=(1.0, 1.0))

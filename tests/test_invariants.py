@@ -599,6 +599,40 @@ class TestRealizationSweep:
         with pytest.raises(OrderTooLarge):
             realization_sweep((32,))
 
+    @pytest.mark.parametrize("spec", SPECS_UP_TO_16, ids=lambda s: ",".join(map(str, s)))
+    def test_rows_equal_single_pair_reports(self, spec):
+        for mvec, report in realization_sweep(spec):
+            single = pair_report(*realize_subgroup(spec, mvec), spec)
+            for field in dataclasses.fields(InvariantReport):
+                assert getattr(report, field.name) == getattr(single, field.name), (mvec, field.name)
+
+    def test_one_pair_reports_call(self, monkeypatch):
+        batches, alone = [], []
+        real_batch, real_pair = hadinv.invariants.pair_reports, hadinv.invariants.pair_report
+        monkeypatch.setattr(hadinv.invariants, "pair_reports", lambda *a: batches.append(a) or real_batch(*a))
+
+        def counting_pair(*a, **k):
+            if k.get("stage") is None:  # a call made outside pair_reports
+                alone.append(a)
+            return real_pair(*a, **k)
+
+        monkeypatch.setattr(hadinv.invariants, "pair_report", counting_pair)
+        rows = realization_sweep((2, 2, 2, 2))
+        assert len(rows) == 16 and len(batches) == 1 and len(batches[0][0]) == 16
+        assert alone == []
+
+    def test_raises_a_pairs_error(self, monkeypatch):
+        real = hadinv.invariants._support_graph_invariants
+
+        def skewed(u, x, eps):
+            # one more dimension on every pair: pair_reports returns an OracleMismatch for each
+            dims, relcomms = real(u, x, eps)
+            return dims + 1, relcomms
+
+        monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", skewed)
+        with pytest.raises(OracleMismatch, match="subgroup order 1 disagrees"):
+            realization_sweep((4,))
+
 
 class TestRandomConjugatePair:
     def test_pair_is_conjugate_hadamard(self):
