@@ -6,25 +6,20 @@ accepts), whose constructor enforces ``DIM_CAP``; ``spec.dim`` is ``|G|``.
 A matrix pair (U, V) of one dimension singles out the exponent vectors r
 for which the clock conjugate ``U D_r U*`` lands inside ``V Delta V*``;
 that set is automatically closed under addition and is the subgroup H
-governing the pair's index invariant.  With ``X = U* V``, r lies in H
-exactly when ``X* D_r X`` is diagonal, and the largest modulus off its
-diagonal is the *decision value* of r, compared with ``eps_entry``.
+governing the pair's index invariant.  Two routes give its membership
+mask, which ``subgroup_from_mask`` verifies as a subgroup.
 
-Two routes compute the decision values.  ``extract_decisions`` works on
-any pair: one dense product per r, where the clock diagonals ``D_r`` are
-the characters of the group, read off as the rows of ``sqrt(N) W`` for
-the spec's Fourier tensor W (row r in lexicographic order), so no clock
-matrix is ever built.  ``fourier_decisions`` serves conjugate pairs
-``U = D_u P W``, ``V = D_v P W``: there ``X = W* diag(d) W`` is the
-convolution ``X_ij = f(j - i)`` on the group with ``f = ifftn(d)``, and
-the off-diagonal entries of ``X* D_r X`` are, up to unit phases, the
-Fourier coefficients ``ê_r(g)``, ``g != 0``, of
-``e_r(k) = conj(d(k)) d(k + r)``, all of them from one batched transform
-over the group.  ``pair_report`` takes the Fourier route on conjugate
-pairs and ``extract_subgroup`` on the others (different permutations,
-``V = U P D``, inputs that are not normal forms); ``extract_subgroup``
-also verifies ``realize_subgroup`` and is the Fourier route's oracle in
-tests.
+``extract_subgroup`` works on any pair: with ``X = U* V``, r lies in H
+when the largest modulus off the diagonal of ``X* D_r X``, the *decision
+value* of r, is below ``eps_entry``.  It takes one dense product per r,
+with the clock diagonal ``D_r`` read off as row r (in lexicographic
+order) of ``sqrt(N) W``, the character table of the group.
+``annihilator_mask`` serves conjugate pairs ``U = D_u P W``,
+``V = D_v P W``, where ``X = W* diag(d) W`` is the convolution
+``X_ij = f(j - i)`` with ``f = ifftn(d)``: r lies in H exactly when the
+character r is constant on ``S = {g : |f(g)| > eps_entry}``.  That test
+is exact, in integers, so the route's one threshold is the support test
+of the entries of X, whose bipartite graph gives dimA.
 """
 
 from __future__ import annotations
@@ -47,10 +42,9 @@ __all__ = [
     "extract_decisions",
     "extract_subgroup",
     "inverse_dft",
-    "shift_spectrum",
-    "fourier_decisions",
+    "annihilator_mask",
     "convolution",
-    "subgroup_below",
+    "subgroup_from_mask",
     "divisors",
     "realize_subgroup",
 ]
@@ -142,16 +136,16 @@ def extract_decisions(u, v, group) -> np.ndarray:
     return values
 
 
-def subgroup_below(values, group, eps: float) -> SubgroupSet:
-    """The elements r with ``values[r] < eps``, verified as a subgroup (else ``NotClosed``).
+def subgroup_from_mask(inside, group) -> SubgroupSet:
+    """The elements marked in the flat membership mask, verified as a subgroup (else ``NotClosed``).
 
-    The membership mask is checked as it stands, as ``SubgroupSet`` checks
-    its members, and the set is built without a second check.
+    The mask is checked as it stands, as ``SubgroupSet`` checks its
+    members, and the set is built without a second check.
     """
     group = FourierSpec.of(group)
-    inside = np.asarray(values) < eps
+    inside = np.asarray(inside, dtype=bool)
     if inside.shape != (group.dim,):
-        raise DimMismatch(f"expected {group.dim} decision values, got an array of shape {inside.shape}")
+        raise DimMismatch(f"expected a mask of {group.dim} entries, got an array of shape {inside.shape}")
     found = np.unravel_index(np.flatnonzero(inside), group.orders)
     members = frozenset(zip(*(c.tolist() for c in found)))
     _require_subgroup(group, members, _mask_is_subgroup(group.orders, inside))
@@ -174,7 +168,7 @@ def extract_subgroup(u, v, group, tol: ToleranceConfig = DEFAULT_TOL) -> Subgrou
         raise DimMismatch(f"matrices must have dimension {n}")
     if np.abs(u - v).max() <= tol.eps_entry:
         raise ValueError("matrices are identical within tolerance; the pair is degenerate")
-    return subgroup_below(extract_decisions(u, v, group), group, tol.eps_entry)
+    return subgroup_from_mask(extract_decisions(u, v, group) < tol.eps_entry, group)
 
 
 @functools.lru_cache(maxsize=None)
@@ -199,25 +193,33 @@ def inverse_dft(values, group) -> np.ndarray:
     return np.asarray(values, dtype=complex) @ w / np.sqrt(w.shape[0])
 
 
-def shift_spectrum(d, group) -> np.ndarray:
-    """Row r holds ``ê_r = inverse_dft(e_r)``, where ``e_r(k) = conj(d(k)) d(k + r)``.
+@functools.lru_cache(maxsize=None)
+def _exponents(orders: tuple[int, ...]) -> np.ndarray:
+    """Read-only table whose entry ``[r, g]`` is ``sum_i r_i g_i (L / n_i) mod L``, ``L = lcm(orders)``.
 
-    For ``X = W* diag(d) W`` the entry ``(X* D_r X)_ij`` equals
-    ``chi_r(j) ê_r(j - i)``, with ``chi_r`` row r of ``sqrt(N) W``.  All
-    rows come from one batched transform in ``O(N^2)`` memory; a stack
-    ``d`` of shape ``(B, N)`` gives one such ``N x N`` array per row.
+    The character r takes the value ``exp(2 pi i E[r, g] / L)`` at g, so
+    two elements share a character value exactly when their entries agree.
     """
-    group = FourierSpec.of(group)
-    d = np.asarray(d, dtype=complex)
-    return inverse_dft(d.conj()[..., None, :] * d[..., _translates(group.orders, 1)], group)
+    lcm = math.lcm(*orders)
+    coords = np.indices(orders).reshape(len(orders), -1)
+    weights = np.array([lcm // n for n in orders])[:, None]
+    table = ((coords * weights).T @ coords) % lcm
+    table.flags.writeable = False
+    return table
 
 
-def fourier_decisions(d, group) -> np.ndarray:
-    """``extract_decisions`` of a pair with ``U* V = W* diag(d) W``: ``max_{g != 0} |ê_r(g)|`` per r.
+def annihilator_mask(support, group) -> np.ndarray:
+    """The r whose character is constant on the support: ``E[r, g] == E[r, g0]`` for all g in S.
 
-    A stack ``d`` of shape ``(B, N)`` gives the values of each pair along the last axis.
+    ``support`` is a nonempty flat mask over the group, or a stack
+    ``(B, N)`` of them; g0 is the first member of each.  The result is the
+    membership mask of the annihilator of ``S - S``, one row per support.
     """
-    return np.abs(shift_spectrum(d, group)[..., 1:]).max(axis=-1)
+    table = _exponents(FourierSpec.of(group).orders)
+    support = np.asarray(support, dtype=bool)
+    base = table[:, support.argmax(axis=-1)]
+    same = table == np.moveaxis(base, 0, -1)[..., None]
+    return (same | ~support[..., None, :]).all(axis=-1)
 
 
 def convolution(f, group) -> np.ndarray:

@@ -269,9 +269,10 @@ class DpwForm:
         object.__setattr__(self, "spec", spec)
         # one array conversion each; tolist() gives the Python ints and complexes stored
         raw = np.asarray(self.perm)
-        perm = raw.astype(int)
-        if (perm != raw).any():  # a cast would truncate 1.7 to 1
+        # checked before the cast, which warns on a complex or non-finite entry and truncates 1.7 to 1
+        if raw.dtype.kind not in "biuf" or not np.isfinite(raw).all() or (raw != np.trunc(raw)).any():
             raise ValueError(f"perm entries must be integers, got {raw.tolist()}")
+        perm = raw.astype(int)
         phases = np.asarray(self.phases, dtype=complex)
         object.__setattr__(self, "perm", tuple(perm.tolist()))
         object.__setattr__(self, "phases", tuple(phases.tolist()))

@@ -26,30 +26,31 @@ dimension is at most N/|H|, again with equality there.
 H has two routes (see :mod:`hadinv.groups`).  A conjugate pair
 ``U = D_u P W``, ``V = D_v P W`` has ``X = W* diag(d) W`` with
 ``diag(d) = P* conj(D_u) D_v P``: the convolution ``X_ij = f(j - i)`` on
-the group, ``f = ifftn(d)``.  Its H comes from ``fourier_decisions``: r
-lies in H when ``max_{g != 0} |ê_r(g)| < eps_entry``, the same value and
-comparison as the dense route, from one batched transform.  The
-modified entropy of such a pair is the Shannon entropy of the
-probability ``p = |f|^2`` on the group, checked on every call against
+the group, ``f = ifftn(d)``, read off the two normal forms.  Its H comes
+from the Fourier route, the annihilator of ``S - S`` for the support
+``S = {g : |f(g)| > eps_entry}``, decided in integers; the one threshold
+is the support test that the bipartite graph of X applies to the
+separately computed entries of X.  The modified entropy of such a pair
+is the Shannon entropy of ``p = |f|^2``, checked on every call against
 the dense ``modified_entropy``, which stays the reported value.  Pairs
 without a shared normal form (different permutations, ``V = U P D``,
-``not-dpw-form``) and conjugate pairs with a decision value within the
-distance bound of the two routes of ``eps_entry`` take
-``extract_subgroup``.  The dense subspace-intersection and commutant
-routes of :mod:`hadinv.algebra` serve as the oracle in tests.
+``not-dpw-form``) take ``extract_subgroup``; conjugate pairs never do.
+The dense subspace-intersection and commutant routes of
+:mod:`hadinv.algebra` serve as the oracle in tests.
 
 ``pair_reports`` computes the reports of two stacks ``(B, N, N)`` of
 matrices, pair by pair as ``pair_report`` would, with every stage along
 the batch axis: each matrix is validated once, each ``X = U* V`` formed
 once and shared by the distinctness test, the support graphs, the
 Fourier route and the dense entropy.  Only the relative commutant's
-per-component products, H and its ``extract_subgroup`` fallback, and the
-assembly of each report run per pair, in ``pair_report``, which
-``pair_reports`` calls once per pair with that pair's row of the stacked
-stages; called on its own, ``pair_report`` runs the stages on a batch of
-one.  Callers that stack many pairs keep ``B * N^2`` at or below
-``STACK_ENTRIES``; ``hadinv sweep --mode random`` sends its rows in
-chunks of that size, ``realization_sweep`` its (at most 16) pairs at once.
+per-component products, the ``SubgroupSet`` H (or ``extract_subgroup``
+off the Fourier route) and the assembly of each report run per pair, in
+``pair_report``, which ``pair_reports`` calls once per pair with that
+pair's row of the stacked stages; called on its own, ``pair_report``
+runs the stages on a batch of one.  Callers that stack many pairs keep
+``B * N^2`` at or below ``STACK_ENTRIES``; ``hadinv sweep --mode
+random`` sends its rows in chunks of that size, ``realization_sweep``
+its (at most 16) pairs at once.
 
 All logarithms are natural.
 """
@@ -76,14 +77,14 @@ from .errors import (
 )
 from .groups import (
     SubgroupSet,
+    annihilator_mask,
     convolution,
     divisors,
     extract_decisions,
     extract_subgroup,
-    fourier_decisions,
     inverse_dft,
     realize_subgroup,
-    subgroup_below,
+    subgroup_from_mask,
 )
 from .hadamard import DpwForm, FourierSpec, dpw_parts, hadamard_mask
 from .linalg import (
@@ -251,47 +252,40 @@ def _conjugate_diagonals(perm: np.ndarray, phases_u: np.ndarray, phases_v: np.nd
     return d
 
 
-# rounding between the dense and the Fourier decision values of one pair
-# (seen up to 1.3e-13 on exact normal forms at N = 64)
-_ROUTE_ROUNDING = 1e-12
-
-
 class _FourierSide(NamedTuple):
-    decisions: np.ndarray
-    slack: np.ndarray
+    members: np.ndarray
+    magnitudes: np.ndarray
     entropy: np.ndarray
     allowance: np.ndarray
 
 
-def _fourier_sides(d: np.ndarray, x: np.ndarray, spec: FourierSpec) -> _FourierSide:
+def _fourier_sides(d: np.ndarray, x: np.ndarray, spec: FourierSpec, eps: float) -> _FourierSide:
     """The Fourier route of conjugate pairs, one row of ``d`` and one matrix of ``x = U* V`` each.
 
-    ``decisions`` are ``fourier_decisions(d)`` and ``entropy`` is the
-    Shannon entropy of ``p = |f|^2``, ``f = inverse_dft(d)``.  The two
-    bounds measure how far the normal forms sit from the matrices through
-    ``E = X - convolution(f)``, which is rounding on exact normal forms:
-    with c the largest column norm of E, no entry of ``X* D_r X`` moves by
-    more than ``c (2 |f| + c)``, so ``slack`` bounds the distance to
-    ``extract_decisions``; and as ``|eta(a) - eta(b)| <= eta(min(|a - b|, 1/e))``
-    on [0, 1], ``allowance`` bounds the distance of ``entropy`` to
-    ``modified_entropy`` beyond rounding.  Each field holds one entry per pair.
+    With ``f = inverse_dft(d)``, ``magnitudes`` are ``|f|``, ``members``
+    is the membership mask of H, the annihilator of the support
+    ``|f| > eps``, and ``entropy`` is the Shannon entropy of ``p = |f|^2``.
+    As ``|eta(a) - eta(b)| <= eta(min(|a - b|, 1/e))`` on [0, 1],
+    ``allowance`` bounds the distance of ``entropy`` to
+    ``modified_entropy`` beyond rounding, through how far X sits from
+    ``convolution(f)``, which is rounding on exact normal forms.  Each
+    field holds one entry per pair.
     """
     n = d.shape[-1]
     f = inverse_dft(d, spec)
-    x_form = convolution(f, spec)
-    c = np.sqrt((np.abs(x - x_form) ** 2).sum(axis=-2)).max(axis=-1)
-    slack = c * (2.0 * np.linalg.norm(f, axis=-1) + c) + _ROUTE_ROUNDING
-    moved = np.abs(np.abs(x) ** 2 - np.abs(x_form) ** 2)
+    magnitudes = np.abs(f)
+    moved = np.abs(np.abs(x) ** 2 - np.abs(convolution(f, spec)) ** 2)
     allowance = _eta_array(np.minimum(moved, 1.0 / math.e)).sum(axis=(-2, -1)) / n
-    entropy = _eta_array(np.abs(f) ** 2).sum(axis=-1)
-    return _FourierSide(fourier_decisions(d, spec), slack, entropy, allowance)
+    entropy = _eta_array(magnitudes**2).sum(axis=-1)
+    # every support is nonempty: sum |f|^2 = 1 puts some |f(g)| at or above 1/sqrt(N) >= 1/8 > eps
+    return _FourierSide(annihilator_mask(magnitudes > eps, spec), magnitudes, entropy, allowance)
 
 
-def _nearest_decision(values: np.ndarray, orders: tuple[int, ...], eps: float) -> str:
-    """The decision value nearest ``eps`` by ratio, with its element r."""
+def _nearest(values: np.ndarray, orders: tuple[int, ...], eps: float, name: str, element: str) -> str:
+    """The value nearest ``eps`` by ratio, with its group element."""
     k = int(np.abs(np.log(np.maximum(values, 1e-300) / eps)).argmin())
-    r = ",".join(str(int(i)) for i in np.unravel_index(k, orders))
-    return f"decision value nearest eps_entry {eps:g}: {values[k]:.3e} at r=({r})"
+    at = ",".join(str(int(i)) for i in np.unravel_index(k, orders))
+    return f"{name} nearest eps_entry {eps:g}: {values[k]:.3e} at {element}=({at})"
 
 
 class _PairStage(NamedTuple):
@@ -306,9 +300,8 @@ class _PairStage(NamedTuple):
     relcomm_dims: int
     entropy: float
     stochastic: bool
-    # the Fourier route of a conjugate pair, and whether its decisions all lie clear of eps
+    # the Fourier route of a conjugate pair
     side: _FourierSide | None
-    clear: bool
 
 
 def _stages(us: np.ndarray, vs: np.ndarray, spec: FourierSpec, tol: ToleranceConfig) -> list[_PairStage]:
@@ -334,32 +327,28 @@ def _stages(us: np.ndarray, vs: np.ndarray, spec: FourierSpec, tol: ToleranceCon
 
     on_route = np.flatnonzero(conjugate)
     d = _conjugate_diagonals(perm_u[on_route], phases_u[on_route], phases_v[on_route])
-    sides = _fourier_sides(d, x[on_route], spec)
-    # a decision value within the distance bound of eps could fall on either side of it
-    clear = ~(np.abs(sides.decisions - eps) <= sides.slack[:, None]).any(axis=-1)
-    routes = iter([(_FourierSide(*(field[j] for field in sides)), bool(clear[j])) for j in range(len(on_route))])
+    sides = _fourier_sides(d, x[on_route], spec, eps)
+    routes = iter([_FourierSide(*(field[j] for field in sides)) for j in range(len(on_route))])
     columns = (hadamard, identical, distinct, normal, conjugate, dims, relcomms, entropies, stochastic)
-    return [
-        _PairStage(*row, *(next(routes) if row[4] else (None, False)))
-        for row in zip(*(c.tolist() for c in columns))
-    ]
+    return [_PairStage(*row, next(routes) if row[4] else None) for row in zip(*(c.tolist() for c in columns))]
 
 
 def pair_report(u, v, spec, tol: ToleranceConfig = DEFAULT_TOL, *, stage: _PairStage | None = None) -> InvariantReport:
     """Compute every pair invariant, cross-checked between independent routes.
 
     dimA and the relative commutant dimension are component counts of
-    support graphs at ``tol.eps_entry`` (see the module docstring).  The
-    subgroup H comes from ``fourier_decisions`` on a conjugate pair whose
-    decision values all lie clear of ``eps_entry`` by more than their
-    distance bound to the dense route, and from ``extract_subgroup``
-    otherwise.  dimA must equal |H| on conjugate and on equivalent pairs
-    and be at least |H| on the others; when in addition both matrices are
-    in normal form, the relative commutant dimension must equal,
-    respectively be at most, N/|H|.  On conjugate pairs the Shannon
-    entropy of ``p`` must match ``modified_entropy``.  Any disagreement
-    raises ``OracleMismatch``; a subgroup mismatch names the route and the
-    decision value nearest ``eps_entry``.
+    support graphs at ``tol.eps_entry`` (see the module docstring).  On a
+    conjugate pair the subgroup H is the annihilator of the support of
+    ``f = ifftn(d)`` read off the normal forms; every other pair takes
+    ``extract_subgroup``.  dimA must equal |H| on conjugate and on
+    equivalent pairs and be at least |H| on the others; when in addition
+    both matrices are in normal form, the relative commutant dimension
+    must equal, respectively be at most, N/|H|.  On conjugate pairs the
+    Shannon entropy of ``p = |f|^2`` must match ``modified_entropy``.  Any
+    disagreement raises ``OracleMismatch``; a subgroup mismatch names the
+    route and the value it thresholds nearest ``eps_entry``: ``|f(g)|``
+    with its g on the Fourier route, the decision value with its r on the
+    extract route.
 
     The stacked stages run on a batch of one; ``pair_reports`` runs them
     on its whole stack and passes each pair its row as ``stage``, so that
@@ -382,18 +371,15 @@ def pair_report(u, v, spec, tol: ToleranceConfig = DEFAULT_TOL, *, stage: _PairS
         flags.append("not-dpw-form")
 
     side = stage.side
-    route, decisions = "extract", None
-    if stage.clear:
-        route, decisions = "fourier", side.decisions
     subgroup: SubgroupSet | None = None
     if stage.identical:
         flags.append("subgroup-skipped-identical")
     else:
         try:
-            if decisions is None:
+            if side is None:
                 subgroup = extract_subgroup(u, v, spec, tol)
             else:
-                subgroup = subgroup_below(decisions, spec, eps)
+                subgroup = subgroup_from_mask(side.members, spec)
         except NotClosed:
             flags.append("subgroup-not-closed")
 
@@ -405,9 +391,11 @@ def pair_report(u, v, spec, tol: ToleranceConfig = DEFAULT_TOL, *, stage: _PairS
         dim_ok = size == dim_a if spans_a else size <= dim_a
         relcomm_ok = relcomm_dims == orbits if spans_a else relcomm_dims <= orbits
         if not dim_ok or ("not-dpw-form" not in flags and not relcomm_ok):
-            if decisions is None:
-                decisions = extract_decisions(u, v, spec)
-            evidence = f"H from the {route} route; {_nearest_decision(decisions, spec.orders, eps)}"
+            if side is None:
+                route, values, names = "extract", extract_decisions(u, v, spec), ("decision value", "r")
+            else:
+                route, values, names = "fourier", side.magnitudes, ("|f(g)|", "g")
+            evidence = f"H from the {route} route; {_nearest(values, spec.orders, eps, *names)}"
             if not dim_ok:
                 raise OracleMismatch(
                     f"subgroup order {size} disagrees with intersection dimension {dim_a} ({evidence})"
@@ -467,8 +455,8 @@ def pair_reports(us, vs, spec, tol: ToleranceConfig = DEFAULT_TOL) -> list[Invar
     dense entropy all run along the batch axis, each matrix validated
     once and each X formed once.  Then ``pair_report`` runs once per pair
     on its row of those stages: the products of the relative commutant's
-    components, the subgroup H (with the ``extract_subgroup`` fallback)
-    and the assembly of the report.
+    components, the subgroup H (``extract_subgroup`` off the Fourier
+    route) and the assembly of the report.
     """
     spec = FourierSpec.of(spec)
     us = as_stack(us)

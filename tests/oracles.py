@@ -39,3 +39,29 @@ def staircase_pair(spec, divisor_vec) -> tuple[np.ndarray, np.ndarray]:
     """The pair ``(W, D W)`` with D the Kronecker product of dense staircase diagonals, as a dense product."""
     w = fourier_tensor(spec)
     return w, functools.reduce(np.kron, [staircase_diagonal(n, m) for n, m in zip(spec, divisor_vec)]) @ w
+
+
+def shift_spectrum(d, spec) -> np.ndarray:
+    """Row r holds ``ê_r = ifftn(e_r)`` over the group, where ``e_r(k) = conj(d(k)) d(k + r)``.
+
+    For ``X = W* diag(d) W`` the entry ``(X* D_r X)_ij`` equals
+    ``chi_r(j) ê_r(j - i)``, with ``chi_r`` row r of ``sqrt(N) W``.  A
+    stack ``d`` of shape ``(B, N)`` gives one such ``N x N`` array per row.
+    """
+    orders = tuple(spec)
+    coords = np.indices(orders).reshape(len(orders), -1)
+    shifted = (coords[:, None, :] + coords[:, :, None]) % np.array(orders)[:, None, None]
+    d = np.asarray(d, dtype=complex)
+    e = d.conj()[..., None, :] * d[..., np.ravel_multi_index(tuple(shifted), orders)]
+    axes = tuple(range(-len(orders), 0))
+    return np.fft.ifftn(e.reshape(*e.shape[:-1], *orders), axes=axes).reshape(e.shape)
+
+
+def fourier_decisions(d, spec) -> np.ndarray:
+    """The decision values of a pair with ``U* V = W* diag(d) W``: ``max_{g != 0} |ê_r(g)|`` per r.
+
+    They equal those of ``extract_decisions``; r lies in H when its value
+    is below ``eps_entry``.  A stack ``d`` of shape ``(B, N)`` gives the
+    values of each pair along the last axis.
+    """
+    return np.abs(shift_spectrum(d, spec)[..., 1:]).max(axis=-1)

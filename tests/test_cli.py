@@ -255,6 +255,20 @@ class TestReport:
         assert obj["relcomm_dims"] == 1
         assert obj["subgroup"]["members"] == [[0]]
 
+    def test_phase_on_the_threshold_reports_the_support_subgroup(self, capsys, tmp_path):
+        # a phase of 6e-9 on d(0) of the dimA=4 staircase moves decision
+        # values to 1.5e-9, above eps_entry, but |f(g)| off the support only to
+        # 7.5e-10: H comes from the support of f, as dimA does
+        pu, pv = str(tmp_path / "u.json"), str(tmp_path / "v.json")
+        perm = ["--spec", "8", "--kind", "dpw", "--perm", "0,1,2,3,4,5,6,7"]
+        assert run(capsys, "gen", *perm, "--phases", "1,1,1,1,1,1,1,1", "--out", pu)[0] == 0
+        assert run(capsys, "gen", *perm, "--phases", "1+6e-9j,1,1j,1j,-1,-1,-1j,-1j", "--out", pv)[0] == 0
+        code, out, err = run(capsys, "report", pu, pv, "--spec", "8", "--format", "text")
+        assert code == 0, err
+        assert "dimA: 4" in out
+        assert "subgroup: 0; 2; 4; 6" in out
+        assert "certified: true" in out
+
 
 class TestRealize:
     def test_half_order(self, capsys, tmp_path):

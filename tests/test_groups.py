@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SPECS_UP_TO_16, maxabs, random_dpw
 from hadinv import (
@@ -27,7 +29,7 @@ from hadinv import (
     realize_subgroup,
     subspace_intersection,
 )
-from hadinv.groups import subgroup_below
+from hadinv.groups import annihilator_mask, subgroup_from_mask
 from oracles import staircase_pair
 
 
@@ -109,7 +111,10 @@ class TestSubgroupSet:
 
 
 class TestSubgroupBelow:
-    """``subgroup_below`` checks the membership mask as the ``SubgroupSet`` constructor checks members."""
+    """``subgroup_from_mask`` on the mask of values below a threshold, as ``extract_subgroup`` passes it.
+
+    It checks the membership mask as the ``SubgroupSet`` constructor checks members.
+    """
 
     @staticmethod
     def _values(orders, members):
@@ -117,6 +122,10 @@ class TestSubgroupBelow:
         for m in members:
             values[np.ravel_multi_index(m, orders)] = 0.0
         return values
+
+    @classmethod
+    def _below(cls, orders, members):
+        return subgroup_from_mask(cls._values(orders, members) < 0.5, orders)
 
     @pytest.mark.parametrize(
         "orders,members",
@@ -131,7 +140,7 @@ class TestSubgroupBelow:
     )
     def test_non_subgroups_raise_as_the_constructor_does(self, orders, members):
         with pytest.raises(NotClosed) as from_mask:
-            subgroup_below(self._values(orders, members), orders, 0.5)
+            self._below(orders, members)
         with pytest.raises(NotClosed) as from_members:
             SubgroupSet(orders=orders, members=frozenset(members))
         assert str(from_mask.value) == str(from_members.value)
@@ -141,14 +150,13 @@ class TestSubgroupBelow:
         group = FourierSpec((2, 4))
         for size in range(group.dim + 1):
             for members in itertools.combinations(elements(group), size):
-                values = self._values(group.orders, members)
                 if is_subgroup(group, members):
-                    found = subgroup_below(values, group, 0.5)
+                    found = self._below(group.orders, members)
                     assert found == SubgroupSet(orders=group.orders, members=frozenset(members))
                     assert {type(x) for m in found.members for x in m} == {int}
                 else:
                     with pytest.raises(NotClosed):
-                        subgroup_below(values, group, 0.5)
+                        self._below(group.orders, members)
 
     def test_each_set_is_verified_once(self, monkeypatch):
         from hadinv import groups
@@ -156,14 +164,67 @@ class TestSubgroupBelow:
         calls = []
         check = groups._mask_is_subgroup
         monkeypatch.setattr(groups, "_mask_is_subgroup", lambda *args: calls.append(1) or check(*args))
-        subgroup_below(self._values((8, 8), elements((8, 8))), (8, 8), 0.5)
+        self._below((8, 8), elements((8, 8)))
         assert len(calls) == 1
         SubgroupSet(orders=(4,), members=frozenset({(0,), (2,)}))
         assert len(calls) == 2
 
     def test_rejects_a_wrong_number_of_values(self):
         with pytest.raises(DimMismatch):
-            subgroup_below(np.zeros(5), (2, 3), 0.5)
+            subgroup_from_mask(np.zeros(5, dtype=bool), (2, 3))
+
+
+def _generated(orders, generators):
+    """The subgroup generated by ``generators``: {0} closed under adding a generator."""
+    zero = (0,) * len(orders)
+    found, frontier = {zero}, [zero]
+    while frontier:
+        a = frontier.pop()
+        for g in generators:
+            b = tuple((x + y) % n for x, y, n in zip(a, g, orders))
+            if b not in found:
+                found.add(b)
+                frontier.append(b)
+    return found
+
+
+ANNIHILATOR_SPECS = SPECS_UP_TO_16 + [(64,), (8, 8), (2,) * 6]
+
+
+class TestAnnihilatorMask:
+    """The integer annihilator of ``S - S`` against the complex characters ``sqrt(N) W``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force(self, data):
+        orders = data.draw(st.sampled_from(ANNIHILATOR_SPECS), label="spec")
+        n = math.prod(orders)
+        flat = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n), label="support")
+        support = np.zeros(n, dtype=bool)
+        support[list(flat)] = True
+        got = annihilator_mask(support, orders)
+
+        characters = np.sqrt(n) * fourier_tensor(orders)
+        g0 = min(flat)
+        want = (np.abs(characters[:, support] - characters[:, [g0]]) < 1e-9).all(axis=1)
+        assert np.array_equal(got, want)
+
+        members = [tuple(int(c) for c in np.unravel_index(r, orders)) for r in np.flatnonzero(got)]
+        assert is_subgroup(orders, members)
+        points = [np.unravel_index(g, orders) for g in sorted(flat)]
+        differences = [tuple(int(a - b) % m for a, b, m in zip(p, points[0], orders)) for p in points]
+        assert len(members) * len(_generated(orders, differences)) == n
+
+    @pytest.mark.parametrize("orders", [(12,), (2, 2, 3), (8, 8)], ids=lambda s: ",".join(map(str, s)))
+    def test_stack_matches_rows(self, orders):
+        rng = np.random.default_rng(sum(orders))
+        n = math.prod(orders)
+        supports = rng.random((5, n)) < rng.uniform(0.05, 0.5, size=(5, 1))
+        supports[np.arange(5), rng.integers(n, size=5)] = True
+        got = annihilator_mask(supports, orders)
+        assert got.shape == (5, n)
+        for row, support in zip(got, supports):
+            assert np.array_equal(row, annihilator_mask(support, orders))
 
 
 class TestExtractSubgroup:

@@ -1,5 +1,7 @@
 """Tests for Fourier-tensor generators, normal forms, and biunitarity."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,14 @@ class TestDpwFormValidation:
         for perm in [(0, 1.7), (0.5, 1)]:
             with pytest.raises(ValueError, match="perm entries must be integers"):
                 DpwForm(spec=FourierSpec((2,)), perm=perm, phases=(1.0, 1.0))
+
+    def test_rejects_non_real_and_non_finite_perm_entries_without_a_warning(self):
+        # the integer cast would warn (ComplexWarning, RuntimeWarning) before the check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for perm in [(0, 1 + 0.5j), (0, float("nan")), (0, float("inf"))]:
+                with pytest.raises(ValueError, match="perm entries must be integers"):
+                    DpwForm(spec=FourierSpec((2,)), perm=perm, phases=(1.0, 1.0))
 
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):

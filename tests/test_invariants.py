@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -43,8 +44,9 @@ from hadinv import (
     realization_sweep,
     realize_subgroup,
 )
-from hadinv.groups import extract_decisions, fourier_decisions, inverse_dft, shift_spectrum, subgroup_below
+from hadinv.groups import extract_decisions, inverse_dft, subgroup_from_mask
 from hadinv.invariants import _checked_entropies, _conjugate_diagonals, _fourier_sides, _FourierSide
+from oracles import fourier_decisions, shift_spectrum
 
 
 class TestEta:
@@ -285,12 +287,12 @@ def _conjugate_diagonal(form_u, form_v):
 
 def _fourier_side(form_u, form_v, x):
     """The Fourier route of one conjugate pair: ``_fourier_sides`` on a batch of one."""
-    sides = _fourier_sides(_conjugate_diagonal(form_u, form_v)[None], x[None], form_u.spec)
+    sides = _fourier_sides(_conjugate_diagonal(form_u, form_v)[None], x[None], form_u.spec, 1e-9)
     return _FourierSide(*(field[0] for field in sides))
 
 
 def _assert_fourier_route_matches(u, v, spec):
-    """The Fourier route of a conjugate pair against extract_subgroup and the dense entropy."""
+    """The Fourier route of a conjugate pair against the decision values, extract_subgroup and the dense entropy."""
     n = math.prod(spec)
     form_u, form_v = decompose_dpw(u, spec), decompose_dpw(v, spec)
     assert form_u.perm == form_v.perm
@@ -309,18 +311,20 @@ def _assert_fourier_route_matches(u, v, spec):
         assert maxabs(row - character * spectrum[r]) < 1e-12
     values = fourier_decisions(d, spec)
     assert maxabs(values - extract_decisions(u, v, spec)) < 1e-12
-    assert subgroup_below(values, spec, 1e-9) == extract_subgroup(u, v, spec)
-    # the entropy of p = |ifftn(d)|^2, as pair_report computes it and by a plain loop
+    # H as the annihilator of the support of f, as the decision values give it, and by extraction
     side = _fourier_side(form_u, form_v, x)
-    assert np.array_equal(side.decisions, values)
-    assert side.slack < 1e-11 and side.allowance < 1e-11
+    assert np.array_equal(side.magnitudes, np.abs(f))
+    found = subgroup_from_mask(side.members, spec)
+    assert found == subgroup_from_mask(values < 1e-9, spec) == extract_subgroup(u, v, spec)
+    # the entropy of p = |ifftn(d)|^2, as pair_report computes it and by a plain loop
+    assert side.allowance < 1e-11
     shannon = sum(eta(min(t, 1.0)) for t in np.abs(np.fft.ifftn(d.reshape(spec)).ravel()) ** 2)
     assert abs(shannon - modified_entropy(u, v)) < 1e-12
     assert abs(side.entropy - shannon) < 1e-12
 
 
 class TestFourierRouteOracle:
-    """The Fourier-side decision values, members and entropy against the dense routes."""
+    """The Fourier route's H and entropy against the decision values and the dense routes."""
 
     @pytest.mark.parametrize("spec", SPECS_UP_TO_16, ids=lambda s: ",".join(map(str, s)))
     def test_every_realized_divisor_vector(self, spec):
@@ -372,21 +376,18 @@ class TestFourierRouteOracle:
         pair_report(fourier(4), np.diag([1, 1j, 1, 1j]) @ fourier(4), (2, 2))  # not normal forms
         assert len(calls) == 3
 
-    def test_decision_on_the_threshold_takes_the_dense_extraction(self, monkeypatch):
-        # eps_entry set to one of the pair's own Fourier decision values: the
-        # two routes may round to opposite sides, so the dense route decides
+    def test_decision_on_the_threshold_takes_no_extraction(self, monkeypatch):
+        # eps_entry set to one of the pair's own decision values: the route
+        # thresholds |f(g)| instead, as the support graph does, and agrees with it
         calls = []
-        real = hadinv.invariants.extract_subgroup
-        monkeypatch.setattr(hadinv.invariants, "extract_subgroup", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(hadinv.invariants, "extract_subgroup", lambda *a: calls.append(a))
         f8 = fourier(8)
         d = 1j ** (np.arange(8) // 2) * np.exp(1e-4j * (np.arange(8) % 3))
         values = fourier_decisions(d, (8,))
         eps = float(values[values > 1e-12].min())
-        try:
-            pair_report(f8, np.diag(d) @ f8, (8,), ToleranceConfig(eps_entry=eps))
-        except OracleMismatch:
-            pass
-        assert len(calls) == 1
+        rep = pair_report(f8, np.diag(d) @ f8, (8,), ToleranceConfig(eps_entry=eps))
+        assert calls == []
+        assert rep.certified and rep.subgroup.size == rep.dim_a
 
 
 def _noisy(m, kind, scale, rng):
@@ -400,9 +401,14 @@ class TestThresholdNoise:
 
     Row phases keep V a normal form of the same permutation; column phases
     keep the pair Hadamard, change no decision value and, above eps_entry,
-    move V off its normal form.  Independent entry phases break
+    move V off its normal form.  Both leave every |X_ij| a value of |f|,
+    so the support graph and the support of f threshold the same values
+    and |H| = dimA at every level.  Independent entry phases break
     unitarity at their own scale, so only the scale below eps_entry gives
-    a Hadamard pair.
+    a Hadamard pair for sure; near it, X and f differ by the noise, and
+    an input whose two supports part at the threshold may raise
+    ``OracleMismatch``.  Away from the threshold, and on pairs that are
+    not conjugate, H equals the dense extraction.
     """
 
     @staticmethod
@@ -415,13 +421,13 @@ class TestThresholdNoise:
         u, v = left @ u, _noisy(left @ v, kind, scale, rng)
         if kind == "entry" and level != "below":
             try:
-                pair_report(u, v, spec)
+                rep = pair_report(u, v, spec)
             except (NotHadamard, OracleMismatch):
                 return
-        try:
+        else:
             rep = pair_report(u, v, spec)
-        except OracleMismatch:
-            assert level == "near"
+        if level == "near" and (kind != "entry" or rep.conjugate):
+            assert rep.subgroup is not None and rep.subgroup.size == rep.dim_a
             return
         try:
             expected = extract_subgroup(u, v, spec)
@@ -446,9 +452,8 @@ class TestThresholdNoise:
         [((3, 5), (1, 5), 680), ((3, 4), (1, 4), 779), ((7, 2), (7, 1), 1004), ((14,), (14,), 1499)],
     )
     def test_entry_noise_on_the_threshold(self, spec, mvec, seed):
-        # here the Fourier route alone returns a subgroup while the dense
-        # decision values of the noisy matrices give a set that is not closed;
-        # the distance bound between the two routes sends these pairs to the dense one
+        # here the dense decision values of the noisy matrices give a set
+        # that is not closed; the support of f gives H with |H| = dimA
         self._check(spec, mvec, "entry", "near", seed)
 
     def test_entry_noise_above_the_threshold_is_not_hadamard(self):
@@ -459,7 +464,7 @@ class TestThresholdNoise:
 
 
 class TestMismatchEvidence:
-    """An OracleMismatch on H names the route and the decision value nearest eps_entry."""
+    """An OracleMismatch on H names the route and the value it thresholds nearest eps_entry."""
 
     def test_fourier_route(self, monkeypatch):
         f4 = fourier(4)
@@ -476,17 +481,22 @@ class TestMismatchEvidence:
             pair_report(u, u @ perm_matrix(rng.permutation(8)), (2, 4))
 
     def test_names_the_value_on_the_threshold(self, monkeypatch):
-        # a decision value 1.5e-9 against eps_entry 1e-9 is the nearest one
+        # a phase of 1.2e-8 on d(0) lifts |f(g)| from 0 to 1.5e-9 on the six g
+        # off the support {3, 7} of the staircase's f: the values nearest eps_entry 1e-9
         f8 = fourier(8)
         d = 1j ** (np.arange(8) // 2)
-        d = d * np.exp(1j * 1.5e-9 * 8 / np.sqrt(2) * (np.arange(8) == 0))
-        values = fourier_decisions(d, (8,))
+        d = d * np.exp(1j * 1.5e-9 * 8 * (np.arange(8) == 0))
+        magnitudes = np.abs(np.fft.ifft(d))
+        off_support = {int(g) for g in np.flatnonzero(magnitudes < 1e-8)}
+        assert len(off_support) == 6
         monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", _fixed_counts(3, 1))
         with pytest.raises(OracleMismatch) as info:
             pair_report(f8, np.diag(d) @ f8, (8,))
-        nearest = values[np.abs(np.log(values / 1e-9)).argmin()]
-        assert f"{nearest:.3e}" in str(info.value)
-        assert 1e-10 < nearest < 1e-8
+        nearest = magnitudes[sorted(off_support)[0]]
+        assert f"{nearest:.3e}" == "1.500e-09"
+        pattern = rf"fourier route; \|f\(g\)\| nearest eps_entry 1e-09: {nearest:.3e} at g=\((\d)\)"
+        found = re.search(pattern, str(info.value))
+        assert found and int(found.group(1)) in off_support
 
 
 def _per_pair(u, v, spec):
@@ -506,7 +516,7 @@ class TestStackedReports:
         f8 = fourier(8)
         u = random_dpw(self.SPEC, rng)
         w = fourier_tensor((2, 4))
-        # a decision value within rounding of eps_entry 1e-9: the extract route decides
+        # decision values of 1e-9 and |f(g)| of 5e-10 off the support: the Fourier route decides
         d = 1j ** (np.arange(8) // 2) * np.exp(4e-9j * (np.arange(8) == 0))
         pairs = [
             (np.eye(8), f8),  # not Hadamard; first, so that a mix-up of U across pairs shows
@@ -540,13 +550,14 @@ class TestStackedReports:
         monkeypatch.setattr(hadinv.invariants, "extract_subgroup", lambda *a: calls.append(a) or real(*a))
         us, vs = self._mixed_stack()
         stacked = self._assert_stack_matches_pairs(us, vs)
-        # the stack and the per-pair calls take the same routes: four pairs extract each time
-        assert len(calls) == 8
-        # the pair on the threshold: the dense decision gives H = {0} against dimA 4
+        # the stack and the per-pair calls take the same routes: three pairs extract each time
+        assert len(calls) == 6
         kinds = [type(r).__name__ for r in stacked]
-        assert kinds == ["NotHadamard"] + ["InvariantReport"] * 6 + ["OracleMismatch", "InvariantReport"]
+        assert kinds == ["NotHadamard"] + ["InvariantReport"] * 8
         assert "not-dpw-form" in stacked[1].flags and "identical" in stacked[6].flags
         assert stacked[3].subgroup.size == 4 and not stacked[5].distinct
+        # the pair near the threshold: H from the support of f, |H| = dimA = 4
+        assert stacked[7].subgroup.size == stacked[7].dim_a == 4 and stacked[7].certified
 
     def test_oracle_mismatch_stays_with_its_pair(self, monkeypatch):
         us, vs = self._mixed_stack()
