@@ -30,6 +30,7 @@ from .linalg import (
     nullspace,
     orthonormal_basis,
     subspace_intersection,
+    tensor,
 )
 
 __all__ = [
@@ -170,7 +171,7 @@ def full_matrix_algebra(n: int) -> AlgebraBasis:
 
 def tensor_algebra(a: AlgebraBasis, b: AlgebraBasis) -> AlgebraBasis:
     """Kronecker product algebra; tensors of orthonormal bases stay orthonormal."""
-    stack = np.stack([np.kron(x, y) for x in a.basis for y in b.basis])
+    stack = np.stack([tensor(x, y) for x in a.basis for y in b.basis])
     return AlgebraBasis(ambient_dim=a.ambient_dim * b.ambient_dim, basis=stack)
 
 
@@ -209,7 +210,8 @@ def diag_conj_algebra(u, tol: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
         raise NonUnitary("diagonal conjugation needs a unitary matrix")
     n = u.shape[0]
     # u E_ii u* is the outer product of column i; conjugation keeps the basis orthonormal
-    stack = np.stack([np.sqrt(n) * np.outer(u[:, i], u[:, i].conj()) for i in range(n)])
+    cols = u.T
+    stack = np.sqrt(n) * (cols[:, :, None] * cols.conj()[:, None, :])
     return AlgebraBasis(ambient_dim=n, basis=stack)
 
 
@@ -270,9 +272,8 @@ def is_commuting_square(
 
     nondeg: bool | None = None
     if nondegeneracy:
-        prods = np.stack(
-            [(x @ y).reshape(-1) for x in left.basis for y in right.basis]
-        )
+        # row i * right.dim + j holds left.basis[i] @ right.basis[j]
+        prods = (left.basis[:, None] @ right.basis[None]).reshape(left.dim * right.dim, -1)
         sv = np.linalg.svd(prods, compute_uv=False)
         rank = int((sv > EPS_RANK).sum())
         nondeg = rank == ambient.dim
@@ -291,7 +292,7 @@ def vertex_square(z, n: int, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Squa
     if not is_unitary(z, tol):
         raise NonUnitary("vertex square needs a unitary matrix")
     m_n = full_matrix_algebra(n)
-    left_stack = np.stack([z @ np.kron(m, np.eye(k)) @ dagger(z) for m in m_n.basis])
+    left_stack = np.stack([z @ tensor(m, np.eye(k)) @ dagger(z) for m in m_n.basis])
     left = AlgebraBasis(ambient_dim=n * k, basis=left_stack)
     right = tensor_algebra(scalar_algebra(n), full_matrix_algebra(k))
     return is_commuting_square(

@@ -135,7 +135,9 @@ def clock(n: int, k: int) -> np.ndarray:
     if not 0 <= k <= n:
         raise IndexOutOfRange(f"clock power must be in [0, {n}], got {k}")
     omega = np.exp(2j * np.pi / n)
-    return np.diag(omega ** (k * np.arange(n)))
+    m = np.zeros((n, n), dtype=complex)
+    m.flat[:: n + 1] = omega ** (k * np.arange(n))
+    return m
 
 
 def shift(n: int, k: int) -> np.ndarray:

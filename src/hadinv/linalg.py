@@ -103,8 +103,14 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result equals ``a[i, j] * b``."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product; block (i, j) of the result equals ``a[i, j] * b``.
+
+    The broadcast product ``np.kron`` takes, without its per-call overhead,
+    so every entry matches ``np.kron`` bit for bit, signed zeros included.
+    """
+    a = as_matrix(a)
+    b = as_matrix(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
 
 
 def unitary_mask(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -4,7 +4,8 @@ import functools
 
 import numpy as np
 
-from hadinv import fourier_tensor
+from hadinv import clock, clock_vec, elements, fourier, fourier_tensor, shift, shift_vec
+from hadinv.verify import IDENTITY_THRESHOLD, TENSOR_SPECS
 
 
 def entry_diagonal(u) -> np.ndarray:
@@ -65,3 +66,30 @@ def fourier_decisions(d, spec) -> np.ndarray:
     values of each pair along the last axis.
     """
     return np.abs(shift_spectrum(d, spec)[..., 1:]).max(axis=-1)
+
+
+def fourier_diag_conjugation(max_order: int) -> tuple[bool, float]:
+    """``(passed, max_err)`` of ``F D_k F* = S_k`` and ``F* D_k F = S_{-k}``, one dense product per power."""
+    worst = 0.0
+    for n in range(2, max_order + 1):
+        f = fourier(n)
+        fstar = f.conj().T
+        for k in range(n):
+            d = clock(n, k)
+            worst = max(worst, float(np.abs(f @ d @ fstar - shift(n, k)).max()))
+            worst = max(worst, float(np.abs(fstar @ d @ f - shift(n, (n - k) % n)).max()))
+    return worst <= IDENTITY_THRESHOLD, worst
+
+
+def tensor_diag_conjugation() -> tuple[bool, float]:
+    """``(passed, max_err)`` of ``W D_r W* = S_r`` and ``W* D_r W = S_{-r}`` over ``TENSOR_SPECS``, one product per r."""
+    worst = 0.0
+    for orders in TENSOR_SPECS:
+        w = fourier_tensor(orders)
+        wstar = w.conj().T
+        for r in elements(orders):
+            d = clock_vec(orders, r)
+            nr = tuple((n - x) % n for n, x in zip(orders, r))
+            worst = max(worst, float(np.abs(w @ d @ wstar - shift_vec(orders, r)).max()))
+            worst = max(worst, float(np.abs(wstar @ d @ w - shift_vec(orders, nr)).max()))
+    return worst <= IDENTITY_THRESHOLD, worst

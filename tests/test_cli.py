@@ -498,6 +498,13 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:") and "max order" in err
 
+    @pytest.mark.parametrize("argv", [["--max-order", "65"], ["--gamma-orders", "2,37"]])
+    def test_order_above_its_cap_is_an_input_error(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_failure_exits_four_and_names_check(self, capsys, monkeypatch):
         from hadinv import cli
         from hadinv.verify import CheckResult

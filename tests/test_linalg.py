@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import haar_unitary, maxabs
 from oracles import trace_inner
@@ -39,6 +41,28 @@ class TestTensor:
 
     def test_dim_multiplies(self):
         assert tensor(np.eye(3), np.eye(4)).shape == (12, 12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_matches_kron_bit_for_bit(self, m, n, seed):
+        # gen --kind diag --spec 2,3 --k 1,2 prints ten -0.0 entries, so signed zeros must match too
+        rng = np.random.default_rng(seed)
+
+        def with_signed_zeros(k):
+            out = np.empty((k, k), dtype=complex)
+            for part in ("real", "imag"):
+                values = rng.normal(size=(k, k))
+                hit = rng.random((k, k)) < 0.4
+                values[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+                setattr(out, part, values)
+            return out
+
+        a, b = with_signed_zeros(m), with_signed_zeros(n)
+        for x, y in ((a, b), (np.eye(m), b), (a, np.eye(n))):
+            got, want = tensor(x, y), np.kron(x, y)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+            assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
 
 
 class TestClassify:

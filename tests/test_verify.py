@@ -1,0 +1,77 @@
+"""The identity suite: batched checks against the per-power oracles, mutants and order caps."""
+
+import pytest
+
+import hadinv.verify as verify
+from oracles import fourier_diag_conjugation, tensor_diag_conjugation
+from hadinv import FourierSpec, OrderOutOfRange, OrderTooLarge, fourier, fourier_tensor, run_verification
+from hadinv.hadamard import clock, shift, shift_vec
+
+
+def check(name: str, **kwargs):
+    results = run_verification(**{"gamma_orders": (), "spin_orders": (), **kwargs})
+    return next(r for r in results if r.name == name)
+
+
+class TestBatchedChecksMatchThePerPowerLoops:
+    @pytest.mark.parametrize("max_order", [12, 64])
+    def test_fourier_diag_conjugation(self, max_order):
+        got = verify._fourier_diag_conjugation([fourier(n) for n in range(2, max_order + 1)])
+        assert (got.passed, got.max_err) == fourier_diag_conjugation(max_order)
+
+    def test_tensor_diag_conjugation(self):
+        tensors = [(FourierSpec(orders), fourier_tensor(orders)) for orders in verify.TENSOR_SPECS]
+        got = verify._tensor_diag_conjugation(tensors)
+        assert (got.passed, got.max_err) == tensor_diag_conjugation()
+
+    def test_run_verification_wires_the_same_checks(self):
+        for name, oracle in (
+            ("fourier-diag-conjugation", fourier_diag_conjugation(12)),
+            ("tensor-diag-conjugation", tensor_diag_conjugation()),
+        ):
+            got = check(name, max_order=12)
+            assert (got.passed, got.max_err) == oracle
+
+
+class TestMutantsFail:
+    def test_shift_one_power_off(self, monkeypatch):
+        monkeypatch.setattr(verify, "shift", lambda n, k: shift(n, (k + 1) % n if k >= 2 else k))
+        assert not check("fourier-diag-conjugation").passed
+
+    def test_shift_vec_with_last_component_negated(self, monkeypatch):
+        def negated(spec, r):
+            last = FourierSpec.of(spec).orders[-1]
+            return shift_vec(spec, (*r[:-1], -r[-1] % last))
+
+        monkeypatch.setattr(verify, "shift_vec", negated)
+        assert not check("tensor-diag-conjugation").passed
+
+    def test_conjugated_clock(self, monkeypatch):
+        monkeypatch.setattr(verify, "clock", lambda n, k: clock(n, k).conj())
+        assert not check("clock-shift-commutation").passed
+
+
+class TestCapsCheckedFirst:
+    @pytest.mark.parametrize(
+        "kwargs,error,message",
+        [
+            ({"max_order": 65}, OrderOutOfRange, "fourier order must be in [2, 64], got 65"),
+            ({"gamma_orders": (36, 37)}, OrderTooLarge, "tower base square capped at dimension 36"),
+            ({"gamma_orders": (3, 1)}, OrderOutOfRange, "every factor order must be >= 2, got (1,)"),
+            ({"gamma_orders": (65,)}, OrderTooLarge, "product of orders 65 exceeds cap 64"),
+            ({"gamma_orders": (37, 1)}, OrderTooLarge, "tower base square capped at dimension 36"),
+            ({"max_order": 65, "gamma_orders": (37,)}, OrderOutOfRange, "fourier order must be in [2, 64], got 65"),
+        ],
+    )
+    def test_rejected_before_any_check_runs(self, monkeypatch, kwargs, error, message):
+        def never(*args):
+            raise AssertionError("a check ran before the caps were checked")
+
+        monkeypatch.setattr(verify, "_clock_shift_commutation", never)
+        with pytest.raises(OrderOutOfRange) as info:
+            run_verification(**kwargs)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_max_order_at_the_cap_runs(self):
+        assert all(r.passed for r in run_verification(max_order=64, gamma_orders=(2,), spin_orders=()))
