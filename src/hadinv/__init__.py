@@ -45,7 +45,6 @@ from .errors import (
     OracleMismatch,
     OrderOutOfRange,
     OrderTooLarge,
-    RealizationFailed,
 )
 from .groups import (
     SubgroupSet,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -29,7 +28,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import HadinvError, OracleMismatch
-from .groups import realize_subgroup
 from .hadamard import (
     DpwForm,
     FourierSpec,
@@ -54,6 +52,7 @@ from .invariants import (
     pair_reports,
     random_conjugate_forms,
     realization_sweep,
+    realized_reports,
 )
 from .linalg import DEFAULT_TOL, ToleranceConfig, classify
 from .serialize import (
@@ -211,25 +210,12 @@ def cmd_report(args, tol: ToleranceConfig) -> int:
 def cmd_realize(args, tol: ToleranceConfig) -> int:
     spec = FourierSpec.parse(args.spec)
     divisor_vec = _csv_ints(args.divisors)
-    # realize_subgroup checks the order of the extracted subgroup and
-    # pair_report takes H from the Fourier route of the conjugate pair (W, S W)
-    u, v = realize_subgroup(spec, divisor_vec, tol)
-    subgroup = pair_report(u, v, spec, tol).subgroup
-    n = spec.dim
-    expected = math.prod(divisor_vec)
-    if subgroup is None or subgroup.size != expected:
-        got = "none" if subgroup is None else subgroup.size
-        raise OracleMismatch(
-            f"divisors {divisor_vec}: subgroup order {got} in the report, expected {expected}"
-        )
+    ((u, v, report),) = realized_reports(spec, [divisor_vec], tol)
     obj = {
         "spec": list(spec.orders),
         "divisors": list(divisor_vec),
-        "subgroup": subgroup_to_obj(subgroup),
-        "index": {
-            "num": Fraction(n * n, subgroup.size).numerator,
-            "den": Fraction(n * n, subgroup.size).denominator,
-        },
+        "subgroup": subgroup_to_obj(report.subgroup),
+        "index": {"num": report.index.numerator, "den": report.index.denominator},
         "u": matrix_to_obj(u),
         "v": matrix_to_obj(v),
     }

@@ -48,10 +48,6 @@ class NotDivisor(HadinvError):
     """A requested subgroup order does not divide the group order."""
 
 
-class RealizationFailed(HadinvError):
-    """A constructed matrix pair did not verify against the subgroup oracle."""
-
-
 class InclusionViolation(HadinvError):
     """The algebras handed to a commuting-square check are not nested as required."""
 

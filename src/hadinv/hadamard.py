@@ -36,6 +36,7 @@ from .linalg import (
 
 __all__ = [
     "DIM_CAP",
+    "integer_array",
     "FourierSpec",
     "DpwForm",
     "require_forms",
@@ -63,6 +64,18 @@ __all__ = [
 DIM_CAP = 64
 
 
+def integer_array(values, error: type[Exception], what: str) -> np.ndarray:
+    """``values`` as an integer array; ``error`` unless every entry is a finite real integer.
+
+    Checked before the cast, which warns on a complex or non-finite entry
+    and truncates 1.7 to 1.  Integer-valued floats such as ``2.0`` pass.
+    """
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "biuf" or not np.isfinite(raw).all() or (raw != np.trunc(raw)).any():
+        raise error(f"{what} must be integers, got {raw.tolist()}")
+    return raw.astype(int)
+
+
 @dataclass(frozen=True)
 class FourierSpec:
     """Factor orders (n_1, ..., n_k) of a Fourier tensor product."""
@@ -70,7 +83,7 @@ class FourierSpec:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        orders = tuple(int(n) for n in self.orders)
+        orders = tuple(integer_array(self.orders, OrderOutOfRange, "factor orders").tolist())
         object.__setattr__(self, "orders", orders)
         if not orders:
             raise OrderOutOfRange("spec needs at least one factor")
@@ -150,7 +163,7 @@ def shift(n: int, k: int) -> np.ndarray:
 
 
 def _check_vec(spec: FourierSpec, r) -> tuple[int, ...]:
-    r = tuple(int(x) for x in r)
+    r = tuple(integer_array(r, IndexOutOfRange, "vector components").tolist())
     if len(r) != len(spec.orders):
         raise IndexOutOfRange(f"vector length {len(r)} does not match spec {spec.orders}")
     for x, n in zip(r, spec.orders):
@@ -270,11 +283,7 @@ class DpwForm:
         spec = FourierSpec.of(self.spec)
         object.__setattr__(self, "spec", spec)
         # one array conversion each; tolist() gives the Python ints and complexes stored
-        raw = np.asarray(self.perm)
-        # checked before the cast, which warns on a complex or non-finite entry and truncates 1.7 to 1
-        if raw.dtype.kind not in "biuf" or not np.isfinite(raw).all() or (raw != np.trunc(raw)).any():
-            raise ValueError(f"perm entries must be integers, got {raw.tolist()}")
-        perm = raw.astype(int)
+        perm = integer_array(self.perm, ValueError, "perm entries")
         phases = np.asarray(self.phases, dtype=complex)
         object.__setattr__(self, "perm", tuple(perm.tolist()))
         object.__setattr__(self, "phases", tuple(phases.tolist()))

@@ -48,9 +48,11 @@ off the Fourier route) and the assembly of each report run per pair, in
 ``pair_report``, which ``pair_reports`` calls once per pair with that
 pair's row of the stacked stages; called on its own, ``pair_report``
 runs the stages on a batch of one.  Callers that stack many pairs keep
-``B * N^2`` at or below ``STACK_ENTRIES``; ``hadinv sweep --mode
-random`` sends its rows in chunks of that size, ``realization_sweep``
-its (at most 16) pairs at once.
+``B * N^2`` at or below ``STACK_ENTRIES``: ``hadinv sweep --mode
+random`` sends its rows in chunks of that size, and so does
+``realized_reports``, the one step that reports realized pairs and
+checks their H against ``prod(m_i)`` for ``realization_sweep`` and
+``hadinv realize``.
 
 All logarithms are natural.
 """
@@ -73,7 +75,6 @@ from .errors import (
     NotClosed,
     NotHadamard,
     OracleMismatch,
-    OrderTooLarge,
 )
 from .groups import (
     SubgroupSet,
@@ -106,6 +107,7 @@ __all__ = [
     "pair_report",
     "pair_reports",
     "STACK_ENTRIES",
+    "realized_reports",
     "realization_sweep",
     "random_conjugate_forms",
     "random_conjugate_pair",
@@ -470,36 +472,40 @@ def pair_reports(us, vs, spec, tol: ToleranceConfig = DEFAULT_TOL) -> list[Invar
     return results
 
 
-REALIZATION_ORDER_CAP = 16
+def realized_reports(spec, divisor_vecs, tol: ToleranceConfig = DEFAULT_TOL):
+    """``[(u, v, report), ...]``: the pair ``realize_subgroup`` builds for each divisor vector, reported.
+
+    The pairs are reported by ``pair_reports`` in chunks of
+    ``STACK_ENTRIES // N^2``; a pair's error is raised.  For each vector
+    (m_i | n_i) the report must hold a subgroup H of order ``prod(m_i)``,
+    else ``OracleMismatch``; ``pair_report`` has tied |H| to dimA and the
+    index ``N^2 / dimA`` on these conjugate pairs.
+    """
+    spec = FourierSpec.of(spec)
+    step = max(1, STACK_ENTRIES // spec.dim**2)
+    rows = []
+    for start in range(0, len(divisor_vecs), step):
+        chunk = divisor_vecs[start : start + step]
+        us, vs = (np.stack(m) for m in zip(*(realize_subgroup(spec, mvec) for mvec in chunk)))
+        for mvec, u, v, report in zip(chunk, us, vs, pair_reports(us, vs, spec, tol)):
+            if isinstance(report, HadinvError):
+                raise report
+            expected = math.prod(mvec)
+            if report.subgroup is None or report.subgroup.size != expected:
+                got = "none" if report.subgroup is None else report.subgroup.size
+                raise OracleMismatch(f"divisors {mvec}: subgroup order {got} in the report, expected {expected}")
+            rows.append((u, v, report))
+    return rows
 
 
 def realization_sweep(spec, tol: ToleranceConfig = DEFAULT_TOL):
-    """Realize every divisor vector of the spec and report the pair invariants.
+    """``realized_reports`` of every divisor vector of the spec.
 
-    The pairs are realized first and reported by one ``pair_reports``
-    call; a pair's error is raised.  For each vector (m_i | n_i) the
-    constructed pair must come out with ``dimA = prod(m_i)`` and
-    ``index = N^2 / prod(m_i)``; a miss raises ``OracleMismatch``.
     Returns ``[(divisor_vector, report), ...]`` in lexicographic order.
     """
     spec = FourierSpec.of(spec)
-    n = spec.dim
-    if n > REALIZATION_ORDER_CAP:
-        raise OrderTooLarge(f"realization sweep capped at order {REALIZATION_ORDER_CAP}")
-
     mvecs = list(itertools.product(*[divisors(order) for order in spec.orders]))
-    us, vs = zip(*(realize_subgroup(spec, mvec, tol) for mvec in mvecs))
-    reports = pair_reports(np.stack(us), np.stack(vs), spec, tol)
-    for mvec, report in zip(mvecs, reports):
-        if isinstance(report, HadinvError):
-            raise report
-        expected = math.prod(mvec)
-        if report.dim_a != expected or report.index != Fraction(n * n, expected):
-            raise OracleMismatch(
-                f"divisors {mvec}: report dimA {report.dim_a} / index {report.index} "
-                f"disagree with expected {expected} / {Fraction(n * n, expected)}"
-            )
-    return list(zip(mvecs, reports))
+    return [(mvec, report) for mvec, (_, _, report) in zip(mvecs, realized_reports(spec, mvecs, tol))]
 
 
 def random_conjugate_forms(spec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -292,9 +292,9 @@ class TestRealize:
         code, _, _ = run(capsys, "realize", "--spec", "4", "--divisors", "3")
         assert code == 1
 
-    def test_one_dense_extraction(self, capsys, monkeypatch):
-        # realize_subgroup extracts H once; the printed members come from the
-        # Fourier route of pair_report, which extracts nothing on (W, S W)
+    def test_no_dense_extraction(self, capsys, monkeypatch):
+        # the printed members come from the Fourier route of pair_report, which
+        # extracts nothing on the conjugate pairs (W, S W)
         from hadinv import groups, invariants
 
         calls = []
@@ -304,20 +304,23 @@ class TestRealize:
         monkeypatch.setattr(invariants, "extract_subgroup", counting)
         code, out, _ = run(capsys, "realize", "--spec", "8,8", "--divisors", "2,4")
         assert code == 0
-        assert len(calls) == 1
         assert len(json.loads(out)["subgroup"]["members"]) == 8
+        code, out, _ = run(capsys, "sweep", "--spec", "2,2,2,2", "--mode", "realize")
+        assert code == 0
+        assert json.loads(out)["violations"] == 0
+        assert calls == []
 
-    def test_routes_disagreeing_exits_three(self, capsys, monkeypatch):
-        from types import SimpleNamespace
+    def test_realization_miss_exits_three(self, capsys, monkeypatch):
+        # a constructor mutant: every factor gets the staircase of m = 1, so H is trivial
+        from hadinv import groups
 
-        from hadinv import SubgroupSet, cli
-
-        trivial = SimpleNamespace(subgroup=SubgroupSet(orders=(4,), members=frozenset({(0,)})))
-        monkeypatch.setattr(cli, "pair_report", lambda u, v, spec, tol: trivial)
-        code, out, err = run(capsys, "realize", "--spec", "4", "--divisors", "2")
-        assert code == 3
-        assert out == ""
-        assert "subgroup order 1" in err and "expected 2" in err
+        real = groups._staircase
+        monkeypatch.setattr(groups, "_staircase", lambda n, m: real(n, 1))
+        for argv in (["realize", "--spec", "4", "--divisors", "2"], ["sweep", "--spec", "4", "--mode", "realize"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 3, argv
+            assert out == ""
+            assert "divisors (2,): subgroup order 1 in the report, expected 2" in err
 
 
 class TestSweep:

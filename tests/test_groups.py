@@ -344,6 +344,18 @@ class TestRealizeSubgroup:
         u, v = realize_subgroup((2, 2), (2, 2))
         assert extract_subgroup(u, v, (2, 2)).size == 4
 
+    @pytest.mark.parametrize("mvec", [(2.5,), (1.5,), (float("nan"),), (2 + 1j,)])
+    def test_rejects_non_integer_divisors(self, mvec):
+        # an integer cast would read 2.5 as 2 and realize the order-2 subgroup
+        with pytest.raises(NotDivisor, match="divisors must be integers"):
+            realize_subgroup((4,), mvec)
+
+    @pytest.mark.parametrize("mvec", [(2,), (np.int64(2),), np.array([2]), (2.0,)])
+    def test_accepts_integer_divisors(self, mvec):
+        u, v = realize_subgroup((4,), mvec)
+        want_u, want_v = realize_subgroup((4,), (2,))
+        assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+
     def test_rejects_non_divisor(self):
         with pytest.raises(NotDivisor):
             realize_subgroup((4,), (3,))

@@ -65,6 +65,17 @@ class TestFourierTensor:
         with pytest.raises(OrderOutOfRange):
             FourierSpec((5, 17))  # product 85 > 64
 
+    @pytest.mark.parametrize("orders", [(4.7,), (2, 2.5), (float("nan"),), (float("inf"), 2), (2 + 1j,)])
+    def test_rejects_non_integer_orders(self, orders):
+        # an integer cast would read 4.7 as 4
+        with pytest.raises(OrderOutOfRange, match="factor orders must be integers"):
+            FourierSpec(orders)
+
+    @pytest.mark.parametrize("orders", [(2, 3), (np.int64(2), np.int32(3)), np.array([2, 3]), (2.0, 3)])
+    def test_accepts_integers(self, orders):
+        spec = FourierSpec(orders)
+        assert spec.orders == (2, 3) and {type(n) for n in spec.orders} == {int}
+
     @pytest.mark.parametrize("text,orders", [("23", (23,)), ("64", (64,)), ("2,3", (2, 3))])
     def test_of_parses_a_string(self, text, orders):
         # a string is a comma list, never a sequence of one-digit orders
@@ -148,6 +159,16 @@ class TestVectorGenerators:
     def test_rejects_wrong_length(self):
         with pytest.raises(IndexOutOfRange):
             clock_vec((2, 2), (1,))
+
+    @pytest.mark.parametrize("r", [(1.9,), (0.5,), (float("nan"),), (1 + 1j,)])
+    def test_rejects_non_integer_powers(self, r):
+        # an integer cast would read 1.9 as the clock power 1
+        with pytest.raises(IndexOutOfRange, match="must be integers"):
+            clock_vec((4,), r)
+
+    @pytest.mark.parametrize("r", [(1,), (np.int64(1),), np.array([1]), (1.0,)])
+    def test_accepts_integer_powers(self, r):
+        assert np.array_equal(clock_vec((4,), r), clock(4, 1))
 
 
 class TestEntryDiagonal:

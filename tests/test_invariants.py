@@ -45,7 +45,7 @@ from hadinv import (
     realize_subgroup,
 )
 from hadinv.groups import extract_decisions, inverse_dft, subgroup_from_mask
-from hadinv.invariants import _checked_entropies, _conjugate_diagonals, _fourier_sides, _FourierSide
+from hadinv.invariants import STACK_ENTRIES, _checked_entropies, _conjugate_diagonals, _fourier_sides, _FourierSide
 from oracles import fourier_decisions, shift_spectrum
 
 
@@ -607,10 +607,27 @@ class TestRealizationSweep:
         assert {rep.index for _, rep in rows} == {Fraction(4), Fraction(2)}
 
     def test_order_cap(self):
-        with pytest.raises(OrderTooLarge):
-            realization_sweep((32,))
+        # the one cap is FourierSpec's DIM_CAP = 64
+        with pytest.raises(OrderTooLarge, match="exceeds cap 64"):
+            realization_sweep((2, 33))
 
-    @pytest.mark.parametrize("spec", SPECS_UP_TO_16, ids=lambda s: ",".join(map(str, s)))
+    @pytest.mark.parametrize("spec", [(64,), (8, 8), (4, 4, 4), (2,) * 6], ids=lambda s: ",".join(map(str, s)))
+    def test_whole_domain_at_n64(self, spec):
+        rows = realization_sweep(spec)
+        assert [mvec for mvec, _ in rows] == list(itertools.product(*[divisors(order) for order in spec]))
+        for mvec, report in rows:
+            # the full vector gives V = D_1 W, a column permutation of U: conjugate but not distinct
+            assert report.conjugate and report.certified == (math.prod(mvec) < 64), mvec
+            assert report.dim_a == report.subgroup.size == math.prod(mvec), mvec
+            assert report.relcomm_dims == 64 // report.dim_a, mvec
+            assert report.index == Fraction(64 * 64, report.dim_a), mvec
+
+    def test_dense_oracle_on_every_n64_pair(self):
+        for mvec, report in realization_sweep((8, 8)):
+            assert extract_subgroup(*realize_subgroup((8, 8), mvec), (8, 8)) == report.subgroup, mvec
+
+    # (2,)^6 has 64 pairs in four chunks of STACK_ENTRIES // 64^2 = 16
+    @pytest.mark.parametrize("spec", SPECS_UP_TO_16 + [(2,) * 6], ids=lambda s: ",".join(map(str, s)))
     def test_rows_equal_single_pair_reports(self, spec):
         for mvec, report in realization_sweep(spec):
             single = pair_report(*realize_subgroup(spec, mvec), spec)
@@ -631,6 +648,13 @@ class TestRealizationSweep:
         rows = realization_sweep((2, 2, 2, 2))
         assert len(rows) == 16 and len(batches) == 1 and len(batches[0][0]) == 16
         assert alone == []
+
+    def test_chunks_of_stack_entries(self, monkeypatch):
+        batches = []
+        real = hadinv.invariants.pair_reports
+        monkeypatch.setattr(hadinv.invariants, "pair_reports", lambda *a: batches.append(len(a[0])) or real(*a))
+        assert len(realization_sweep((2,) * 6)) == 64
+        assert batches == [STACK_ENTRIES // 64**2] * 4
 
     def test_raises_a_pairs_error(self, monkeypatch):
         real = hadinv.invariants._support_graph_invariants
