@@ -45,7 +45,6 @@ from .hadamard import (
 )
 from .invariants import (
     ENTROPY_TOL,
-    STACK_ENTRIES,
     InvariantReport,
     _checked_entropies,
     pair_report,
@@ -53,6 +52,7 @@ from .invariants import (
     random_conjugate_forms,
     realization_sweep,
     realized_reports,
+    stack_chunks,
 )
 from .linalg import DEFAULT_TOL, ToleranceConfig, classify
 from .serialize import (
@@ -297,9 +297,8 @@ def _sweep_random_rows(spec: FourierSpec, seed: int, samples: int, tol: Toleranc
     eps = tol.eps_entry
     draws = [_random_draw(spec, seed, sample) for sample in range(samples)]
     rows = []
-    step = max(1, STACK_ENTRIES // (n * n))
-    for start in range(0, samples, step):
-        perms, phases_u, phases_v, extra = (np.array(column) for column in zip(*draws[start : start + step]))
+    for start, chunk in stack_chunks(draws, n):
+        perms, phases_u, phases_v, extra = (np.array(column) for column in zip(*chunk))
         # the checks of DpwForm, once for the chunk; |extra| = 1 keeps the stacks below unitary
         require_forms(perms, np.stack([phases_u, phases_v, extra]), tol)
         us = realize_forms(perms, phases_u, spec)

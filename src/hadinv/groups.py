@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, NotClosed, NotDivisor
-from .hadamard import FourierSpec, fourier_tensor, integer_array, realize_forms
+from .hadamard import FourierSpec, fourier_tensor, integer_tuple, realize_forms
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, dagger
 
 __all__ = [
@@ -262,7 +262,7 @@ def realize_subgroup(spec, divisor_vec) -> tuple[np.ndarray, np.ndarray]:
     comes out of order ``prod(m_i)``.
     """
     spec = FourierSpec.of(spec)
-    mvec = tuple(integer_array(divisor_vec, NotDivisor, "divisors").tolist())
+    mvec = integer_tuple(divisor_vec, NotDivisor, "divisors")
     if len(mvec) != len(spec.orders):
         raise NotDivisor(f"divisor vector length {len(mvec)} does not match spec {spec.orders}")
     for m, n in zip(mvec, spec.orders):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,7 @@ from .linalg import (
 
 __all__ = [
     "DIM_CAP",
-    "integer_array",
+    "integer_tuple",
     "FourierSpec",
     "DpwForm",
     "require_forms",
@@ -64,16 +65,22 @@ __all__ = [
 DIM_CAP = 64
 
 
-def integer_array(values, error: type[Exception], what: str) -> np.ndarray:
-    """``values`` as an integer array; ``error`` unless every entry is a finite real integer.
+def integer_tuple(values, error: type[Exception], what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of Python ints; ``error`` unless every entry is a finite real integer.
 
-    Checked before the cast, which warns on a complex or non-finite entry
-    and truncates 1.7 to 1.  Integer-valued floats such as ``2.0`` pass.
+    Python and numpy integers pass through ``operator.index`` alone.  Any
+    other entry sends the whole sequence through one array check, made
+    before the cast, which warns on a complex or non-finite entry and
+    truncates 1.7 to 1; integer-valued floats such as ``2.0`` pass.
     """
-    raw = np.asarray(values)
+    entries = tuple(values)
+    try:
+        return tuple(operator.index(x) for x in entries)
+    except TypeError:
+        raw = np.asarray(entries)
     if raw.dtype.kind not in "biuf" or not np.isfinite(raw).all() or (raw != np.trunc(raw)).any():
         raise error(f"{what} must be integers, got {raw.tolist()}")
-    return raw.astype(int)
+    return tuple(raw.astype(int).tolist())
 
 
 @dataclass(frozen=True)
@@ -83,7 +90,7 @@ class FourierSpec:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        orders = tuple(integer_array(self.orders, OrderOutOfRange, "factor orders").tolist())
+        orders = integer_tuple(self.orders, OrderOutOfRange, "factor orders")
         object.__setattr__(self, "orders", orders)
         if not orders:
             raise OrderOutOfRange("spec needs at least one factor")
@@ -163,7 +170,7 @@ def shift(n: int, k: int) -> np.ndarray:
 
 
 def _check_vec(spec: FourierSpec, r) -> tuple[int, ...]:
-    r = tuple(integer_array(r, IndexOutOfRange, "vector components").tolist())
+    r = integer_tuple(r, IndexOutOfRange, "vector components")
     if len(r) != len(spec.orders):
         raise IndexOutOfRange(f"vector length {len(r)} does not match spec {spec.orders}")
     for x, n in zip(r, spec.orders):
@@ -282,15 +289,14 @@ class DpwForm:
     def __post_init__(self):
         spec = FourierSpec.of(self.spec)
         object.__setattr__(self, "spec", spec)
-        # one array conversion each; tolist() gives the Python ints and complexes stored
-        perm = integer_array(self.perm, ValueError, "perm entries")
+        perm = integer_tuple(self.perm, ValueError, "perm entries")
         phases = np.asarray(self.phases, dtype=complex)
-        object.__setattr__(self, "perm", tuple(perm.tolist()))
+        object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "phases", tuple(phases.tolist()))
         n = spec.dim
-        if perm.shape != (n,) or phases.shape != (n,):
+        if np.shape(perm) != (n,) or phases.shape != (n,):
             raise DimMismatch(f"perm/phases must have length {n}")
-        require_forms(perm, phases, self.tol)
+        require_forms(np.array(perm), phases, self.tol)
 
     @property
     def dim(self) -> int:

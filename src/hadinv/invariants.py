@@ -48,11 +48,11 @@ off the Fourier route) and the assembly of each report run per pair, in
 ``pair_report``, which ``pair_reports`` calls once per pair with that
 pair's row of the stacked stages; called on its own, ``pair_report``
 runs the stages on a batch of one.  Callers that stack many pairs keep
-``B * N^2`` at or below ``STACK_ENTRIES``: ``hadinv sweep --mode
-random`` sends its rows in chunks of that size, and so does
-``realized_reports``, the one step that reports realized pairs and
-checks their H against ``prod(m_i)`` for ``realization_sweep`` and
-``hadinv realize``.
+``B * N^2`` at or below ``STACK_ENTRIES``: ``stack_chunks`` cuts the
+rows of ``hadinv sweep --mode random`` into chunks of that size, and
+the pairs of ``realized_reports``, the one step that reports realized
+pairs and checks their H against ``prod(m_i)`` for
+``realization_sweep`` and ``hadinv realize``.
 
 All logarithms are natural.
 """
@@ -107,6 +107,7 @@ __all__ = [
     "pair_report",
     "pair_reports",
     "STACK_ENTRIES",
+    "stack_chunks",
     "realized_reports",
     "realization_sweep",
     "random_conjugate_forms",
@@ -123,6 +124,13 @@ ENTROPY_BOUND_TOL = 1e-9
 # most STACK_ENTRIES = B * N^2 matrix entries at once: each (B, N, N)
 # complex stack then holds at most 1 MB
 STACK_ENTRIES = 1 << 16
+
+
+def stack_chunks(items, dim: int):
+    """``(start, items[start : start + step])`` chunk by chunk, ``step = max(1, STACK_ENTRIES // dim^2)``."""
+    step = max(1, STACK_ENTRIES // (dim * dim))
+    for start in range(0, len(items), step):
+        yield start, items[start : start + step]
 
 
 def eta(t: float) -> float:
@@ -482,10 +490,8 @@ def realized_reports(spec, divisor_vecs, tol: ToleranceConfig = DEFAULT_TOL):
     index ``N^2 / dimA`` on these conjugate pairs.
     """
     spec = FourierSpec.of(spec)
-    step = max(1, STACK_ENTRIES // spec.dim**2)
     rows = []
-    for start in range(0, len(divisor_vecs), step):
-        chunk = divisor_vecs[start : start + step]
+    for _, chunk in stack_chunks(divisor_vecs, spec.dim):
         us, vs = (np.stack(m) for m in zip(*(realize_subgroup(spec, mvec) for mvec in chunk)))
         for mvec, u, v, report in zip(chunk, us, vs, pair_reports(us, vs, spec, tol)):
             if isinstance(report, HadinvError):
