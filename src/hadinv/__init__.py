@@ -20,6 +20,7 @@ from .algebra import (
     SquareResult,
     TowerBaseResult,
     commutant,
+    commuting_squares,
     diag_conj_algebra,
     diagonal_algebra,
     full_matrix_algebra,
@@ -62,6 +63,7 @@ from .hadamard import (
     block_transpose,
     block_unitary,
     clock,
+    clock_stack,
     clock_vec,
     decompose_dpw,
     fourier,
@@ -72,6 +74,7 @@ from .hadamard import (
     perm_phase_certificate,
     require_hadamard,
     shift,
+    shift_stack,
     shift_vec,
 )
 from .invariants import (
@@ -92,6 +95,7 @@ from .linalg import (
     is_complex_permutation,
     is_unitary,
     orthonormal_basis,
+    permutation_mask,
     subspace_intersection,
     tensor,
 )

@@ -5,7 +5,8 @@ trace-preserving conditional expectation (``AlgebraBasis.project_many``,
 the orthogonal projection in the trace inner product, which is the unique
 trace-preserving expectation onto a *-subalgebra in finite dimension),
 commutants via a stacked commutator kernel, algebra intersection and the
-commuting-square test.  The base square
+commuting-square test (``commuting_squares``, stacked over a batch of left
+algebras; ``is_commuting_square`` is its batch of one).  The base square
 of the vertex-model tower of a Hadamard matrix sits in M_{N^2} but is block
 diagonal, so it is computed on its N diagonal blocks in M_N; it commutes
 exactly when the expectation onto ``I x M_N`` maps the right algebra into
@@ -44,6 +45,7 @@ __all__ = [
     "intersect_algebras",
     "diag_conj_algebra",
     "SquareResult",
+    "commuting_squares",
     "is_commuting_square",
     "vertex_square",
     "TowerBaseResult",
@@ -89,8 +91,7 @@ class AlgebraBasis:
 
     def project_many(self, flat_mats: np.ndarray) -> np.ndarray:
         """Conditional expectation applied to rows of flattened matrices."""
-        coeffs = flat_mats @ self.flat.conj().T / self.ambient_dim
-        return coeffs @ self.flat
+        return _project(flat_mats, self.flat, self.ambient_dim)
 
     def contains(self, m) -> bool:
         m = as_matrix(m)
@@ -228,11 +229,68 @@ class SquareResult:
     max_commuting_err: float
 
 
-def _span_contained(inner: AlgebraBasis, outer: AlgebraBasis) -> bool:
-    flat = inner.flat
-    res = flat - outer.project_many(flat)
-    worst = np.sqrt((np.abs(res) ** 2).sum(axis=1) / inner.ambient_dim)
-    return bool(worst.max(initial=0.0) < np.sqrt(EPS_RANK))
+def _project(flat_mats: np.ndarray, basis_flat: np.ndarray, n: int) -> np.ndarray:
+    """``project_many`` onto the basis rows ``basis_flat`` ``(..., dim, n^2)``, for one basis or a stack."""
+    coeffs = flat_mats @ np.swapaxes(basis_flat.conj(), -1, -2) / n
+    return coeffs @ basis_flat
+
+
+def _span_contained(inner: np.ndarray, outer: np.ndarray, n: int) -> np.ndarray:
+    """Whether the rows of ``inner`` lie in the span of the rows of ``outer``, per stacked basis."""
+    res = inner - _project(inner, outer, n)
+    worst = np.sqrt((np.abs(res) ** 2).sum(axis=-1) / n)
+    return worst.max(axis=-1, initial=0.0) < np.sqrt(EPS_RANK)
+
+
+def commuting_squares(
+    corner: AlgebraBasis,
+    lefts,
+    right: AlgebraBasis,
+    ambient: AlgebraBasis,
+    tol: ToleranceConfig = DEFAULT_TOL,
+    *,
+    nondegeneracy: bool = True,
+) -> list[SquareResult]:
+    """``is_commuting_square`` of each left algebra in ``lefts`` (all of one dimension), in one stacked pass.
+
+    The corner, right and ambient algebras are shared, so their
+    expectations of the ambient basis are formed once; every left
+    expectation runs along the batch axis.  Raises ``InclusionViolation``
+    when any square of the batch is not nested.
+    """
+    dims = {corner.ambient_dim, right.ambient_dim, ambient.ambient_dim, *(a.ambient_dim for a in lefts)}
+    if len(dims) != 1:
+        raise DimMismatch("all four algebras must share one matrix dimension")
+    if len({a.dim for a in lefts}) != 1:
+        raise DimMismatch("the left algebras of one batch must share one dimension")
+    n = ambient.ambient_dim
+    bases = np.stack([a.basis for a in lefts])
+    left = bases.reshape(len(lefts), -1, n * n)
+    for inner, outer, what in (
+        (corner.flat, left, "corner in left"),
+        (corner.flat, right.flat, "corner in right"),
+        (left, ambient.flat, "left in ambient"),
+        (right.flat, ambient.flat, "right in ambient"),
+    ):
+        if not _span_contained(inner, outer, n).all():
+            raise InclusionViolation(f"span containment fails: {what}")
+
+    g = ambient.flat
+    lr = _project(right.project_many(g), left, n)
+    rl = right.project_many(_project(g, left, n))
+    c = corner.project_many(g)
+    errs = np.max([np.abs(x - y).max(axis=(-2, -1)) for x, y in ((lr, rl), (lr, c), (rl, c))], axis=0)
+
+    nondeg = [None] * len(lefts)
+    if nondegeneracy:
+        # row i * right.dim + j of batch b holds lefts[b].basis[i] @ right.basis[j]
+        prods = (bases[:, :, None] @ right.basis[None, None]).reshape(len(lefts), -1, n * n)
+        ranks = (np.linalg.svd(prods, compute_uv=False) > EPS_RANK).sum(axis=-1)
+        nondeg = (ranks == ambient.dim).tolist()
+    return [
+        SquareResult(commuting=err < tol.eps_entry, nondegenerate=nd, max_commuting_err=err)
+        for err, nd in zip(errs.tolist(), nondeg)
+    ]
 
 
 def is_commuting_square(
@@ -249,35 +307,10 @@ def is_commuting_square(
     Commuting means the two middle conditional expectations commute and
     compose to the expectation onto the corner, checked deterministically on
     a full basis of the ambient algebra.  Nondegenerate means the pairwise
-    products left * right span the ambient algebra, decided by rank.
+    products left * right span the ambient algebra, decided by rank.  The
+    batch of one of ``commuting_squares``.
     """
-    dims = {corner.ambient_dim, left.ambient_dim, right.ambient_dim, ambient.ambient_dim}
-    if len(dims) != 1:
-        raise DimMismatch("all four algebras must share one matrix dimension")
-    for inner, outer, what in (
-        (corner, left, "corner in left"),
-        (corner, right, "corner in right"),
-        (left, ambient, "left in ambient"),
-        (right, ambient, "right in ambient"),
-    ):
-        if not _span_contained(inner, outer):
-            raise InclusionViolation(f"span containment fails: {what}")
-
-    g = ambient.flat
-    lr = left.project_many(right.project_many(g))
-    rl = right.project_many(left.project_many(g))
-    c = corner.project_many(g)
-    err = float(max(np.abs(lr - rl).max(), np.abs(lr - c).max(), np.abs(rl - c).max()))
-    commuting = err < tol.eps_entry
-
-    nondeg: bool | None = None
-    if nondegeneracy:
-        # row i * right.dim + j holds left.basis[i] @ right.basis[j]
-        prods = (left.basis[:, None] @ right.basis[None]).reshape(left.dim * right.dim, -1)
-        sv = np.linalg.svd(prods, compute_uv=False)
-        rank = int((sv > EPS_RANK).sum())
-        nondeg = rank == ambient.dim
-    return SquareResult(commuting=commuting, nondegenerate=nondeg, max_commuting_err=err)
+    return commuting_squares(corner, [left], right, ambient, tol, nondegeneracy=nondegeneracy)[0]
 
 
 def vertex_square(z, n: int, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> SquareResult:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NotClosed, NotDivisor
+from .errors import DimMismatch, IndexOutOfRange, NotClosed, NotDivisor
 from .hadamard import FourierSpec, fourier_tensor, integer_tuple, realize_forms
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, dagger
 
@@ -58,10 +58,11 @@ def is_subgroup(group, members) -> bool:
     """True when every member is a group element, the identity is one, and sums stay inside.
 
     Closure is read off the cached addition table, one lookup per pair of
-    members.  Groups above ``DIM_CAP`` raise ``OrderTooLarge``.
+    members.  Groups above ``DIM_CAP`` raise ``OrderTooLarge``, and a member
+    with a non-integral coordinate raises ``IndexOutOfRange``.
     """
     group = FourierSpec.of(group)
-    members = {tuple(int(x) for x in m) for m in members}
+    members = {_member(m) for m in members}
     if not members or any(len(m) != len(group.orders) for m in members):
         return False
     coords = np.array(list(members))
@@ -70,6 +71,11 @@ def is_subgroup(group, members) -> bool:
     inside = np.zeros(group.dim, dtype=bool)
     inside[np.ravel_multi_index(tuple(coords.T), group.orders)] = True
     return _mask_is_subgroup(group.orders, inside)
+
+
+def _member(m) -> tuple[int, ...]:
+    """A group element as a tuple of Python ints; ``IndexOutOfRange`` on a non-integral coordinate."""
+    return integer_tuple(m, IndexOutOfRange, "subgroup members")
 
 
 def _mask_is_subgroup(orders: tuple[int, ...], inside: np.ndarray) -> bool:
@@ -97,7 +103,7 @@ class SubgroupSet:
 
     def __post_init__(self):
         group = FourierSpec(self.orders)
-        members = frozenset(tuple(int(x) for x in m) for m in self.members)
+        members = frozenset(_member(m) for m in self.members)
         object.__setattr__(self, "orders", group.orders)
         object.__setattr__(self, "members", members)
         _require_subgroup(group, members, is_subgroup(group, members))

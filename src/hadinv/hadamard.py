@@ -49,6 +49,8 @@ __all__ = [
     "shift",
     "clock_vec",
     "shift_vec",
+    "clock_stack",
+    "shift_stack",
     "hadamard_mask",
     "is_hadamard",
     "require_hadamard",
@@ -128,8 +130,8 @@ def fourier(n: int) -> np.ndarray:
     if not 2 <= n <= DIM_CAP:
         raise OrderOutOfRange(f"fourier order must be in [2, {DIM_CAP}], got {n}")
     omega = np.exp(2j * np.pi / n)
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return omega ** (j * k) / np.sqrt(n)
+    powers = np.arange(n)
+    return omega ** (powers[:, None] * powers) / np.sqrt(n)
 
 
 def fourier_tensor(spec) -> np.ndarray:
@@ -150,53 +152,97 @@ def _fourier_tensor(orders: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def clock_stack(spec, rs) -> np.ndarray:
+    """The clock tensors ``clock_vec(spec, r)`` of the rows r of a ``(B, k)`` array, as a ``(B, N, N)`` stack.
+
+    Each factor's ``(B, n_i, n_i)`` stack of clock powers is built once and
+    the factors are joined by the stacked ``tensor``, the product ``np.kron``
+    takes, so every entry matches the per-vector Kronecker product bit for
+    bit, signed zeros included.
+    """
+    spec = FourierSpec.of(spec)
+    return _clock_stack(spec.orders, _exponent_stack(spec.orders, rs))
+
+
+def shift_stack(spec, rs) -> np.ndarray:
+    """The shift tensors ``shift_vec(spec, r)`` of the rows r of a ``(B, k)`` array, as a ``(B, N, N)`` stack."""
+    spec = FourierSpec.of(spec)
+    return _shift_stack(spec.orders, _exponent_stack(spec.orders, rs))
+
+
 def clock(n: int, k: int) -> np.ndarray:
     """Diagonal ``diag(1, omega^k, omega^{2k}, ...)``; k-th power of the clock matrix."""
-    if not 0 <= k <= n:
-        raise IndexOutOfRange(f"clock power must be in [0, {n}], got {k}")
-    omega = np.exp(2j * np.pi / n)
-    m = np.zeros((n, n), dtype=complex)
-    m.flat[:: n + 1] = omega ** (k * np.arange(n))
-    return m
+    return _clock_stack((n,), _exponent_stack((n,), [[k]], "clock"))[0]
 
 
 def shift(n: int, k: int) -> np.ndarray:
     """Cyclic permutation sending basis vector e_j to e_{j-k mod n} (k-th power)."""
-    if not 0 <= k <= n:
-        raise IndexOutOfRange(f"shift power must be in [0, {n}], got {k}")
-    m = np.zeros((n, n), dtype=complex)
-    m[np.arange(n), (np.arange(n) + k) % n] = 1.0
-    return m
-
-
-def _check_vec(spec: FourierSpec, r) -> tuple[int, ...]:
-    r = integer_tuple(r, IndexOutOfRange, "vector components")
-    if len(r) != len(spec.orders):
-        raise IndexOutOfRange(f"vector length {len(r)} does not match spec {spec.orders}")
-    for x, n in zip(r, spec.orders):
-        if not 0 <= x <= n:
-            raise IndexOutOfRange(f"component {x} out of range for order {n}")
-    return r
+    return _shift_stack((n,), _exponent_stack((n,), [[k]], "shift"))[0]
 
 
 def clock_vec(spec, r) -> np.ndarray:
     """Kronecker product of per-factor clock powers ``clock(n_i, r_i)``."""
-    spec = FourierSpec.of(spec)
-    r = _check_vec(spec, r)
-    out = clock(spec.orders[0], r[0])
-    for n, ri in zip(spec.orders[1:], r[1:]):
-        out = tensor(out, clock(n, ri))
-    return out
+    return clock_stack(spec, [r])[0]
 
 
 def shift_vec(spec, r) -> np.ndarray:
     """Kronecker product of per-factor shift powers ``shift(n_i, r_i)``."""
-    spec = FourierSpec.of(spec)
-    r = _check_vec(spec, r)
-    out = shift(spec.orders[0], r[0])
-    for n, ri in zip(spec.orders[1:], r[1:]):
-        out = tensor(out, shift(n, ri))
-    return out
+    return shift_stack(spec, [r])[0]
+
+
+def _exponent_stack(orders: tuple[int, ...], rs, power: str | None = None) -> np.ndarray:
+    """``rs`` as a ``(B, k)`` int array with ``0 <= r_i <= n_i``; ``IndexOutOfRange`` otherwise.
+
+    Entries must be finite real integers (``2.0`` passes, as in
+    ``integer_tuple``).  Each message names the first offending vector or
+    component; ``power`` (``"clock"`` or ``"shift"``) words the messages
+    of a single power instead.
+    """
+    try:
+        raw = np.asarray(rs)
+    except ValueError:  # ragged rows
+        raise IndexOutOfRange(f"vectors must all have length {len(orders)}") from None
+    if raw.ndim != 2:
+        raise IndexOutOfRange(f"expected a stack of vectors, got an array of shape {raw.shape}")
+    if raw.dtype.kind not in "biu":
+        bad = ~np.isfinite(raw) | (raw != np.trunc(raw)) if raw.dtype.kind == "f" else np.ones(raw.shape, bool)
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            if power:
+                raise IndexOutOfRange(f"{power} power must be in [0, {orders[0]}], got {raw[row, col].tolist()}")
+            raise IndexOutOfRange(f"vector components must be integers, got {raw[row].tolist()}")
+    raw = raw.astype(int)
+    if raw.shape[1] != len(orders):
+        raise IndexOutOfRange(f"vector length {raw.shape[1]} does not match spec {orders}")
+    bad = (raw < 0) | (raw > np.array(orders))
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        if power:
+            raise IndexOutOfRange(f"{power} power must be in [0, {orders[0]}], got {raw[row, col]}")
+        raise IndexOutOfRange(f"component {raw[row, col]} out of range for order {orders[col]}")
+    return raw
+
+
+def _clock_stack(orders: tuple[int, ...], rs: np.ndarray) -> np.ndarray:
+    """``clock_stack`` of exponent vectors its caller has checked."""
+    factors = []
+    for n, k in zip(orders, rs.T):
+        omega = np.exp(2j * np.pi / n)
+        m = np.zeros((len(k), n, n), dtype=complex)
+        m.reshape(len(k), -1)[:, :: n + 1] = omega ** (k[:, None] * np.arange(n))
+        factors.append(m)
+    return functools.reduce(tensor, factors)
+
+
+def _shift_stack(orders: tuple[int, ...], rs: np.ndarray) -> np.ndarray:
+    """``shift_stack`` of exponent vectors its caller has checked."""
+    factors = []
+    for n, k in zip(orders, rs.T):
+        m = np.zeros((len(k), n, n), dtype=complex)
+        rows = np.arange(n)
+        m[np.arange(len(k))[:, None], rows, (rows + k[:, None]) % n] = 1.0
+        factors.append(m)
+    return functools.reduce(tensor, factors)
 
 
 def hadamard_mask(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Dense complex matrix kernel over the normalized trace inner product.
 
-Everything else in the package is built on this module: Kronecker products,
-the single-flag predicates ``is_unitary`` and ``is_complex_permutation``
-(with ``unitary_mask`` and ``complex_permutation_mask``, their forms over
-stacks of matrices), structural classification (all flags at once,
+Everything else in the package is built on this module: Kronecker products
+(of two matrices or of two stacks), the single-flag predicates
+``is_unitary`` and ``is_complex_permutation`` (with ``unitary_mask`` and
+``complex_permutation_mask``, their forms over stacks of matrices, and
+``permutation_mask``), structural classification (all flags at once,
 composed from those predicates), Gram-Schmidt orthonormalization in the
 inner product ``<A, B> = tr(B* A) / N``, and subspace intersection via a
 stacked null-space computation.
@@ -35,6 +36,7 @@ __all__ = [
     "is_unitary",
     "complex_permutation_mask",
     "is_complex_permutation",
+    "permutation_mask",
     "classify",
     "orthonormal_basis",
     "nullspace",
@@ -103,14 +105,15 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result equals ``a[i, j] * b``.
+    """Kronecker product, of two matrices or of each pair of two stacks; block (i, j) equals ``a[..., i, j] * b``.
 
     The broadcast product ``np.kron`` takes, without its per-call overhead,
     so every entry matches ``np.kron`` bit for bit, signed zeros included.
+    The stack axes broadcast as in any numpy product.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+    a, b = (as_stack(x) if np.ndim(x) == 3 else as_matrix(x) for x in (a, b))
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-1] * b.shape[-1], -1)
 
 
 def unitary_mask(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -127,15 +130,28 @@ def is_unitary(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 def complex_permutation_mask(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """``is_complex_permutation`` of each matrix of a stack ``(..., N, N)``, as a boolean array."""
     mag = np.abs(m)
-    big = mag > tol.eps_entry
+    return _monomial_mask(mag > tol.eps_entry, np.abs(mag - 1.0), tol)
+
+
+def _monomial_mask(big: np.ndarray, off: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Exactly one ``big`` entry per row and per column of each matrix, each with ``off`` below eps_entry."""
     one_each = (big.sum(axis=-2) == 1).all(axis=-1) & (big.sum(axis=-1) == 1).all(axis=-1)
-    unit = np.where(big, np.abs(mag - 1.0), 0.0).max(axis=(-2, -1)) < tol.eps_entry
-    return one_each & unit
+    return one_each & (np.where(big, off, 0.0).max(axis=(-2, -1)) < tol.eps_entry)
 
 
 def is_complex_permutation(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when every row and column has exactly one entry above ``tol.eps_entry``, of modulus one."""
     return bool(complex_permutation_mask(as_matrix(m), tol))
+
+
+def permutation_mask(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Whether each matrix of a stack ``(..., N, N)`` is a permutation matrix, as a boolean array.
+
+    One entry per row and per column above ``tol.eps_entry``, each within
+    ``tol.eps_entry`` of one (hence of modulus one); ``classify`` reads its
+    ``permutation`` flag here.
+    """
+    return _monomial_mask(np.abs(m) > tol.eps_entry, np.abs(m - 1.0), tol)
 
 
 def classify(m, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixClass:
@@ -147,7 +163,7 @@ def classify(m, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixClass:
     return MatrixClass(
         unitary=is_unitary(a, tol),
         diagonal=bool(np.abs(a - np.diag(np.diag(a))).max() < eps),
-        permutation=complex_permutation and bool(np.abs(a[np.abs(a) > eps] - 1.0).max() < eps),
+        permutation=bool(permutation_mask(a, tol)),
         complex_permutation=complex_permutation,
         selfadjoint=selfadjoint,
         projection=selfadjoint and bool(np.abs(a @ a - a).max() < eps),

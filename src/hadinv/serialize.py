@@ -1,8 +1,9 @@
 """JSON wire formats shared by the CLI and file I/O.
 
 Matrix JSON is ``{"dim": N, "entries": [[re, im], ...]}`` row-major with
-an integer N (not a boolean) and exactly N^2 pairs of finite numbers; the
-reader rejects anything else with ``ValueError``.  The other formats
+an integer N (not a boolean) and exactly N^2 pairs of finite numbers (not
+strings, ``null`` or booleans); the reader rejects anything else with
+``ValueError``.  The other formats
 (normal forms, subgroups, pair reports) are only written.  Every writer
 emits its text through ``dumps``.
 """
@@ -51,9 +52,10 @@ def matrix_from_obj(obj) -> np.ndarray:
         raise ValueError(f"matrix dim must be an integer, got {json.dumps(obj['dim'])}")
     try:
         dim = operator.index(obj["dim"])
-        flat = np.ascontiguousarray(obj["entries"], dtype=float)
+        raw = np.asarray(obj["entries"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from None
+    flat = _float_entries(raw)
     if dim < 1:
         raise ValueError(f"matrix dim must be >= 1, got {dim}")
     if flat.shape != (dim * dim, 2):
@@ -65,6 +67,28 @@ def matrix_from_obj(obj) -> np.ndarray:
     if any(type(obj["entries"][i][j]) is bool for i, j in zip(rows.tolist(), cols.tolist())):
         raise ValueError("matrix entries must be numbers, not booleans")
     return flat.view(complex).reshape(dim, dim)
+
+
+def _float_entries(raw: np.ndarray) -> np.ndarray:
+    """The entries as a float array, decided by the dtype numpy infers for them.
+
+    Numbers (and booleans, which the caller rejects) infer a numeric dtype
+    and convert as they are.  Strings, which a float conversion would parse,
+    infer a string dtype and are rejected.  Integers beyond int64 and
+    ``None`` infer ``object``, the one dtype whose entries are looked at one
+    by one: only ints and floats pass, and an int too large for a float is
+    rejected.
+    """
+    if raw.dtype.kind == "O":
+        if any(type(x) not in (int, float) for x in raw.flat):
+            raise ValueError("matrix entries must be numbers")
+        try:
+            return raw.astype(float)
+        except OverflowError:
+            raise ValueError("matrix entries must be finite numbers") from None
+    if raw.dtype.kind not in "biuf":
+        raise ValueError("matrix entries must be numbers")
+    return np.ascontiguousarray(raw, dtype=float)
 
 
 def dpw_to_obj(form: DpwForm) -> dict:

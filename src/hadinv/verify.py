@@ -3,10 +3,12 @@
 Each check reports its worst absolute error and a pass flag at the 1e-10
 threshold; the identities are exact in exact arithmetic, so a failure here
 means a bug, not conditioning.  Each identity is checked on the stack of
-all powers of one order, or of all r of one spec, in one batched product;
-the constructors are still called once per power, and each ``F_n`` and
-each spec's Fourier tensor is built once per run.  The suite is pure and
-ordered, so repeated runs print byte-identical output.
+all powers of one order, or of all r of one spec, in one batched product.
+The stacks come from one ``clock_stack`` and one ``shift_stack`` call per
+order or spec; each order's stacks, ``F_n`` and each spec's Fourier tensor
+are built once per run, and both spin squares of an order are checked in
+one ``commuting_squares`` pass.  The suite is pure and ordered, so
+repeated runs print byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,29 +20,26 @@ import numpy as np
 from .algebra import (
     TOWER_DIM_CAP,
     TOWER_NONDEG_CAP,
+    commuting_squares,
     diag_conj_algebra,
     diagonal_algebra,
     full_matrix_algebra,
-    is_commuting_square,
     scalar_algebra,
     vertex_model_square,
 )
 from .errors import OrderOutOfRange, OrderTooLarge
-from .groups import elements
 from .hadamard import (
     DIM_CAP,
     FourierSpec,
     block_unitary,
-    clock,
-    clock_vec,
+    clock_stack,
     fourier,
     fourier_tensor,
     realize_forms,
-    shift,
-    shift_vec,
+    shift_stack,
 )
 from .invariants import random_conjugate_pair
-from .linalg import DEFAULT_TOL, ToleranceConfig, classify, dagger, tensor
+from .linalg import DEFAULT_TOL, ToleranceConfig, dagger, permutation_mask, tensor
 
 __all__ = ["CheckResult", "run_verification", "IDENTITY_THRESHOLD"]
 
@@ -64,15 +63,6 @@ class CheckResult:
         return text
 
 
-def _clock_shift_commutation(fouriers) -> CheckResult:
-    worst = 0.0
-    for f in fouriers:
-        n = f.shape[0]
-        worst = max(worst, float(np.abs(clock(n, 1) @ f - f @ shift(n, n - 1)).max()))
-        worst = max(worst, float(np.abs(shift(n, 1) @ f - f @ clock(n, 1)).max()))
-    return CheckResult("clock-shift-commutation", worst <= IDENTITY_THRESHOLD, worst)
-
-
 def _conjugation_err(w, diags, shifts, inverse) -> float:
     """Worst entry of ``W D_r W* - S_r`` and ``W* D_r W - S_{-r}`` over stacks of all r."""
     wstar = dagger(w)
@@ -82,26 +72,33 @@ def _conjugation_err(w, diags, shifts, inverse) -> float:
     )
 
 
-def _fourier_diag_conjugation(fouriers) -> CheckResult:
-    worst = 0.0
+def _fourier_checks(fouriers) -> list[CheckResult]:
+    """``clock-shift-commutation`` and ``fourier-diag-conjugation``, from one pair of k = 0..n-1 stacks per order."""
+    commutation = 0.0
+    conjugation = 0.0
     for f in fouriers:
         n = f.shape[0]
-        diags = np.stack([clock(n, k) for k in range(n)])
-        shifts = np.stack([shift(n, k) for k in range(n)])
+        powers = np.arange(n)[:, None]
+        clocks = clock_stack((n,), powers)
+        shifts = shift_stack((n,), powers)
+        commutation = max(commutation, float(np.abs(clocks[1] @ f - f @ shifts[n - 1]).max()))
+        commutation = max(commutation, float(np.abs(shifts[1] @ f - f @ clocks[1]).max()))
         # the power n - k of the shift is row (-k) % n of the same stack
-        worst = max(worst, _conjugation_err(f, diags, shifts, -np.arange(n) % n))
-    return CheckResult("fourier-diag-conjugation", worst <= IDENTITY_THRESHOLD, worst)
+        conjugation = max(conjugation, _conjugation_err(f, clocks, shifts, -np.arange(n) % n))
+    return [
+        CheckResult("clock-shift-commutation", commutation <= IDENTITY_THRESHOLD, commutation),
+        CheckResult("fourier-diag-conjugation", conjugation <= IDENTITY_THRESHOLD, conjugation),
+    ]
 
 
 def _tensor_diag_conjugation(tensors) -> CheckResult:
     worst = 0.0
     for spec, w in tensors:
-        rs = elements(spec.orders)
-        diags = np.stack([clock_vec(spec, r) for r in rs])
-        shifts = np.stack([shift_vec(spec, r) for r in rs])
-        # the elements are in lexicographic order, so -r sits at the flat index of -r mod the orders
-        inverse = np.ravel_multi_index(-np.array(rs).T, spec.orders, mode="wrap")
-        worst = max(worst, _conjugation_err(w, diags, shifts, inverse))
+        # every r of the group in lexicographic order, one row each
+        rs = np.indices(spec.orders).reshape(len(spec.orders), -1).T
+        # so -r sits at the flat index of -r mod the orders
+        inverse = np.ravel_multi_index(tuple(-rs.T), spec.orders, mode="wrap")
+        worst = max(worst, _conjugation_err(w, clock_stack(spec, rs), shift_stack(spec, rs), inverse))
     return CheckResult("tensor-diag-conjugation", worst <= IDENTITY_THRESHOLD, worst)
 
 
@@ -112,7 +109,7 @@ def _block_unitary_permutation_form(tensors) -> CheckResult:
     for spec, w in tensors:
         n = spec.dim
         p = block_unitary(w) @ dagger(tensor(np.eye(n), w))
-        ok = ok and classify(p).permutation
+        ok = ok and bool(permutation_mask(p))
         worst = max(worst, float(np.abs(p - np.round(p.real)).max()))
         blocks = p.reshape(n, n, n, n).transpose(0, 2, 1, 3)
         worst = max(worst, float(np.abs(blocks[~np.eye(n, dtype=bool)]).max()))
@@ -120,25 +117,22 @@ def _block_unitary_permutation_form(tensors) -> CheckResult:
 
 
 def _spin_squares(orders, fouriers, tol: ToleranceConfig) -> list[CheckResult]:
+    """The spin squares of ``F_n`` and of a random DPW matrix of each order, both in one stacked pass."""
     rng = np.random.default_rng(0)
     out = []
     for n in orders:
-        f = fouriers[n]
         # the phases are drawn before the permutation
         phases = np.exp(2j * np.pi * rng.random(n))
         (dpw,) = realize_forms([rng.permutation(n)], [phases], (n,))
-        worst = 0.0
-        ok = True
-        for u in (f, dpw):
-            square = is_commuting_square(
-                scalar_algebra(n),
-                diag_conj_algebra(u, tol),
-                diagonal_algebra(n),
-                full_matrix_algebra(n),
-                tol,
-            )
-            ok = ok and square.commuting and bool(square.nondegenerate)
-            worst = max(worst, square.max_commuting_err)
+        squares = commuting_squares(
+            scalar_algebra(n),
+            [diag_conj_algebra(u, tol) for u in (fouriers[n], dpw)],
+            diagonal_algebra(n),
+            full_matrix_algebra(n),
+            tol,
+        )
+        ok = all(square.commuting and bool(square.nondegenerate) for square in squares)
+        worst = max(0.0, *(square.max_commuting_err for square in squares))
         out.append(CheckResult(f"spin-square-{n}", ok, worst))
     return out
 
@@ -190,8 +184,7 @@ def run_verification(
     sweep = [fouriers[n] for n in range(2, max_order + 1)]
     tensors = [(spec, fourier_tensor(spec)) for spec in map(FourierSpec, TENSOR_SPECS)]
     results = [
-        _clock_shift_commutation(sweep),
-        _fourier_diag_conjugation(sweep),
+        *_fourier_checks(sweep),
         _tensor_diag_conjugation(tensors),
         _block_unitary_permutation_form(tensors),
     ]

@@ -4,7 +4,18 @@ import functools
 
 import numpy as np
 
-from hadinv import clock, clock_vec, elements, fourier, fourier_tensor, shift, shift_vec
+from hadinv import (
+    block_unitary,
+    classify,
+    diag_conj_algebra,
+    diagonal_algebra,
+    elements,
+    fourier,
+    fourier_tensor,
+    full_matrix_algebra,
+    is_commuting_square,
+    scalar_algebra,
+)
 from hadinv.verify import IDENTITY_THRESHOLD, TENSOR_SPECS
 
 
@@ -68,6 +79,29 @@ def fourier_decisions(d, spec) -> np.ndarray:
     return np.abs(shift_spectrum(d, spec)[..., 1:]).max(axis=-1)
 
 
+def dense_clock(orders, r) -> np.ndarray:
+    """``np.kron`` of the per-factor clock powers, each an ``np.diag`` of ``omega_i^(r_i j)``."""
+    factors = [np.diag(np.exp(2j * np.pi / n) ** (k * np.arange(n))) for n, k in zip(orders, r)]
+    return functools.reduce(np.kron, factors)
+
+
+def dense_shift(orders, r) -> np.ndarray:
+    """``np.kron`` of the per-factor shift powers, each the rows ``(j + r_i) mod n_i`` of the identity."""
+    factors = [np.eye(n, dtype=complex)[(np.arange(n) + k) % n] for n, k in zip(orders, r)]
+    return functools.reduce(np.kron, factors)
+
+
+def clock_shift_commutation(max_order: int) -> tuple[bool, float]:
+    """``(passed, max_err)`` of ``Z F = F X^{-1}`` and ``X F = F Z``, one dense product per order."""
+    worst = 0.0
+    for n in range(2, max_order + 1):
+        f = fourier(n)
+        z, x, x_inv = dense_clock((n,), (1,)), dense_shift((n,), (1,)), dense_shift((n,), (n - 1,))
+        worst = max(worst, float(np.abs(z @ f - f @ x_inv).max()))
+        worst = max(worst, float(np.abs(x @ f - f @ z).max()))
+    return worst <= IDENTITY_THRESHOLD, worst
+
+
 def fourier_diag_conjugation(max_order: int) -> tuple[bool, float]:
     """``(passed, max_err)`` of ``F D_k F* = S_k`` and ``F* D_k F = S_{-k}``, one dense product per power."""
     worst = 0.0
@@ -75,9 +109,9 @@ def fourier_diag_conjugation(max_order: int) -> tuple[bool, float]:
         f = fourier(n)
         fstar = f.conj().T
         for k in range(n):
-            d = clock(n, k)
-            worst = max(worst, float(np.abs(f @ d @ fstar - shift(n, k)).max()))
-            worst = max(worst, float(np.abs(fstar @ d @ f - shift(n, (n - k) % n)).max()))
+            d = dense_clock((n,), (k,))
+            worst = max(worst, float(np.abs(f @ d @ fstar - dense_shift((n,), (k,))).max()))
+            worst = max(worst, float(np.abs(fstar @ d @ f - dense_shift((n,), ((n - k) % n,))).max()))
     return worst <= IDENTITY_THRESHOLD, worst
 
 
@@ -88,8 +122,42 @@ def tensor_diag_conjugation() -> tuple[bool, float]:
         w = fourier_tensor(orders)
         wstar = w.conj().T
         for r in elements(orders):
-            d = clock_vec(orders, r)
+            d = dense_clock(orders, r)
             nr = tuple((n - x) % n for n, x in zip(orders, r))
-            worst = max(worst, float(np.abs(w @ d @ wstar - shift_vec(orders, r)).max()))
-            worst = max(worst, float(np.abs(wstar @ d @ w - shift_vec(orders, nr)).max()))
+            worst = max(worst, float(np.abs(w @ d @ wstar - dense_shift(orders, r)).max()))
+            worst = max(worst, float(np.abs(wstar @ d @ w - dense_shift(orders, nr)).max()))
     return worst <= IDENTITY_THRESHOLD, worst
+
+
+def block_unitary_permutation_form() -> tuple[bool, float]:
+    """``(passed, max_err)`` of ``block_unitary(W) = P (I x W)`` over ``TENSOR_SPECS``, ``classify`` deciding P."""
+    worst = 0.0
+    ok = True
+    for orders in TENSOR_SPECS:
+        w = fourier_tensor(orders)
+        n = w.shape[0]
+        p = block_unitary(w) @ np.kron(np.eye(n), w).conj().T
+        ok = ok and classify(p).permutation
+        worst = max(worst, float(np.abs(p - np.round(p.real)).max()))
+        blocks = p.reshape(n, n, n, n).transpose(0, 2, 1, 3)
+        worst = max(worst, float(np.abs(blocks[~np.eye(n, dtype=bool)]).max()))
+    return ok and worst <= IDENTITY_THRESHOLD, worst
+
+
+def spin_squares(orders) -> list[tuple[bool, float]]:
+    """``(passed, max_err)`` per order of the spin squares of ``F_n`` and of verify's random DPW matrix, one call each."""
+    rng = np.random.default_rng(0)
+    out = []
+    for n in orders:
+        phases = np.exp(2j * np.pi * rng.random(n))
+        dpw = np.diag(phases) @ fourier(n)[rng.permutation(n)]
+        worst = 0.0
+        ok = True
+        for u in (fourier(n), dpw):
+            square = is_commuting_square(
+                scalar_algebra(n), diag_conj_algebra(u), diagonal_algebra(n), full_matrix_algebra(n)
+            )
+            ok = ok and square.commuting and bool(square.nondegenerate)
+            worst = max(worst, square.max_commuting_err)
+        out.append((ok, worst))
+    return out

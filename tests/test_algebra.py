@@ -13,8 +13,10 @@ from hadinv import (
     InclusionViolation,
     NonUnitary,
     OrderTooLarge,
+    DimMismatch,
     block_unitary,
     commutant,
+    commuting_squares,
     diag_conj_algebra,
     diagonal_algebra,
     fourier,
@@ -197,6 +199,37 @@ class TestCommutingSquare:
             nondegeneracy=False,
         )
         assert result.commuting and result.nondegenerate is None
+
+
+class TestCommutingSquaresBatch:
+    def test_each_square_equals_its_batch_of_one(self):
+        rng = np.random.default_rng(46)
+        n = 4
+        lefts = [diag_conj_algebra(u) for u in (fourier(n), random_dpw((n,), rng), haar_unitary(n, rng))]
+        lefts.append(diagonal_algebra(n))  # degenerate: commutes with nothing off the scalars
+        shared = (scalar_algebra(n), diagonal_algebra(n), full_matrix_algebra(n))
+        batch = commuting_squares(shared[0], lefts, *shared[1:])
+        singles = [is_commuting_square(shared[0], left, *shared[1:]) for left in lefts]
+        assert batch == singles
+        assert [s.commuting for s in batch] == [True, True, False, False]
+
+    def test_one_unnested_left_fails_the_batch(self):
+        with pytest.raises(InclusionViolation, match="corner in left"):
+            commuting_squares(
+                diagonal_algebra(2),
+                [diagonal_algebra(2), diag_conj_algebra(fourier(2))],
+                diagonal_algebra(2),
+                full_matrix_algebra(2),
+            )
+
+    def test_lefts_of_different_dimensions_are_rejected(self):
+        with pytest.raises(DimMismatch):
+            commuting_squares(
+                scalar_algebra(2),
+                [diagonal_algebra(2), scalar_algebra(2)],
+                diagonal_algebra(2),
+                full_matrix_algebra(2),
+            )
 
 
 class TestVertexSquare:

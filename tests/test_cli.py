@@ -140,10 +140,12 @@ class TestCheck:
             '{"dim": false, "entries": []}',
             '{"dim": 1, "entries": [[true, false]]}',
             '{"dim": 2, "entries": [[0.5, true], [0.5, 0.0], [0.5, 0.0], [-0.5, 0.0]]}',
+            '{"dim": 1, "entries": [["1.0", "0"]]}',
+            '{"dim": 1, "entries": [[1%s, 0]]}' % ("0" * 400),
         ],
         ids=[
             "null", "nested", "null-dim", "float-dim", "int-entries", "str-entries", "ragged", "overflow",
-            "true-dim", "false-dim", "bool-entries", "mixed-bool-entry",
+            "true-dim", "false-dim", "bool-entries", "mixed-bool-entry", "str-entry-pairs", "400-digit-int",
         ],
     )
     def test_malformed_matrix_is_an_input_error(self, capsys, tmp_path, payload):

@@ -13,6 +13,7 @@ from hadinv import (
     DEFAULT_TOL,
     DimMismatch,
     FourierSpec,
+    IndexOutOfRange,
     NotClosed,
     NotDivisor,
     OrderTooLarge,
@@ -56,6 +57,19 @@ class TestIsSubgroup:
 
     def test_missing_identity(self):
         assert not is_subgroup((4,), {(2,)})
+
+    @pytest.mark.parametrize("member", [(2.5,), (2.7,), (np.float64(2.5),)])
+    def test_rejects_non_integral_members(self, member):
+        # int() would read 2.5 and 2.7 as the element 2
+        with pytest.raises(IndexOutOfRange, match="subgroup members must be integers"):
+            is_subgroup((4,), [(0,), member])
+        with pytest.raises(IndexOutOfRange, match="subgroup members must be integers"):
+            SubgroupSet(orders=(4,), members={(0,), member})
+
+    @pytest.mark.parametrize("two", [2, np.int64(2), np.int32(2), np.uint8(2), 2.0])
+    def test_accepts_python_and_numpy_integers(self, two):
+        assert is_subgroup((4,), [(0,), (two,)])
+        assert SubgroupSet(orders=(4,), members={(0,), (two,)}).members == {(0,), (2,)}
 
 
 class TestSubgroupSet:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import SPECS_UP_TO_16, haar_unitary, maxabs, random_dpw
-from oracles import entry_diagonal
+from oracles import dense_clock, dense_shift, entry_diagonal
 from hadinv import (
     DimMismatch,
     DpwForm,
@@ -18,6 +18,7 @@ from hadinv import (
     block_transpose,
     block_unitary,
     clock,
+    clock_stack,
     clock_vec,
     decompose_dpw,
     fourier,
@@ -28,6 +29,7 @@ from hadinv import (
     perm_matrix,
     perm_phase_certificate,
     shift,
+    shift_stack,
     shift_vec,
 )
 from hadinv.hadamard import diag_times, realize_forms, require_forms
@@ -169,6 +171,88 @@ class TestVectorGenerators:
     @pytest.mark.parametrize("r", [(1,), (np.int64(1),), np.array([1]), (1.0,)])
     def test_accepts_integer_powers(self, r):
         assert np.array_equal(clock_vec((4,), r), clock(4, 1))
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: every entry equal, signed zeros included."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestStackedConstructors:
+    """The stacks and their stacks of one against the dense ``np.diag``/``np.kron``/index-fill references."""
+
+    SPECS = [(2, 3), (2, 2, 2), (3, 3), (2, 4), (7,), (12,), (4, 4)]
+
+    @staticmethod
+    def every_power(orders):
+        # 0 <= r_i <= n_i: the power n_i is accepted and equals the power 0
+        return np.indices([n + 1 for n in orders]).reshape(len(orders), -1).T
+
+    @pytest.mark.parametrize("orders", SPECS)
+    def test_stacks_match_the_dense_references_bit_for_bit(self, orders):
+        rs = self.every_power(orders)
+        clocks, shifts = clock_stack(orders, rs), shift_stack(orders, rs)
+        assert clocks.shape == shifts.shape == (len(rs), np.prod(orders), np.prod(orders))
+        for r, c, s in zip(rs, clocks, shifts):
+            assert same_bits(c, dense_clock(orders, r))
+            assert same_bits(s, dense_shift(orders, r))
+
+    @pytest.mark.parametrize("orders", SPECS)
+    def test_stacks_of_one_match_the_dense_references_bit_for_bit(self, orders):
+        for r in self.every_power(orders).tolist():
+            assert same_bits(clock_vec(orders, r), dense_clock(orders, r))
+            assert same_bits(shift_vec(orders, r), dense_shift(orders, r))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 12])
+    def test_single_powers_match_the_dense_references_bit_for_bit(self, n):
+        for k in range(n + 1):
+            assert same_bits(clock(n, k), dense_clock((n,), (k,)))
+            assert same_bits(shift(n, k), dense_shift((n,), (k,)))
+
+    def test_signed_zeros_are_exercised(self):
+        # gen --kind diag --spec 2,3 --k 1,2 prints -0.0 entries off the diagonal
+        assert np.signbit(clock_vec((2, 3), (1, 2)).real).any()
+
+    @pytest.mark.parametrize(
+        "k,message", [(5, "got 5"), (-1, "got -1"), (2.5, "got 2.5")]
+    )
+    def test_single_powers_reject_with_their_message(self, k, message):
+        for build, name in ((clock, "clock"), (shift, "shift")):
+            with pytest.raises(IndexOutOfRange) as info:
+                build(4, k)
+            assert str(info.value) == f"{name} power must be in [0, 4], {message}"
+
+    @pytest.mark.parametrize(
+        "r,message",
+        [
+            ((1, 5), "component 5 out of range for order 4"),
+            ((-1, 0), "component -1 out of range for order 2"),
+            ((1, 2.5), "vector components must be integers, got [1.0, 2.5]"),
+        ],
+    )
+    def test_stacks_reject_with_the_vector_messages(self, r, message):
+        # the stack's message names its offending row, here the second
+        for stack, single in ((clock_stack, clock_vec), (shift_stack, shift_vec)):
+            for build in (lambda: stack((2, 4), [(0, 0), r]), lambda: single((2, 4), r)):
+                with pytest.raises(IndexOutOfRange) as info:
+                    build()
+                assert str(info.value) == message
+
+    def test_rejects_the_wrong_length(self):
+        for build in (lambda: clock_stack((2, 4), [(1,), (0,)]), lambda: shift_vec((2, 4), (1,))):
+            with pytest.raises(IndexOutOfRange, match=r"vector length 1 does not match spec \(2, 4\)"):
+                build()
+        with pytest.raises(IndexOutOfRange, match="vectors must all have length 2"):
+            shift_stack((2, 4), [(0, 0), (1,)])
+
+    def test_stacks_accept_integer_valued_floats_and_numpy_ints(self):
+        want = clock_stack((2, 4), [[1, 3]])
+        assert same_bits(clock_stack((2, 4), [[1.0, 3.0]]), want)
+        assert same_bits(clock_stack((2, 4), np.array([[1, 3]], dtype=np.int32)), want)
+
+    def test_rejects_a_flat_vector_as_a_stack(self):
+        with pytest.raises(IndexOutOfRange, match="stack of vectors"):
+            clock_stack((2, 4), [1, 3])
 
 
 class TestEntryDiagonal:

@@ -65,6 +65,17 @@ class TestTensor:
             assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
 
 
+    def test_stacks_pair_up_and_broadcast(self):
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        b = rng.normal(size=(3, 3, 3)) - 0.0j
+        got = tensor(a, b)
+        assert got.shape == (3, 6, 6)
+        for i in range(3):
+            assert got[i].tobytes() == np.kron(a[i], b[i]).tobytes()
+        assert tensor(a[0], b).tobytes() == np.stack([np.kron(a[0], y) for y in b]).tobytes()
+
+
 class TestClassify:
     def test_shift_is_permutation(self):
         flags = classify(shift(3, 1))
@@ -141,6 +152,16 @@ class TestSingleFlagPredicates:
         assert complex_permutation_mask(stack).tolist() == [is_complex_permutation(m) for m in mats]
         with pytest.raises(ValueError):
             as_stack(mats[0])
+
+    def test_permutation_mask_agrees_with_classify(self):
+        from hadinv.linalg import permutation_mask
+
+        rng = np.random.default_rng(9)
+        mats = self.matrices() + [perm_matrix(rng.permutation(4)), perm_matrix(rng.permutation(4)) * -1]
+        for m in mats:
+            assert bool(permutation_mask(np.asarray(m, dtype=complex))) == classify(m).permutation
+        stack = np.stack([perm_matrix(rng.permutation(5)) for _ in range(3)] + [shift(5, 2) * 1j])
+        assert permutation_mask(stack).tolist() == [True, True, True, False]
 
     def test_a_modulus_off_one_is_not_a_complex_permutation(self):
         assert not is_complex_permutation(np.diag([1.0, 0.5]))

@@ -47,6 +47,27 @@ class TestMatrixFormat:
         with pytest.raises(ValueError):
             matrix_from_obj({"dim": 0, "entries": []})
 
+    @pytest.mark.parametrize(
+        "entries,message",
+        [
+            ([["1.0", "0"]], "must be numbers"),  # a float conversion would parse the strings
+            ([[1, "0"]], "must be numbers"),
+            ([[None, 0.0]], "must be numbers"),
+            ([[10**400, 0]], "must be finite numbers"),  # float() raises OverflowError
+            ([[0.5, 10**400]], "must be finite numbers"),
+            ([[True, 0.0]], "not booleans"),
+            ([[1.0, False]], "not booleans"),
+        ],
+    )
+    def test_rejects_entries_that_are_not_finite_numbers(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            matrix_from_obj({"dim": 1, "entries": entries})
+
+    @pytest.mark.parametrize("entries", [[[10**20, 0]], [[0.5, 10**20]], [[2**63, -1]]])
+    def test_accepts_integers_beyond_int64_that_a_float_holds(self, entries):
+        got = matrix_from_obj({"dim": 1, "entries": entries})
+        assert got[0, 0] == complex(*entries[0])
+
 
 class TestDpwFormat:
     def test_round_trip(self):

@@ -1,11 +1,18 @@
 """The identity suite: batched checks against the per-power oracles, mutants and order caps."""
 
+import numpy as np
 import pytest
 
 import hadinv.verify as verify
-from oracles import fourier_diag_conjugation, tensor_diag_conjugation
+from oracles import (
+    block_unitary_permutation_form,
+    clock_shift_commutation,
+    fourier_diag_conjugation,
+    spin_squares,
+    tensor_diag_conjugation,
+)
 from hadinv import FourierSpec, OrderOutOfRange, OrderTooLarge, fourier, fourier_tensor, run_verification
-from hadinv.hadamard import clock, shift, shift_vec
+from hadinv.hadamard import clock_stack, shift_stack
 
 
 def check(name: str, **kwargs):
@@ -16,7 +23,8 @@ def check(name: str, **kwargs):
 class TestBatchedChecksMatchThePerPowerLoops:
     @pytest.mark.parametrize("max_order", [12, 64])
     def test_fourier_diag_conjugation(self, max_order):
-        got = verify._fourier_diag_conjugation([fourier(n) for n in range(2, max_order + 1)])
+        _, got = verify._fourier_checks([fourier(n) for n in range(2, max_order + 1)])
+        assert got.name == "fourier-diag-conjugation"
         assert (got.passed, got.max_err) == fourier_diag_conjugation(max_order)
 
     def test_tensor_diag_conjugation(self):
@@ -33,21 +41,41 @@ class TestBatchedChecksMatchThePerPowerLoops:
             assert (got.passed, got.max_err) == oracle
 
 
+class TestEveryCheckMatchesItsOracle:
+    @pytest.mark.parametrize(
+        "kwargs", [{"max_order": 12, "gamma_orders": (2, 3, 4, 5, 6, 9)}, {"max_order": 64}]
+    )
+    def test_passed_and_max_err(self, kwargs):
+        results = {r.name: (r.passed, r.max_err) for r in run_verification(**kwargs)}
+        max_order = kwargs["max_order"]
+        assert results["clock-shift-commutation"] == clock_shift_commutation(max_order)
+        assert results["fourier-diag-conjugation"] == fourier_diag_conjugation(max_order)
+        assert results["tensor-diag-conjugation"] == tensor_diag_conjugation()
+        assert results["block-unitary-permutation-form"] == block_unitary_permutation_form()
+        orders = (2, 3, 4, 5, 6)
+        assert [results[f"spin-square-{n}"] for n in orders] == spin_squares(orders)
+
+
 class TestMutantsFail:
     def test_shift_one_power_off(self, monkeypatch):
-        monkeypatch.setattr(verify, "shift", lambda n, k: shift(n, (k + 1) % n if k >= 2 else k))
+        def off_by_one(spec, rs):
+            rs = np.asarray(rs)
+            return shift_stack(spec, np.where(rs >= 2, (rs + 1) % np.array(FourierSpec.of(spec).orders), rs))
+
+        monkeypatch.setattr(verify, "shift_stack", off_by_one)
         assert not check("fourier-diag-conjugation").passed
 
     def test_shift_vec_with_last_component_negated(self, monkeypatch):
-        def negated(spec, r):
-            last = FourierSpec.of(spec).orders[-1]
-            return shift_vec(spec, (*r[:-1], -r[-1] % last))
+        def negated(spec, rs):
+            rs = np.array(rs)
+            rs[:, -1] = -rs[:, -1] % FourierSpec.of(spec).orders[-1]
+            return shift_stack(spec, rs)
 
-        monkeypatch.setattr(verify, "shift_vec", negated)
+        monkeypatch.setattr(verify, "shift_stack", negated)
         assert not check("tensor-diag-conjugation").passed
 
     def test_conjugated_clock(self, monkeypatch):
-        monkeypatch.setattr(verify, "clock", lambda n, k: clock(n, k).conj())
+        monkeypatch.setattr(verify, "clock_stack", lambda spec, rs: clock_stack(spec, rs).conj())
         assert not check("clock-shift-commutation").passed
 
 
@@ -67,7 +95,7 @@ class TestCapsCheckedFirst:
         def never(*args):
             raise AssertionError("a check ran before the caps were checked")
 
-        monkeypatch.setattr(verify, "_clock_shift_commutation", never)
+        monkeypatch.setattr(verify, "_fourier_checks", never)
         with pytest.raises(OrderOutOfRange) as info:
             run_verification(**kwargs)
         assert type(info.value) is error
