@@ -50,7 +50,6 @@ from .errors import (
 from .groups import (
     SubgroupSet,
     divisors,
-    elements,
     extract_subgroup,
     is_subgroup,
     realize_subgroup,
@@ -62,7 +61,6 @@ from .hadamard import (
     are_conjugate,
     block_transpose,
     block_unitary,
-    clock,
     clock_stack,
     clock_vec,
     decompose_dpw,
@@ -70,10 +68,8 @@ from .hadamard import (
     fourier_tensor,
     is_biunitary,
     is_hadamard,
-    perm_matrix,
     perm_phase_certificate,
     require_hadamard,
-    shift,
     shift_stack,
     shift_vec,
 )

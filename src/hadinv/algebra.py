@@ -129,20 +129,16 @@ def _verify_algebra(stack: np.ndarray, n: int):
             raise ValueError("span is not closed under multiplication")
 
 
-def span_algebra(mats, ambient_dim: int | None = None) -> AlgebraBasis:
-    """Orthonormalize a spanning family and wrap it as an algebra basis.
+def span_algebra(mats, ambient_dim: int) -> AlgebraBasis:
+    """Orthonormalize a spanning family of matrices in M_{ambient_dim} and wrap it as an algebra basis.
 
     The span is verified to contain the identity and to be closed under
     adjoints and products; an empty family spans the scalars.  Factories
     whose output is closed by construction build ``AlgebraBasis`` directly.
     """
-    basis = orthonormal_basis(mats)
-    if not basis:
-        if ambient_dim is None:
-            raise ValueError("cannot infer dimension from an empty family")
-        basis = [np.eye(ambient_dim, dtype=complex)]
+    basis = orthonormal_basis(mats) or [np.eye(ambient_dim, dtype=complex)]
     n = basis[0].shape[0]
-    if ambient_dim is not None and n != ambient_dim:
+    if n != ambient_dim:
         raise DimMismatch(f"expected ambient dimension {ambient_dim}, got {n}")
     stack = np.stack(basis)
     _verify_algebra(stack, n)
@@ -191,7 +187,7 @@ def commutant(algebra: AlgebraBasis, ambient: AlgebraBasis) -> AlgebraBasis:
         rows = [(g @ a - a @ g).reshape(-1) for a in algebra.basis]
         cols.append(np.concatenate(rows))
     system = np.stack(cols, axis=1)
-    kernel = nullspace(system, EPS_RANK)
+    kernel = nullspace(system)
     members = [np.tensordot(coeff, ambient.basis, axes=1) for coeff in kernel.T]
     return span_algebra(members, ambient.ambient_dim)
 
@@ -396,7 +392,7 @@ def vertex_model_square(u, spec, tol: ToleranceConfig = DEFAULT_TOL) -> TowerBas
         blocks=y,
         commuting=err < tol.eps_entry,
         nondegenerate=nondeg,
-        relcomm_dim=nullspace(tri, EPS_RANK).shape[1],
+        relcomm_dim=nullspace(tri).shape[1],
         max_commuting_err=err,
     )
 

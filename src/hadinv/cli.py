@@ -19,8 +19,6 @@ settings.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -58,6 +56,7 @@ from .linalg import DEFAULT_TOL, ToleranceConfig, classify
 from .serialize import (
     dpw_to_obj,
     dumps,
+    index_to_obj,
     load_matrix,
     matrix_to_obj,
     report_to_obj,
@@ -81,10 +80,7 @@ def _csv_complex(text: str) -> tuple[complex, ...]:
 
 
 def _tolerance(args) -> ToleranceConfig:
-    eps = args.tolerance
-    if eps is None:
-        eps = os.environ.get("HADINV_TOLERANCE") or None
-    return DEFAULT_TOL if eps is None else ToleranceConfig(eps_entry=float(eps))
+    return DEFAULT_TOL if args.tolerance is None else ToleranceConfig(eps_entry=args.tolerance)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -215,7 +211,7 @@ def cmd_realize(args, tol: ToleranceConfig) -> int:
         "spec": list(spec.orders),
         "divisors": list(divisor_vec),
         "subgroup": subgroup_to_obj(report.subgroup),
-        "index": {"num": report.index.numerator, "den": report.index.denominator},
+        "index": index_to_obj(report.index),
         "u": matrix_to_obj(u),
         "v": matrix_to_obj(v),
     }
@@ -227,22 +223,22 @@ def cmd_realize(args, tol: ToleranceConfig) -> int:
     return EXIT_OK
 
 
+def _invariant_fields(report: InvariantReport) -> dict:
+    """The invariant fields of a sweep row, in either mode."""
+    return {
+        "dimA": report.dim_a,
+        "index": index_to_obj(report.index),
+        "entropy_h": report.entropy_h,
+        "entropy_upper": report.entropy_upper,
+        "gap": report.entropy_upper - report.entropy_h,
+    }
+
+
 def _sweep_realize_rows(spec: FourierSpec, tol: ToleranceConfig) -> list[dict]:
-    rows = []
-    for divisor_vec, report in realization_sweep(spec, tol):
-        gap = report.entropy_upper - report.entropy_h
-        rows.append(
-            {
-                "divisors": list(divisor_vec),
-                "dimA": report.dim_a,
-                "index": {"num": report.index.numerator, "den": report.index.denominator},
-                "entropy_h": report.entropy_h,
-                "entropy_upper": report.entropy_upper,
-                "gap": gap,
-                "violations": [],
-            }
-        )
-    return rows
+    return [
+        {"divisors": list(divisor_vec), **_invariant_fields(report), "violations": []}
+        for divisor_vec, report in realization_sweep(spec, tol)
+    ]
 
 
 def _random_row(
@@ -259,15 +255,7 @@ def _random_row(
         row["violations"] = [f"oracle-mismatch: {report}"]
         return row
 
-    row.update(
-        {
-            "dimA": report.dim_a,
-            "index": {"num": report.index.numerator, "den": report.index.denominator},
-            "entropy_h": report.entropy_h,
-            "entropy_upper": report.entropy_upper,
-            "gap": report.entropy_upper - report.entropy_h,
-        }
-    )
+    row.update(_invariant_fields(report))
     violations: list[str] = []
     if "subgroup-not-closed" in report.flags:
         violations.append("subgroup-not-closed")
@@ -475,7 +463,7 @@ def main(argv=None) -> int:
     except HadinvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

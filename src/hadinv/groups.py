@@ -25,7 +25,6 @@ of the entries of X, whose bipartite graph gives dimA.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, dagger
 
 __all__ = [
     "SubgroupSet",
-    "elements",
     "is_subgroup",
     "extract_decisions",
     "extract_subgroup",
@@ -48,10 +46,6 @@ __all__ = [
     "divisors",
     "realize_subgroup",
 ]
-
-def elements(group) -> list[tuple[int, ...]]:
-    """All group elements in lexicographic order."""
-    return list(itertools.product(*[range(n) for n in FourierSpec.of(group).orders]))
 
 
 def is_subgroup(group, members) -> bool:

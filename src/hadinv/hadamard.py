@@ -45,8 +45,6 @@ __all__ = [
     "realize_forms",
     "fourier",
     "fourier_tensor",
-    "clock",
-    "shift",
     "clock_vec",
     "shift_vec",
     "clock_stack",
@@ -55,7 +53,6 @@ __all__ = [
     "is_hadamard",
     "require_hadamard",
     "block_unitary",
-    "perm_matrix",
     "perm_phase_certificate",
     "dpw_parts",
     "decompose_dpw",
@@ -137,9 +134,9 @@ def fourier(n: int) -> np.ndarray:
 def fourier_tensor(spec) -> np.ndarray:
     """Left-to-right Kronecker product of the Fourier matrices of a spec.
 
-    The tensor is built once per spec and cached (one N x N matrix per
-    spec, N <= DIM_CAP); each call returns a fresh writable copy, so no
-    caller shares or can alter the cached array.
+    The tensor is built once per spec and cached read-only (one N x N
+    matrix per spec, N <= DIM_CAP); each call returns a fresh writable
+    copy, so no caller shares or can alter the cached array.
     """
     return _fourier_tensor(FourierSpec.of(spec).orders).copy()
 
@@ -149,6 +146,7 @@ def _fourier_tensor(orders: tuple[int, ...]) -> np.ndarray:
     out = fourier(orders[0])
     for n in orders[1:]:
         out = tensor(out, fourier(n))
+    out.flags.writeable = False
     return out
 
 
@@ -160,43 +158,44 @@ def clock_stack(spec, rs) -> np.ndarray:
     takes, so every entry matches the per-vector Kronecker product bit for
     bit, signed zeros included.
     """
-    spec = FourierSpec.of(spec)
-    return _clock_stack(spec.orders, _exponent_stack(spec.orders, rs))
+    orders = FourierSpec.of(spec).orders
+    factors = []
+    for n, k in zip(orders, _exponent_stack(orders, rs).T):
+        omega = np.exp(2j * np.pi / n)
+        m = np.zeros((len(k), n, n), dtype=complex)
+        m.reshape(len(k), -1)[:, :: n + 1] = omega ** (k[:, None] * np.arange(n))
+        factors.append(m)
+    return functools.reduce(tensor, factors)
 
 
 def shift_stack(spec, rs) -> np.ndarray:
     """The shift tensors ``shift_vec(spec, r)`` of the rows r of a ``(B, k)`` array, as a ``(B, N, N)`` stack."""
-    spec = FourierSpec.of(spec)
-    return _shift_stack(spec.orders, _exponent_stack(spec.orders, rs))
-
-
-def clock(n: int, k: int) -> np.ndarray:
-    """Diagonal ``diag(1, omega^k, omega^{2k}, ...)``; k-th power of the clock matrix."""
-    return _clock_stack((n,), _exponent_stack((n,), [[k]], "clock"))[0]
-
-
-def shift(n: int, k: int) -> np.ndarray:
-    """Cyclic permutation sending basis vector e_j to e_{j-k mod n} (k-th power)."""
-    return _shift_stack((n,), _exponent_stack((n,), [[k]], "shift"))[0]
+    orders = FourierSpec.of(spec).orders
+    factors = []
+    for n, k in zip(orders, _exponent_stack(orders, rs).T):
+        m = np.zeros((len(k), n, n), dtype=complex)
+        rows = np.arange(n)
+        m[np.arange(len(k))[:, None], rows, (rows + k[:, None]) % n] = 1.0
+        factors.append(m)
+    return functools.reduce(tensor, factors)
 
 
 def clock_vec(spec, r) -> np.ndarray:
-    """Kronecker product of per-factor clock powers ``clock(n_i, r_i)``."""
+    """Kronecker product of the per-factor clock powers ``diag(1, omega_i^{r_i}, omega_i^{2 r_i}, ...)``."""
     return clock_stack(spec, [r])[0]
 
 
 def shift_vec(spec, r) -> np.ndarray:
-    """Kronecker product of per-factor shift powers ``shift(n_i, r_i)``."""
+    """Kronecker product of the per-factor shift powers, each sending e_j to e_{j - r_i mod n_i}."""
     return shift_stack(spec, [r])[0]
 
 
-def _exponent_stack(orders: tuple[int, ...], rs, power: str | None = None) -> np.ndarray:
+def _exponent_stack(orders: tuple[int, ...], rs) -> np.ndarray:
     """``rs`` as a ``(B, k)`` int array with ``0 <= r_i <= n_i``; ``IndexOutOfRange`` otherwise.
 
     Entries must be finite real integers (``2.0`` passes, as in
     ``integer_tuple``).  Each message names the first offending vector or
-    component; ``power`` (``"clock"`` or ``"shift"``) words the messages
-    of a single power instead.
+    component.
     """
     try:
         raw = np.asarray(rs)
@@ -207,9 +206,7 @@ def _exponent_stack(orders: tuple[int, ...], rs, power: str | None = None) -> np
     if raw.dtype.kind not in "biu":
         bad = ~np.isfinite(raw) | (raw != np.trunc(raw)) if raw.dtype.kind == "f" else np.ones(raw.shape, bool)
         if bad.any():
-            row, col = np.argwhere(bad)[0]
-            if power:
-                raise IndexOutOfRange(f"{power} power must be in [0, {orders[0]}], got {raw[row, col].tolist()}")
+            row, _ = np.argwhere(bad)[0]
             raise IndexOutOfRange(f"vector components must be integers, got {raw[row].tolist()}")
     raw = raw.astype(int)
     if raw.shape[1] != len(orders):
@@ -217,32 +214,8 @@ def _exponent_stack(orders: tuple[int, ...], rs, power: str | None = None) -> np
     bad = (raw < 0) | (raw > np.array(orders))
     if bad.any():
         row, col = np.argwhere(bad)[0]
-        if power:
-            raise IndexOutOfRange(f"{power} power must be in [0, {orders[0]}], got {raw[row, col]}")
         raise IndexOutOfRange(f"component {raw[row, col]} out of range for order {orders[col]}")
     return raw
-
-
-def _clock_stack(orders: tuple[int, ...], rs: np.ndarray) -> np.ndarray:
-    """``clock_stack`` of exponent vectors its caller has checked."""
-    factors = []
-    for n, k in zip(orders, rs.T):
-        omega = np.exp(2j * np.pi / n)
-        m = np.zeros((len(k), n, n), dtype=complex)
-        m.reshape(len(k), -1)[:, :: n + 1] = omega ** (k[:, None] * np.arange(n))
-        factors.append(m)
-    return functools.reduce(tensor, factors)
-
-
-def _shift_stack(orders: tuple[int, ...], rs: np.ndarray) -> np.ndarray:
-    """``shift_stack`` of exponent vectors its caller has checked."""
-    factors = []
-    for n, k in zip(orders, rs.T):
-        m = np.zeros((len(k), n, n), dtype=complex)
-        rows = np.arange(n)
-        m[np.arange(len(k))[:, None], rows, (rows + k[:, None]) % n] = 1.0
-        factors.append(m)
-    return functools.reduce(tensor, factors)
 
 
 def hadamard_mask(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -278,17 +251,6 @@ def block_unitary(u, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return tensor(np.eye(n), u) * (np.sqrt(n) * u.conj().reshape(-1))
 
 
-def perm_matrix(p) -> np.ndarray:
-    """Permutation matrix with row i supported at column ``p[i]``."""
-    p = np.asarray(p, dtype=int)
-    n = p.size
-    if sorted(p.tolist()) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {p.tolist()}")
-    m = np.zeros((n, n), dtype=complex)
-    m[np.arange(n), p] = 1.0
-    return m
-
-
 def _split_complex_permutation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a complex permutation matrix, or each of a stack, into (row -> column map, row phases)."""
     perm = np.argmax(np.abs(m), axis=-1)
@@ -301,9 +263,10 @@ def perm_phase_certificate(u, v, tol: ToleranceConfig = DEFAULT_TOL):
 
     Computes ``u* v``; when that product is a complex permutation matrix the
     pair generates one and the same subfactor, and the certificate
-    ``(perm, phases)`` with ``P = perm_matrix(perm)`` and
-    ``D = diag(phases)`` is returned.  Otherwise returns ``None``, which
-    certifies that the two subfactors are distinct.
+    ``(perm, phases)`` is returned, with ``D = diag(phases)`` and P the
+    permutation matrix whose row i has its 1 at column ``perm[i]``.
+    Otherwise returns ``None``, which certifies that the two subfactors are
+    distinct.
     """
     u = as_matrix(u)
     v = as_matrix(v)
@@ -321,7 +284,7 @@ def perm_phase_certificate(u, v, tol: ToleranceConfig = DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class DpwForm:
-    """Normal form ``diag(phases) @ perm_matrix(perm) @ fourier_tensor(spec)``.
+    """Normal form ``diag(phases) @ P @ fourier_tensor(spec)``, row i of P having its 1 at column ``perm[i]``.
 
     ``tol`` decides the unit-modulus check on the phases; it is not part of
     the form and takes no part in comparisons.
@@ -383,7 +346,7 @@ def diag_times(phases, mats) -> np.ndarray:
 
 
 def realize_forms(perms, phases, spec) -> np.ndarray:
-    """The matrices ``diag(phases[b]) @ perm_matrix(perms[b]) @ W`` of a stack of normal forms."""
+    """The matrices ``diag(phases[b]) @ P_b @ W`` of a stack of normal forms, ``P_b`` as in ``DpwForm`` for ``perms[b]``."""
     w = _fourier_tensor(FourierSpec.of(spec).orders)
     # row i of P W is row perm[i] of W
     return diag_times(phases, w[np.asarray(perms)])

@@ -193,8 +193,8 @@ def orthonormal_basis(mats) -> list[np.ndarray]:
     return basis
 
 
-def nullspace(m: np.ndarray, eps: float) -> np.ndarray:
-    """Orthonormal kernel basis, as columns, of an (possibly tall) matrix."""
+def nullspace(m: np.ndarray) -> np.ndarray:
+    """Orthonormal kernel basis, as columns, of an (possibly tall) matrix; the rank cut is ``EPS_RANK``."""
     m = np.asarray(m, dtype=complex)
     rows, cols = m.shape
     if cols == 0:
@@ -202,7 +202,7 @@ def nullspace(m: np.ndarray, eps: float) -> np.ndarray:
     # reduced SVD suffices for tall systems; wide ones need the full V for
     # the kernel rows beyond min(rows, cols)
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    rank = int((s > eps).sum())
+    rank = int((s > EPS_RANK).sum())
     return vh[rank:].conj().T
 
 
@@ -222,7 +222,7 @@ def subspace_intersection(a, b) -> list[np.ndarray]:
         raise DimMismatch("subspace intersection needs one ambient dimension")
 
     stacked = np.stack([m.reshape(-1) for m in abasis] + [-m.reshape(-1) for m in bbasis], axis=1)
-    kernel = nullspace(stacked, EPS_RANK)
+    kernel = nullspace(stacked)
 
     astack = np.stack(abasis)
     members = [np.tensordot(coeff[: len(abasis)], astack, axes=1) for coeff in kernel.T]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "matrix_from_obj",
     "dpw_to_obj",
     "subgroup_to_obj",
+    "index_to_obj",
     "report_to_obj",
     "dumps",
     "load_matrix",
@@ -106,6 +108,11 @@ def subgroup_to_obj(subgroup: SubgroupSet) -> dict:
     }
 
 
+def index_to_obj(index: Fraction) -> dict:
+    """An exact index as ``{"num": numerator, "den": denominator}``."""
+    return {"num": index.numerator, "den": index.denominator}
+
+
 def report_to_obj(report: InvariantReport) -> dict:
     return {
         "N": report.n,
@@ -114,7 +121,7 @@ def report_to_obj(report: InvariantReport) -> dict:
         "conjugate": report.conjugate,
         "dimA": report.dim_a,
         "subgroup": None if report.subgroup is None else subgroup_to_obj(report.subgroup),
-        "index": {"num": report.index.numerator, "den": report.index.denominator},
+        "index": index_to_obj(report.index),
         "index_float": float(report.index),
         "relcomm_dims": report.relcomm_dims,
         "vertex": report.vertex,
@@ -238,4 +245,8 @@ def dumps(obj) -> str:
 
 def load_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as handle:
-        return matrix_from_obj(json.load(handle))
+        try:
+            obj = json.load(handle)
+        except RecursionError:
+            raise ValueError("matrix JSON is nested too deeply") from None
+    return matrix_from_obj(obj)

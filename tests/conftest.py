@@ -12,12 +12,17 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_dpw(spec_orders, rng: np.random.Generator) -> np.ndarray:
     """Random normal-form matrix diag(phases) @ P @ W over the given orders."""
-    from hadinv import fourier_tensor, perm_matrix
+    from hadinv import fourier_tensor
 
     w = fourier_tensor(spec_orders)
     n = w.shape[0]
     phases = np.exp(2j * np.pi * rng.random(n))
     return np.diag(phases) @ perm_matrix(rng.permutation(n)) @ w
+
+
+def perm_matrix(perm) -> np.ndarray:
+    """The permutation matrix whose row i has its 1 at column ``perm[i]``."""
+    return np.eye(len(perm), dtype=complex)[np.asarray(perm)]
 
 
 def maxabs(a) -> float:

@@ -28,7 +28,7 @@ from hadinv import (
     is_hadamard,
     random_conjugate_pair,
     scalar_algebra,
-    shift,
+    shift_vec,
     span_algebra,
     tensor_algebra,
     vertex_model_square,
@@ -83,10 +83,10 @@ class TestCommutant:
         assert commutant(full_matrix_algebra(3), full_matrix_algebra(3)).dim == 1
 
     def test_half_shift_inside_diagonals(self):
-        alg = span_algebra([np.eye(4), shift(4, 2)], 4)
+        alg = span_algebra([np.eye(4), shift_vec((4,), (2,))], 4)
         got = commutant(alg, diagonal_algebra(4))
         # oracle: a diagonal d commutes with the two-step shift iff d_j = d_{j+2}
-        s = shift(4, 2)
+        s = shift_vec((4,), (2,))
         count = 0
         for seed in range(12):
             rng = np.random.default_rng(seed)
@@ -149,7 +149,7 @@ class TestDiagConjAlgebra:
     def test_fourier_gives_circulants(self):
         got = diag_conj_algebra(fourier(4))
         for r in range(4):
-            assert got.contains(shift(4, r))
+            assert got.contains(shift_vec((4,), (r,)))
 
     def test_dimension_always_n(self):
         rng = np.random.default_rng(43)
@@ -399,5 +399,5 @@ class TestSpanAlgebra:
             span_algebra([np.eye(3), np.diag([0.0, 1.0, 2.0]).astype(complex)], 3)
 
     def test_accepts_group_algebra(self):
-        alg = span_algebra([np.eye(4), shift(4, 1), shift(4, 2), shift(4, 3)], 4)
+        alg = span_algebra([shift_vec((4,), (k,)) for k in range(4)], 4)
         assert alg.dim == 4

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SPECS_UP_TO_16, maxabs, random_dpw
+from conftest import SPECS_UP_TO_16, maxabs, perm_matrix, random_dpw
 from hadinv import (
     DEFAULT_TOL,
     DimMismatch,
@@ -20,29 +20,16 @@ from hadinv import (
     SubgroupSet,
     clock_vec,
     divisors,
-    elements,
     extract_subgroup,
     fourier,
     fourier_tensor,
     is_subgroup,
-    perm_matrix,
     random_conjugate_pair,
     realize_subgroup,
     subspace_intersection,
 )
 from hadinv.groups import annihilator_mask, subgroup_from_mask
 from oracles import staircase_pair
-
-
-class TestElements:
-    def test_klein_enumeration(self):
-        assert elements((2, 2)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-    def test_order_product(self):
-        assert len(elements((2, 3))) == 6
-
-    def test_lexicographic(self):
-        assert elements((4,))[2] == (2,)
 
 
 class TestIsSubgroup:
@@ -106,7 +93,7 @@ class TestSubgroupSet:
         def add(a, b):
             return tuple((x + y) % n for x, y, n in zip(a, b, orders))
 
-        identity, *rest = elements(orders)
+        identity, *rest = itertools.product(*map(range, orders))
         for size in range(len(rest) + 1):
             for extra in itertools.combinations(rest, size):
                 members = {identity, *extra}
@@ -114,7 +101,7 @@ class TestSubgroupSet:
                 assert is_subgroup(orders, members) == expected
 
     def test_full_group_of_order_64(self):
-        members = frozenset(elements((8, 8)))
+        members = frozenset(itertools.product(range(8), range(8)))
         assert SubgroupSet(orders=(8, 8), members=members).size == 64
         with pytest.raises(NotClosed):
             SubgroupSet(orders=(8, 8), members=members - {(3, 5)})
@@ -163,7 +150,7 @@ class TestSubgroupBelow:
     def test_every_subset_of_z2_x_z4(self):
         group = FourierSpec((2, 4))
         for size in range(group.dim + 1):
-            for members in itertools.combinations(elements(group), size):
+            for members in itertools.combinations(itertools.product(*map(range, group.orders)), size):
                 if is_subgroup(group, members):
                     found = self._below(group.orders, members)
                     assert found == SubgroupSet(orders=group.orders, members=frozenset(members))
@@ -178,7 +165,7 @@ class TestSubgroupBelow:
         calls = []
         check = groups._mask_is_subgroup
         monkeypatch.setattr(groups, "_mask_is_subgroup", lambda *args: calls.append(1) or check(*args))
-        self._below((8, 8), elements((8, 8)))
+        self._below((8, 8), list(itertools.product(range(8), range(8))))
         assert len(calls) == 1
         SubgroupSet(orders=(4,), members=frozenset({(0,), (2,)}))
         assert len(calls) == 2
@@ -298,7 +285,7 @@ def _kronecker_clock_members(u, v, orders) -> frozenset:
     left = v.conj().T @ u
     right = u.conj().T @ v
     found = set()
-    for r in elements(orders):
+    for r in itertools.product(*map(range, orders)):
         m = left @ clock_vec(spec, r) @ right
         if np.abs(m - np.diag(np.diag(m))).max() < DEFAULT_TOL.eps_entry:
             found.add(r)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hadinv.invariants
-from conftest import SPECS_UP_TO_16, haar_unitary, maxabs, random_dpw
+from conftest import SPECS_UP_TO_16, haar_unitary, maxabs, perm_matrix, random_dpw
 from hadinv import (
     DimMismatch,
     DomainError,
@@ -38,7 +38,6 @@ from hadinv import (
     modified_entropy,
     pair_report,
     pair_reports,
-    perm_matrix,
     random_conjugate_forms,
     random_conjugate_pair,
     realization_sweep,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_unitary, maxabs
+from conftest import haar_unitary, maxabs, perm_matrix
 from oracles import trace_inner
 from hadinv import (
     ToleranceConfig,
@@ -15,8 +15,7 @@ from hadinv import (
     is_complex_permutation,
     is_unitary,
     orthonormal_basis,
-    perm_matrix,
-    shift,
+    shift_vec,
     subspace_intersection,
     tensor,
 )
@@ -78,12 +77,12 @@ class TestTensor:
 
 class TestClassify:
     def test_shift_is_permutation(self):
-        flags = classify(shift(3, 1))
+        flags = classify(shift_vec((3,), (1,)))
         assert flags.permutation and flags.unitary and flags.complex_permutation
         assert not flags.diagonal
 
     def test_phase_permutation(self):
-        flags = classify(np.diag([1, 1j]) @ shift(2, 1))
+        flags = classify(np.diag([1, 1j]) @ shift_vec((2,), (1,)))
         assert flags.complex_permutation and not flags.permutation
         assert flags.unitary
 
@@ -111,8 +110,8 @@ class TestSingleFlagPredicates:
         rng = np.random.default_rng(8)
         return [
             np.eye(3),
-            shift(3, 1),
-            np.diag([1, 1j]) @ shift(2, 1),
+            shift_vec((3,), (1,)),
+            np.diag([1, 1j]) @ shift_vec((2,), (1,)),
             fourier(4),
             haar_unitary(5, rng),
             np.array([[0.5, 0.5], [0.5, 0.5]]),
@@ -131,7 +130,7 @@ class TestSingleFlagPredicates:
     @pytest.mark.parametrize("noise", [1e-11, 1e-7])
     def test_entry_noise_against_the_threshold(self, noise):
         # eps_entry = 1e-9: noise below it is absorbed, noise above it is not
-        m = np.diag([1, 1j, -1]) @ shift(3, 1)
+        m = np.diag([1, 1j, -1]) @ shift_vec((3,), (1,))
         noisy = m + noise * np.ones((3, 3))
         below = noise < 1e-9
         assert is_complex_permutation(noisy) == below
@@ -145,7 +144,7 @@ class TestSingleFlagPredicates:
         rng = np.random.default_rng(7)
         mats = [m for m in self.matrices() if m.shape == (2, 2)] + [
             haar_unitary(2, rng),
-            np.diag([1j, -1]) @ shift(2, 1) + 1e-7,
+            np.diag([1j, -1]) @ shift_vec((2,), (1,)) + 1e-7,
         ]
         stack = as_stack(mats)
         assert unitary_mask(stack).tolist() == [is_unitary(m) for m in mats]
@@ -160,7 +159,7 @@ class TestSingleFlagPredicates:
         mats = self.matrices() + [perm_matrix(rng.permutation(4)), perm_matrix(rng.permutation(4)) * -1]
         for m in mats:
             assert bool(permutation_mask(np.asarray(m, dtype=complex))) == classify(m).permutation
-        stack = np.stack([perm_matrix(rng.permutation(5)) for _ in range(3)] + [shift(5, 2) * 1j])
+        stack = np.stack([perm_matrix(rng.permutation(5)) for _ in range(3)] + [shift_vec((5,), (2,)) * 1j])
         assert permutation_mask(stack).tolist() == [True, True, True, False]
 
     def test_a_modulus_off_one_is_not_a_complex_permutation(self):
@@ -185,7 +184,7 @@ class TestTraceInner:
         assert abs(trace_inner(e11, e22)) < 1e-15
 
     def test_shift_has_unit_norm(self):
-        s = shift(2, 1)
+        s = shift_vec((2,), (1,))
         assert abs(trace_inner(s, s) - 1) < 1e-15
 
     def test_sesquilinear(self):
@@ -226,7 +225,7 @@ class TestSubspaceIntersection:
     def test_scalars_only(self):
         # span{I, s} meets span{I, D s D*} (D = diag(1, i)) exactly in the scalars:
         # matching coefficients on the off-diagonal forces both to vanish
-        s = shift(2, 1)
+        s = shift_vec((2,), (1,))
         other = np.array([[0, -1j], [1j, 0]])
         got = subspace_intersection([np.eye(2), s], [np.eye(2), other])
         assert len(got) == 1
@@ -243,7 +242,7 @@ class TestSubspaceIntersection:
         # oracle: scan which conjugates d shift(4,r) d* stay scalar multiples of shift(4,r)
         expected = 0
         for r in range(4):
-            s = shift(4, r)
+            s = shift_vec((4,), (r,))
             conj = d @ s @ d.conj().T
             scale = conj[0, (0 + r) % 4] / s[0, (0 + r) % 4]
             expected += int(maxabs(conj - scale * s) < 1e-12)
@@ -251,7 +250,7 @@ class TestSubspaceIntersection:
         assert len(got) == expected
 
     def test_dimension_bounds(self):
-        s = shift(4, 1)
+        s = shift_vec((4,), (1,))
         small = [np.eye(4), s]
         big = [np.linalg.matrix_power(s, k) for k in range(4)]
         inter = subspace_intersection(small, big)
