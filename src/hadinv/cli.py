@@ -31,6 +31,7 @@ from .hadamard import (
     FourierSpec,
     are_conjugate,
     clock_vec,
+    comma_list,
     decompose_dpw,
     diag_times,
     fourier,
@@ -59,6 +60,7 @@ from .serialize import (
     index_to_obj,
     load_matrix,
     matrix_to_obj,
+    pairs,
     report_to_obj,
     subgroup_to_obj,
 )
@@ -69,14 +71,6 @@ EXIT_INPUT = 1
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 EXIT_VERIFY = 4
-
-
-def _csv_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
-
-
-def _csv_complex(text: str) -> tuple[complex, ...]:
-    return tuple(complex(part) for part in text.split(","))
 
 
 def _tolerance(args) -> ToleranceConfig:
@@ -108,14 +102,15 @@ def cmd_gen(args, tol: ToleranceConfig) -> int:
     elif args.kind in ("diag", "shift"):
         if args.k is None:
             raise HadinvError(f"--kind {args.kind} needs --k")
-        k = _csv_ints(args.k)
+        k = comma_list(args.k, int, HadinvError, "--k")
         if len(k) != len(spec.orders):
             raise HadinvError(f"--k must list one power per factor of {spec.orders}")
         matrix = clock_vec(spec, k) if args.kind == "diag" else shift_vec(spec, k)
     else:  # dpw
         if args.perm is None or args.phases is None:
             raise HadinvError("--kind dpw needs --perm and --phases")
-        perm, phases = _csv_ints(args.perm), _csv_complex(args.phases)
+        perm = comma_list(args.perm, int, HadinvError, "--perm")
+        phases = comma_list(args.phases, complex, HadinvError, "--phases")
         form = DpwForm(spec=spec, perm=perm, phases=phases, tol=tol)
         matrix = form.realize()
     _write(dumps(matrix_to_obj(matrix)), args.out)
@@ -159,7 +154,7 @@ def cmd_check(args, tol: ToleranceConfig) -> int:
             if cert is None
             else {
                 "perm": [int(p) for p in cert[0]],
-                "phases": [[float(z.real), float(z.imag)] for z in cert[1]],
+                "phases": pairs(cert[1]),
             },
             "conjugate": conjugate,
         }
@@ -205,7 +200,7 @@ def cmd_report(args, tol: ToleranceConfig) -> int:
 
 def cmd_realize(args, tol: ToleranceConfig) -> int:
     spec = FourierSpec.parse(args.spec)
-    divisor_vec = _csv_ints(args.divisors)
+    divisor_vec = comma_list(args.divisors, int, HadinvError, "--divisors")
     ((u, v, report),) = realized_reports(spec, [divisor_vec], tol)
     obj = {
         "spec": list(spec.orders),
@@ -268,11 +263,6 @@ def _random_row(
     return row
 
 
-def _pairs(phases: np.ndarray) -> list:
-    """``[re, im]`` lists of a ``(B, N)`` complex stack, from one ``tolist``."""
-    return phases.view(float).reshape(*phases.shape, 2).tolist()
-
-
 def _random_draw(spec: FourierSpec, seed: int, sample: int) -> tuple[np.ndarray, ...]:
     """Row ``sample``'s ``(perm, phases_u, phases_v, extra)``: the forms, then the left-invariance phases."""
     # per-row generator keyed by (seed, sample): a row depends on nothing else
@@ -305,7 +295,7 @@ def _sweep_random_rows(spec: FourierSpec, seed: int, samples: int, tol: Toleranc
         left = np.abs(_checked_entropies(diag_times(extra, us), diag_times(extra, vs), eps) - h) > ENTROPY_TOL
         misses = dict(zip(done, zip(symmetry.tolist(), left.tolist())))
 
-        lists = (perms.tolist(), _pairs(phases_u), _pairs(phases_v))
+        lists = (perms.tolist(), pairs(phases_u), pairs(phases_v))
         for k, (perm, row_u, row_v) in enumerate(zip(*lists)):
             rows.append(_random_row(start + k, perm, row_u, row_v, reports[k], misses.get(k, (False, False))))
     return rows
@@ -346,6 +336,8 @@ def cmd_sweep(args, tol: ToleranceConfig) -> int:
         if args.seed is None:
             print("usage error: --mode random needs --seed", file=sys.stderr)
             return EXIT_USAGE
+        if args.seed < 0:  # numpy's own message would not name the flag
+            raise HadinvError(f"--seed must be non-negative, got {args.seed}")
         if args.samples < 1:  # no row would be checked and the sweep would pass vacuously
             raise HadinvError(f"--samples must be at least 1, got {args.samples}")
         rows = _sweep_random_rows(spec, args.seed, args.samples, tol)
@@ -368,7 +360,7 @@ def cmd_sweep(args, tol: ToleranceConfig) -> int:
 
 
 def cmd_verify(args, tol: ToleranceConfig) -> int:
-    gamma_orders = _csv_ints(args.gamma_orders)
+    gamma_orders = comma_list(args.gamma_orders, int, HadinvError, "--gamma-orders")
     results = run_verification(max_order=args.max_order, gamma_orders=gamma_orders, tol=tol)
     if args.format == "json":
         obj = [

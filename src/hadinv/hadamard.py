@@ -38,6 +38,7 @@ from .linalg import (
 __all__ = [
     "DIM_CAP",
     "integer_tuple",
+    "comma_list",
     "FourierSpec",
     "DpwForm",
     "require_forms",
@@ -82,6 +83,14 @@ def integer_tuple(values, error: type[Exception], what: str) -> tuple[int, ...]:
     return tuple(raw.astype(int).tolist())
 
 
+def comma_list(text: str, convert, error: type[Exception], name: str) -> tuple:
+    """``convert`` of each entry of a comma list such as ``"2,3"``; ``error`` naming ``name`` if one fails."""
+    try:
+        return tuple(map(convert, text.split(",")))
+    except ValueError:
+        raise error(f"cannot parse {name} {text!r}") from None
+
+
 @dataclass(frozen=True)
 class FourierSpec:
     """Factor orders (n_1, ..., n_k) of a Fourier tensor product."""
@@ -115,11 +124,7 @@ class FourierSpec:
     @classmethod
     def parse(cls, text: str) -> "FourierSpec":
         """Parse a comma list such as ``"2,3"``."""
-        try:
-            orders = tuple(int(part) for part in text.split(","))
-        except ValueError as exc:
-            raise OrderOutOfRange(f"cannot parse spec {text!r}") from exc
-        return cls(orders)
+        return cls(comma_list(text, int, OrderOutOfRange, "spec"))
 
 
 def fourier(n: int) -> np.ndarray:
@@ -203,19 +208,20 @@ def _exponent_stack(orders: tuple[int, ...], rs) -> np.ndarray:
         raise IndexOutOfRange(f"vectors must all have length {len(orders)}") from None
     if raw.ndim != 2:
         raise IndexOutOfRange(f"expected a stack of vectors, got an array of shape {raw.shape}")
-    if raw.dtype.kind not in "biu":
+    # ints beyond int64 infer an object array; they are integers, only out of range
+    if raw.dtype.kind not in "biu" and not (raw.dtype.kind == "O" and all(type(x) is int for x in raw.flat)):
         bad = ~np.isfinite(raw) | (raw != np.trunc(raw)) if raw.dtype.kind == "f" else np.ones(raw.shape, bool)
         if bad.any():
             row, _ = np.argwhere(bad)[0]
             raise IndexOutOfRange(f"vector components must be integers, got {raw[row].tolist()}")
-    raw = raw.astype(int)
     if raw.shape[1] != len(orders):
         raise IndexOutOfRange(f"vector length {raw.shape[1]} does not match spec {orders}")
+    # compared before the cast, which would wrap a component beyond int64
     bad = (raw < 0) | (raw > np.array(orders))
     if bad.any():
         row, col = np.argwhere(bad)[0]
-        raise IndexOutOfRange(f"component {raw[row, col]} out of range for order {orders[col]}")
-    return raw
+        raise IndexOutOfRange(f"component {int(raw[row, col])} out of range for order {orders[col]}")
+    return raw.astype(int)
 
 
 def hadamard_mask(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

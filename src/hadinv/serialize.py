@@ -2,17 +2,16 @@
 
 Matrix JSON is ``{"dim": N, "entries": [[re, im], ...]}`` row-major with
 an integer N (not a boolean) and exactly N^2 pairs of finite numbers (not
-strings, ``null`` or booleans); the reader rejects anything else with
-``ValueError``.  The other formats
-(normal forms, subgroups, pair reports) are only written.  Every writer
-emits its text through ``dumps``.
+strings, ``null`` or booleans); ``matrix_from_obj`` is its one reader and
+rejects anything else with ``ValueError``.  ``pairs`` is the one writer of
+``[re, im]`` lists.  The other formats (normal forms, subgroups, pair
+reports) are only written.  Every writer emits its text through ``dumps``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import operator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -23,6 +22,7 @@ from .hadamard import DpwForm
 from .invariants import InvariantReport
 
 __all__ = [
+    "pairs",
     "matrix_to_obj",
     "matrix_from_obj",
     "dpw_to_obj",
@@ -34,70 +34,55 @@ __all__ = [
 ]
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def pairs(z) -> list:
+    """The ``[re, im]`` lists of a complex array of any shape, from one ``tolist``."""
+    z = np.ascontiguousarray(z, dtype=complex)
+    return z.view(float).reshape(*z.shape, 2).tolist()
 
 
 def matrix_to_obj(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
-    return {
-        "dim": int(m.shape[0]),
-        "entries": [_pair(z) for z in m.reshape(-1)],
-    }
+    return {"dim": int(m.shape[0]), "entries": pairs(m.reshape(-1))}
 
 
 def matrix_from_obj(obj) -> np.ndarray:
-    """Matrix JSON to an N x N complex array; any malformed payload raises ``ValueError``."""
+    """Matrix JSON, as ``json.load`` returns it, to an N x N complex array; ``ValueError`` if malformed.
+
+    ``dim`` must be an ``int`` and ``entries`` a list of N^2 lists of two
+    ``int`` or ``float`` values (never ``bool``), each within the float
+    range and finite.
+    """
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ValueError("matrix JSON must carry 'dim' and 'entries'")
-    if isinstance(obj["dim"], bool):  # operator.index would read true as 1
-        raise ValueError(f"matrix dim must be an integer, got {json.dumps(obj['dim'])}")
-    try:
-        dim = operator.index(obj["dim"])
-        raw = np.asarray(obj["entries"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed matrix JSON: {exc}") from None
-    flat = _float_entries(raw)
+    dim, entries = obj["dim"], obj["entries"]
+    if type(dim) is not int:
+        raise ValueError(f"matrix dim must be an integer, got {json.dumps(dim, default=repr)}")
     if dim < 1:
         raise ValueError(f"matrix dim must be >= 1, got {dim}")
-    if flat.shape != (dim * dim, 2):
-        raise ValueError(f"expected {dim * dim} [re, im] entry pairs, got an array of shape {flat.shape}")
+    listed = type(entries) is list and len(entries) == dim * dim
+    # the type test comes first: len() would raise TypeError on a number or null
+    if not listed or set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        raise ValueError(f"expected a list of {dim * dim} [re, im] entry pairs")
+    values = list(itertools.chain.from_iterable(entries))
+    kinds = set(map(type, values))
+    if bool in kinds:
+        raise ValueError("matrix entries must be numbers, not booleans")
+    if not kinds <= {int, float}:
+        raise ValueError("matrix entries must be numbers")
+    try:
+        flat = np.array(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("matrix entries must be finite numbers") from None
     if not np.isfinite(flat).all():
         raise ValueError("matrix entries must be finite numbers")
-    # float() reads true as 1.0 and false as 0.0, so only those values can hide a boolean
-    rows, cols = np.nonzero((flat == 0.0) | (flat == 1.0))
-    if any(type(obj["entries"][i][j]) is bool for i, j in zip(rows.tolist(), cols.tolist())):
-        raise ValueError("matrix entries must be numbers, not booleans")
     return flat.view(complex).reshape(dim, dim)
-
-
-def _float_entries(raw: np.ndarray) -> np.ndarray:
-    """The entries as a float array, decided by the dtype numpy infers for them.
-
-    Numbers (and booleans, which the caller rejects) infer a numeric dtype
-    and convert as they are.  Strings, which a float conversion would parse,
-    infer a string dtype and are rejected.  Integers beyond int64 and
-    ``None`` infer ``object``, the one dtype whose entries are looked at one
-    by one: only ints and floats pass, and an int too large for a float is
-    rejected.
-    """
-    if raw.dtype.kind == "O":
-        if any(type(x) not in (int, float) for x in raw.flat):
-            raise ValueError("matrix entries must be numbers")
-        try:
-            return raw.astype(float)
-        except OverflowError:
-            raise ValueError("matrix entries must be finite numbers") from None
-    if raw.dtype.kind not in "biuf":
-        raise ValueError("matrix entries must be numbers")
-    return np.ascontiguousarray(raw, dtype=float)
 
 
 def dpw_to_obj(form: DpwForm) -> dict:
     return {
         "spec": list(form.spec.orders),
         "perm": list(form.perm),
-        "phases": [_pair(z) for z in form.phases],
+        "phases": pairs(form.phases),
     }
 
 

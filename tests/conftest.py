@@ -25,6 +25,11 @@ def perm_matrix(perm) -> np.ndarray:
     return np.eye(len(perm), dtype=complex)[np.asarray(perm)]
 
 
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: every entry equal, signed zeros included."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def maxabs(a) -> float:
     return float(np.abs(np.asarray(a)).max())
 

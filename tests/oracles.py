@@ -2,6 +2,8 @@
 
 import functools
 import itertools
+import json
+import operator
 
 import numpy as np
 
@@ -161,3 +163,58 @@ def spin_squares(orders) -> list[tuple[bool, float]]:
             worst = max(worst, square.max_commuting_err)
         out.append((ok, worst))
     return out
+
+
+def pair_lists(z) -> list:
+    """``[re, im]`` lists of a complex array, one ``float(np.real(z)), float(np.imag(z))`` per entry."""
+    z = np.asarray(z, dtype=complex)
+    if z.ndim == 0:
+        return [float(np.real(z)), float(np.imag(z))]
+    return [pair_lists(row) for row in z]
+
+
+def matrix_from_obj(obj) -> np.ndarray:
+    """Matrix JSON to an N x N complex array, by numpy's dtype inference; ``ValueError`` if malformed."""
+    if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
+        raise ValueError("matrix JSON must carry 'dim' and 'entries'")
+    if isinstance(obj["dim"], bool):  # operator.index would read true as 1
+        raise ValueError(f"matrix dim must be an integer, got {json.dumps(obj['dim'])}")
+    try:
+        dim = operator.index(obj["dim"])
+        raw = np.asarray(obj["entries"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed matrix JSON: {exc}") from None
+    flat = _float_entries(raw)
+    if dim < 1:
+        raise ValueError(f"matrix dim must be >= 1, got {dim}")
+    if flat.shape != (dim * dim, 2):
+        raise ValueError(f"expected {dim * dim} [re, im] entry pairs, got an array of shape {flat.shape}")
+    if not np.isfinite(flat).all():
+        raise ValueError("matrix entries must be finite numbers")
+    # float() reads true as 1.0 and false as 0.0, so only those values can hide a boolean
+    rows, cols = np.nonzero((flat == 0.0) | (flat == 1.0))
+    if any(type(obj["entries"][i][j]) is bool for i, j in zip(rows.tolist(), cols.tolist())):
+        raise ValueError("matrix entries must be numbers, not booleans")
+    return flat.view(complex).reshape(dim, dim)
+
+
+def _float_entries(raw: np.ndarray) -> np.ndarray:
+    """The entries as a float array, decided by the dtype numpy infers for them.
+
+    Numbers (and booleans, which the caller rejects) infer a numeric dtype
+    and convert as they are.  Strings, which a float conversion would parse,
+    infer a string dtype and are rejected.  Integers beyond int64 and
+    ``None`` infer ``object``, the one dtype whose entries are looked at one
+    by one: only ints and floats pass, and an int too large for a float is
+    rejected.
+    """
+    if raw.dtype.kind == "O":
+        if any(type(x) not in (int, float) for x in raw.flat):
+            raise ValueError("matrix entries must be numbers")
+        try:
+            return raw.astype(float)
+        except OverflowError:
+            raise ValueError("matrix entries must be finite numbers") from None
+    if raw.dtype.kind not in "biuf":
+        raise ValueError("matrix entries must be numbers")
+    return np.ascontiguousarray(raw, dtype=float)

@@ -92,6 +92,12 @@ class TestGen:
         )
         assert code == 1
 
+    def test_power_beyond_int64_is_out_of_range(self, capsys):
+        # numpy infers an object array for it; it is an integer, only out of range
+        code, out, err = run(capsys, "gen", "--spec", "4", "--kind", "diag", "--k", "99999999999999999999")
+        assert (code, out) == (1, "")
+        assert err == "error: component 99999999999999999999 out of range for order 4\n"
+
     def test_nan_phase_is_an_input_error(self, capsys):
         code, out, err = run(
             capsys,
@@ -401,6 +407,11 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error:") and "--samples" in err
 
+    def test_negative_seed_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--spec", "2,2", "--mode", "random", "--samples", "2", "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: --seed must be non-negative, got -1\n"
+
     def test_violation_rows_exit_three(self, capsys, monkeypatch):
         from hadinv import cli
 
@@ -537,3 +548,24 @@ class TestToleranceOverride:
         assert json.loads(out)["hadamard"] is False
         code, out, _ = run(capsys, "check", path, "--tolerance", "1e-4")
         assert json.loads(out)["hadamard"] is True
+
+
+class TestCommaListFlags:
+    @pytest.mark.parametrize(
+        "argv,name,text",
+        [
+            (("gen", "--spec", "2,x", "--kind", "fourier-tensor"), "spec", "2,x"),
+            (("gen", "--spec", "4", "--kind", "diag", "--k", "1,x"), "--k", "1,x"),
+            (("gen", "--spec", "4", "--kind", "shift", "--k", ""), "--k", ""),
+            (("gen", "--spec", "2", "--kind", "dpw", "--perm", "0,x", "--phases", "1,1"), "--perm", "0,x"),
+            (("gen", "--spec", "2", "--kind", "dpw", "--perm", "0,1", "--phases", "1,q"), "--phases", "1,q"),
+            (("realize", "--spec", "4", "--divisors", "2,"), "--divisors", "2,"),
+            (("verify", "--gamma-orders", "2,x"), "--gamma-orders", "2,x"),
+        ],
+        ids=["spec", "k", "k-empty", "perm", "phases", "divisors", "gamma-orders"],
+    )
+    def test_a_bad_list_is_an_input_error_naming_its_flag(self, capsys, argv, name, text):
+        # not int()'s "invalid literal for int() with base 10: 'x'"
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot parse {name} {text!r}\n"

@@ -4,8 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SPECS_UP_TO_16, haar_unitary, maxabs, perm_matrix, random_dpw
+from conftest import SPECS_UP_TO_16, haar_unitary, maxabs, perm_matrix, random_dpw, same_bits
 from oracles import dense_clock, dense_shift, entry_diagonal
 from hadinv import (
     DimMismatch,
@@ -29,7 +31,7 @@ from hadinv import (
     shift_stack,
     shift_vec,
 )
-from hadinv.hadamard import _fourier_tensor, diag_times, realize_forms, require_forms
+from hadinv.hadamard import _fourier_tensor, comma_list, diag_times, realize_forms, require_forms
 
 
 class TestFourier:
@@ -177,11 +179,6 @@ class TestVectorGenerators:
         assert np.array_equal(clock_vec((4,), r), clock_vec((4,), (1,)))
 
 
-def same_bits(a, b) -> bool:
-    """Equal shape, dtype and bytes: every entry equal, signed zeros included."""
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 class TestStackedConstructors:
     """The stacks and their stacks of one against the dense ``np.diag``/``np.kron``/index-fill references."""
 
@@ -217,6 +214,10 @@ class TestStackedConstructors:
             ((1, 5), "component 5 out of range for order 4"),
             ((-1, 0), "component -1 out of range for order 2"),
             ((1, 2.5), "vector components must be integers, got [1.0, 2.5]"),
+            # integers beyond int64 (an object array) or within uint64 only: out of range, not non-integers
+            ((1, 99999999999999999999), "component 99999999999999999999 out of range for order 4"),
+            ((1, -(10**30)), "component -1000000000000000000000000000000 out of range for order 4"),
+            ((1, 2**63), "component 9223372036854775808 out of range for order 4"),
         ],
     )
     def test_stacks_reject_with_the_vector_messages(self, r, message):
@@ -519,3 +520,27 @@ class TestRealizeForms:
             assert np.array_equal(stacked[k], dense)
             assert np.array_equal(DpwForm(FourierSpec(spec), perms[k], phases[k]).realize(), dense)
             assert np.array_equal(twice[k], np.diag(extra[k]) @ dense)
+
+
+class TestCommaList:
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.integers(), min_size=1))
+    def test_integer_lists_round_trip(self, values):
+        assert comma_list(",".join(map(str, values)), int, ValueError, "x") == tuple(values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), min_size=1))
+    def test_complex_lists_round_trip(self, values):
+        assert comma_list(",".join(map(str, values)), complex, ValueError, "x") == tuple(values)
+
+    @pytest.mark.parametrize("text", ["2,x", "", "2,", ",2", "2;3", "2.5", "1,,2"])
+    @pytest.mark.parametrize("error,name", [(OrderOutOfRange, "spec"), (IndexOutOfRange, "--k"), (ValueError, "--perm")])
+    def test_a_bad_integer_list_raises_the_given_error_naming_the_list(self, text, error, name):
+        with pytest.raises(error) as info:
+            comma_list(text, int, error, name)
+        assert str(info.value) == f"cannot parse {name} {text!r}"
+
+    @pytest.mark.parametrize("text", ["1,q", "1,", "1j,(1", "1,1 j"])
+    def test_a_bad_complex_list_names_the_list(self, text):
+        with pytest.raises(ValueError, match="cannot parse --phases"):
+            comma_list(text, complex, ValueError, "--phases")

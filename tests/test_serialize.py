@@ -7,13 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import maxabs
+import oracles
+from conftest import maxabs, same_bits
 from hadinv import DpwForm, FourierSpec, SubgroupSet, fourier, pair_report
 from hadinv.serialize import (
     dumps,
     dpw_to_obj,
     matrix_from_obj,
     matrix_to_obj,
+    pairs,
     report_to_obj,
     subgroup_to_obj,
 )
@@ -67,6 +69,112 @@ class TestMatrixFormat:
     def test_accepts_integers_beyond_int64_that_a_float_holds(self, entries):
         got = matrix_from_obj({"dim": 1, "entries": entries})
         assert got[0, 0] == complex(*entries[0])
+
+
+# JSON spellings of numbers: ints beyond int64 and beyond the float range,
+# signed zeros, subnormals, the largest double, and what overflows to inf
+_NUMBER_TEXTS = [
+    "0", "-0", "0.0", "-0.0", "1", "1.0", "5e-324", "-5e-324", "2.2250738585072014e-308", "1.7976931348623157e308",
+    "1e400", "-1e400", "1E2", "NaN", "Infinity", "-Infinity",
+    *map(str, [2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64, -(2**63) - 1, 10**20, 10**308, 10**309]),
+    "1" + "0" * 400, "-1" + "0" * 400,
+]
+_numbers = st.one_of(st.integers().map(str), st.floats().map(json.dumps), st.sampled_from(_NUMBER_TEXTS))
+_values = st.one_of(
+    _numbers, st.sampled_from(["true", "false", "null", '"1.0"', '"0"', '""', "{}", "[]", "[1]", "[1, 0]"])
+)
+_list_text = "[{}]".format
+_number_pairs = st.lists(_numbers, min_size=2, max_size=2).map(", ".join).map(_list_text)
+_odd_pairs = st.one_of(
+    st.lists(_values, min_size=2, max_size=2).map(", ".join).map(_list_text),
+    st.lists(_values, max_size=3).map(", ".join).map(_list_text),  # short and long pairs
+    st.sampled_from(["[[1], 0]", "[[1, 0]]", "1", "null", '"1, 0"', "{}"]),  # deeper pairs, and no pair at all
+)
+
+
+@st.composite
+def _matrix_texts(draw) -> str:
+    """Matrix JSON text, mostly well formed but for at most one odd pair, count, entries, dim or key."""
+    dim = draw(st.integers(1, 3))
+    count = draw(st.sampled_from([dim * dim] * 8 + [dim * dim - 1, dim * dim + 1]))
+    pairs_text = draw(st.lists(_number_pairs, min_size=count, max_size=count))
+    if pairs_text and draw(st.booleans()):
+        pairs_text[draw(st.integers(0, count - 1))] = draw(_odd_pairs)
+    entries = _list_text(", ".join(pairs_text))
+    entries = draw(st.sampled_from([entries] * 12 + ["5", "null", '"1, 0"', "{}", "[]", _list_text(entries)]))
+    dim_text = draw(
+        st.sampled_from([str(dim)] * 16 + ["true", "false", f"{dim}.0", "1.9", "0", "-1", "-0", "null", f'"{dim}"', f"[{dim}]"])
+    )
+    text = '{"dim": %s, "entries": %s}' % (dim_text, entries)
+    return draw(st.sampled_from([text] * 20 + ['{"entries": [[1, 0]]}', '{"dim": 1}', "[[1, 0]]", '"x"', "null"]))
+
+
+def _read(reader, text: str):
+    """The float bits ``reader`` makes of the JSON ``text``, or ``ValueError``."""
+    try:
+        m = reader(json.loads(text))
+    except ValueError:
+        return ValueError
+    return m.shape, m.dtype, m.tobytes()
+
+
+class TestMatrixReader:
+    """``matrix_from_obj`` accepts exactly what the dtype-inferring reader in ``oracles`` accepts, with the same bits."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=_matrix_texts())
+    @example(text='{"dim": 1, "entries": [[%d, -1]]}' % 2**63)
+    @example(text='{"dim": 1, "entries": [[%d, 1]]}' % (2**64 - 1))
+    @example(text='{"dim": 1, "entries": [[%d, 0.5]]}' % (2**53 + 1))
+    @example(text='{"dim": 1, "entries": [[-0.0, -0]]}')
+    @example(text='{"dim": 1, "entries": [[true, 0.5]]}')
+    @example(text='{"dim": 2, "entries": [[0.5, false], [1, 0], [1, 0], [1, 0]]}')
+    @example(text='{"dim": 1, "entries": [[null, 0]]}')
+    @example(text='{"dim": 1, "entries": [["1", 0]]}')
+    @example(text='{"dim": 1, "entries": [[1%s, 0]]}' % ("0" * 400))
+    @example(text='{"dim": 1, "entries": [[NaN, 0]]}')
+    @example(text='{"dim": 1, "entries": [[1, -Infinity]]}')
+    @example(text='{"dim": 1, "entries": [[[1], [0]]]}')
+    @example(text='{"dim": 1, "entries": [[1, 0, 0]]}')
+    @example(text='{"dim": 2, "entries": [[1, 0], [0], [0, 0], [1, 0]]}')
+    @example(text='{"dim": true, "entries": [[1, 0]]}')
+    @example(text='{"dim": 1.0, "entries": [[1, 0]]}')
+    def test_accepts_what_the_oracle_accepts_with_the_same_bits(self, text):
+        assert _read(matrix_from_obj, text) == _read(oracles.matrix_from_obj, text)
+
+
+def _signed_zero_matrix(shape, seed) -> np.ndarray:
+    """Random complex entries, about a third of the real and imaginary parts set to +0.0 and a third to -0.0."""
+    rng = np.random.default_rng(seed)
+    parts = rng.normal(size=(*shape, 2))
+    draw = rng.random(parts.shape)
+    parts[draw < 1 / 3] = 0.0
+    parts[draw > 2 / 3] = -0.0
+    return parts.view(complex)[..., 0]
+
+
+class TestPairsWriter:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_matrix_round_trip_is_bit_identical(self, n, seed):
+        m = _signed_zero_matrix((n, n), seed)
+        assert np.signbit(m.view(float)).any() or n == 1
+        obj = matrix_to_obj(m)
+        assert same_bits(matrix_from_obj(obj), m)
+        assert same_bits(matrix_from_obj(json.loads(dumps(obj))), m)
+        assert repr(obj["entries"]) == repr(oracles.pair_lists(m.reshape(-1)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_stack_matches_the_old_writers(self, seed):
+        stack = _signed_zero_matrix((5, 8), seed)
+        got = pairs(stack)
+        assert repr(got) == repr(stack.view(float).reshape(5, 8, 2).tolist())  # the sweep rows' old ``_pairs``
+        assert repr(got) == repr(oracles.pair_lists(stack))
+        for view in (stack.T, stack[:, ::3], stack[1]):  # not C-contiguous, and one row
+            assert repr(pairs(view)) == repr(oracles.pair_lists(view))
+
+    def test_a_real_array_gets_positive_zero_imaginary_parts(self):
+        assert repr(pairs(np.array([1.0, -0.0]))) == "[[1.0, 0.0], [-0.0, 0.0]]"
 
 
 class TestDpwFormat:
