@@ -7,18 +7,22 @@ property campaigns), ``verify`` (the identity suite).
 
 Exit codes are a stable contract: 0 success, 1 input error, 2 usage error,
 3 invariant/oracle violation, 4 verify-suite failure.  ``sweep --mode
-random`` draws its rows in sample order, each pair from
-``random_conjugate_forms`` (the sampler shared with the library) under a
-generator keyed by ``(seed, sample)``, and computes them in stacked
-chunks of at most ``STACK_ENTRIES`` matrix entries, one ``pair_reports``
-call per chunk.  ``--jobs`` is accepted and has no effect, so with a
-fixed seed the output is byte-identical across runs and across ``--jobs``
-settings.
+random`` works in stacked chunks of at most ``STACK_ENTRIES`` matrix
+entries, in sample order.  Each row has a generator keyed by ``(seed,
+sample)``; one ``random_conjugate_forms`` call (the sampler shared with
+the library) draws the forms of a chunk, each generator then draws its
+row's left-invariance phases, and one ``pair_reports`` call reports the
+chunk.  ``--jobs`` is accepted and has no effect, so with a fixed seed
+the output is byte-identical across runs and across ``--jobs`` settings.
+``build_parser`` measures the terminal once and hands the parser and
+every subparser one ``HelpFormatter`` of that width.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import shutil
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -263,20 +267,23 @@ def _random_row(
     return row
 
 
-def _random_draw(spec: FourierSpec, seed: int, sample: int) -> tuple[np.ndarray, ...]:
-    """Row ``sample``'s ``(perm, phases_u, phases_v, extra)``: the forms, then the left-invariance phases."""
+def _random_draws(spec: FourierSpec, seed: int, samples: range) -> tuple[np.ndarray, ...]:
+    """The rows ``samples`` as stacks ``(perms, phases_u, phases_v, extra)``: the forms, then the left-invariance phases."""
     # per-row generator keyed by (seed, sample): a row depends on nothing else
-    rng = np.random.default_rng([seed, sample])
-    return (*random_conjugate_forms(spec, rng), np.exp(2j * np.pi * rng.random(spec.dim)))
+    rngs = [np.random.default_rng([seed, sample]) for sample in samples]
+    perms, phases_u, phases_v = random_conjugate_forms(spec, rngs)
+    angles = np.empty((len(rngs), spec.dim))
+    for angle, rng in zip(angles, rngs):
+        rng.random(out=angle)
+    return perms, phases_u, phases_v, np.exp(2j * np.pi * angles)
 
 
 def _sweep_random_rows(spec: FourierSpec, seed: int, samples: int, tol: ToleranceConfig) -> list[dict]:
     n = spec.dim
     eps = tol.eps_entry
-    draws = [_random_draw(spec, seed, sample) for sample in range(samples)]
     rows = []
-    for start, chunk in stack_chunks(draws, n):
-        perms, phases_u, phases_v, extra = (np.array(column) for column in zip(*chunk))
+    for start, chunk in stack_chunks(range(samples), n):
+        perms, phases_u, phases_v, extra = _random_draws(spec, seed, chunk)
         # the checks of DpwForm, once for the chunk; |extra| = 1 keeps the stacks below unitary
         require_forms(perms, np.stack([phases_u, phases_v, extra]), tol)
         us = realize_forms(perms, phases_u, spec)
@@ -378,13 +385,17 @@ def cmd_verify(args, tol: ToleranceConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the terminal is measured once per build, not by a new HelpFormatter on every add_argument
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="hadinv",
         description="Invariants of pairs of complex Hadamard matrices over Fourier tensor specs.",
+        formatter_class=formatter,
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(commands.add_parser, formatter_class=formatter)
 
-    gen = commands.add_parser("gen", help="generate a matrix and emit matrix JSON")
+    gen = add_parser("gen", help="generate a matrix and emit matrix JSON")
     gen.add_argument("--spec", required=True, help="factor orders, e.g. 2,3")
     gen.add_argument(
         "--kind",
@@ -398,14 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(gen)
     gen.set_defaults(func=cmd_gen)
 
-    check = commands.add_parser("check", help="classify matrices / certify pair relations")
+    check = add_parser("check", help="classify matrices / certify pair relations")
     check.add_argument("paths", nargs="+", help="one or two matrix JSON files")
     check.add_argument("--spec", default=None)
     check.add_argument("--out", default=None)
     _common_flags(check)
     check.set_defaults(func=cmd_check)
 
-    report = commands.add_parser("report", help="full invariant report for a pair")
+    report = add_parser("report", help="full invariant report for a pair")
     report.add_argument("path_u")
     report.add_argument("path_v")
     report.add_argument("--spec", required=True)
@@ -413,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(report, formats=True)
     report.set_defaults(func=cmd_report)
 
-    realize = commands.add_parser("realize", help="construct a pair for a divisor vector")
+    realize = add_parser("realize", help="construct a pair for a divisor vector")
     realize.add_argument("--spec", required=True)
     realize.add_argument("--divisors", required=True, help="one divisor per factor, e.g. 2,1")
     realize.add_argument("--out", default=None)
@@ -422,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(realize)
     realize.set_defaults(func=cmd_realize)
 
-    sweep = commands.add_parser("sweep", help="realization table or randomized campaign")
+    sweep = add_parser("sweep", help="realization table or randomized campaign")
     sweep.add_argument("--spec", required=True)
     sweep.add_argument("--mode", choices=("realize", "random"), default="realize")
     sweep.add_argument("--samples", type=int, default=50)
@@ -432,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(sweep, formats=True)
     sweep.set_defaults(func=cmd_sweep)
 
-    verify = commands.add_parser("verify", help="run the structural identity suite")
+    verify = add_parser("verify", help="run the structural identity suite")
     verify.add_argument("--max-order", type=int, default=12)
     verify.add_argument("--gamma-orders", default="2,3,4")
     verify.add_argument("--out", default=None)

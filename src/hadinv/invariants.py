@@ -42,9 +42,11 @@ The dense subspace-intersection and commutant routes of
 matrices, pair by pair as ``pair_report`` would, with every stage along
 the batch axis: each matrix is validated once, each ``X = U* V`` formed
 once and shared by the distinctness test, the support graphs, the
-Fourier route and the dense entropy.  Only the relative commutant's
-per-component products, the ``SubgroupSet`` H (or ``extract_subgroup``
-off the Fourier route) and the assembly of each report run per pair, in
+Fourier route and the dense entropy.  The Fourier route's H is verified
+once per distinct membership mask of the stack, and every pair with that
+mask shares the one ``SubgroupSet`` (or ``NotClosed``).  Only the
+relative commutant's per-component products, ``extract_subgroup`` off
+the Fourier route and the assembly of each report run per pair, in
 ``pair_report``, which ``pair_reports`` calls once per pair with that
 pair's row of the stacked stages; called on its own, ``pair_report``
 runs the stages on a batch of one.  Callers that stack many pairs keep
@@ -53,6 +55,10 @@ rows of ``hadinv sweep --mode random`` into chunks of that size, and
 the pairs of ``realized_reports``, the one step that reports realized
 pairs and checks their H against ``prod(m_i)`` for
 ``realization_sweep`` and ``hadinv realize``.
+
+``random_conjugate_forms`` is the one sampler of random conjugate pairs:
+it draws the forms of a stack of generators, one row each, and
+``random_conjugate_pair`` is its stack of one.
 
 All logarithms are natural.
 """
@@ -225,7 +231,8 @@ def _support_graph_invariants(u: np.ndarray, x: np.ndarray, eps: float) -> tuple
     support[single] = np.abs(u[single] @ dagger(u[single])) > eps
     for k in np.flatnonzero(~single):
         rows = labels[k, :n]
-        for c in np.unique(rows):
+        # the components of the rows: each is labelled by its smallest vertex, a row that labels itself
+        for c in np.flatnonzero(rows == np.arange(n)):
             cols = u[k][:, rows == c]
             support[k] |= np.abs(cols @ dagger(cols)) > eps
     return dim_a, _component_count(_component_labels(support))
@@ -263,19 +270,44 @@ def _conjugate_diagonals(perm: np.ndarray, phases_u: np.ndarray, phases_v: np.nd
 
 
 class _FourierSide(NamedTuple):
-    members: np.ndarray
+    subgroup: list[SubgroupSet | NotClosed]
     magnitudes: np.ndarray
     entropy: np.ndarray
     allowance: np.ndarray
 
 
+def _or_not_closed(find, *args) -> SubgroupSet | NotClosed:
+    """The subgroup ``find(*args)`` verifies, or the ``NotClosed`` it raises."""
+    try:
+        return find(*args)
+    except NotClosed as exc:
+        return exc
+
+
+def _shared_subgroups(members: np.ndarray, spec: FourierSpec) -> list[SubgroupSet | NotClosed]:
+    """Per row of a stack of membership masks, ``subgroup_from_mask`` of it, or the ``NotClosed`` it raised.
+
+    Each distinct mask is verified once, keyed by its bytes, and every row
+    that carries it gets the same object: a random stack at N <= 9 holds
+    one mask, that of the trivial subgroup, in almost every row.
+    """
+    found: dict[bytes, SubgroupSet | NotClosed] = {}
+    out = []
+    for row, key in zip(members, map(bytes, members)):
+        if key not in found:
+            found[key] = _or_not_closed(subgroup_from_mask, row, spec)
+        out.append(found[key])
+    return out
+
+
 def _fourier_sides(d: np.ndarray, x: np.ndarray, spec: FourierSpec, eps: float) -> _FourierSide:
     """The Fourier route of conjugate pairs, one row of ``d`` and one matrix of ``x = U* V`` each.
 
-    With ``f = inverse_dft(d)``, ``magnitudes`` are ``|f|``, ``members``
-    is the membership mask of H, the annihilator of the support
-    ``|f| > eps``, and ``entropy`` is the Shannon entropy of ``p = |f|^2``.
-    As ``|eta(a) - eta(b)| <= eta(min(|a - b|, 1/e))`` on [0, 1],
+    With ``f = inverse_dft(d)``, ``magnitudes`` are ``|f|``, ``subgroup``
+    is H, the annihilator of the support ``|f| > eps``, as
+    ``_shared_subgroups`` verifies it from its membership mask, and
+    ``entropy`` is the Shannon entropy of ``p = |f|^2``.  As
+    ``|eta(a) - eta(b)| <= eta(min(|a - b|, 1/e))`` on [0, 1],
     ``allowance`` bounds the distance of ``entropy`` to
     ``modified_entropy`` beyond rounding, through how far X sits from
     ``convolution(f)``, which is rounding on exact normal forms.  Each
@@ -288,7 +320,8 @@ def _fourier_sides(d: np.ndarray, x: np.ndarray, spec: FourierSpec, eps: float) 
     allowance = _eta_array(np.minimum(moved, 1.0 / math.e)).sum(axis=(-2, -1)) / n
     entropy = _eta_array(magnitudes**2).sum(axis=-1)
     # every support is nonempty: sum |f|^2 = 1 puts some |f(g)| at or above 1/sqrt(N) >= 1/8 > eps
-    return _FourierSide(annihilator_mask(magnitudes > eps, spec), magnitudes, entropy, allowance)
+    members = annihilator_mask(magnitudes > eps, spec)
+    return _FourierSide(_shared_subgroups(members, spec), magnitudes, entropy, allowance)
 
 
 def _nearest(values: np.ndarray, orders: tuple[int, ...], eps: float, name: str, element: str) -> str:
@@ -338,7 +371,7 @@ def _stages(us: np.ndarray, vs: np.ndarray, spec: FourierSpec, tol: ToleranceCon
     on_route = np.flatnonzero(conjugate)
     d = _conjugate_diagonals(perm_u[on_route], phases_u[on_route], phases_v[on_route])
     sides = _fourier_sides(d, x[on_route], spec, eps)
-    routes = iter([_FourierSide(*(field[j] for field in sides)) for j in range(len(on_route))])
+    routes = itertools.starmap(_FourierSide, zip(*sides))
     columns = (hadamard, identical, distinct, normal, conjugate, dims, relcomms, entropies, stochastic)
     return [_PairStage(*row, next(routes) if row[4] else None) for row in zip(*(c.tolist() for c in columns))]
 
@@ -385,13 +418,11 @@ def pair_report(u, v, spec, tol: ToleranceConfig = DEFAULT_TOL, *, stage: _PairS
     if stage.identical:
         flags.append("subgroup-skipped-identical")
     else:
-        try:
-            if side is None:
-                subgroup = extract_subgroup(u, v, spec, tol)
-            else:
-                subgroup = subgroup_from_mask(side.members, spec)
-        except NotClosed:
+        found = _or_not_closed(extract_subgroup, u, v, spec, tol) if side is None else side.subgroup
+        if isinstance(found, NotClosed):
             flags.append("subgroup-not-closed")
+        else:
+            subgroup = found
 
     if subgroup is not None:
         # the clock conjugates U D_r U* (r in H) span all of A only for
@@ -463,10 +494,12 @@ def pair_reports(us, vs, spec, tol: ToleranceConfig = DEFAULT_TOL) -> list[Invar
     = U* V``, the identical and distinct tests, the normal forms, the
     support-graph labels, the Fourier side of the conjugate pairs and the
     dense entropy all run along the batch axis, each matrix validated
-    once and each X formed once.  Then ``pair_report`` runs once per pair
-    on its row of those stages: the products of the relative commutant's
-    components, the subgroup H (``extract_subgroup`` off the Fourier
-    route) and the assembly of the report.
+    once and each X formed once; the Fourier route's H is verified once
+    per distinct membership mask and shared by the pairs with that mask.
+    Then ``pair_report`` runs once per pair on its row of those stages:
+    the products of the relative commutant's components,
+    ``extract_subgroup`` off the Fourier route and the assembly of the
+    report.
     """
     spec = FourierSpec.of(spec)
     us = as_stack(us)
@@ -514,25 +547,31 @@ def realization_sweep(spec, tol: ToleranceConfig = DEFAULT_TOL):
     return [(mvec, report) for mvec, (_, _, report) in zip(mvecs, realized_reports(spec, mvecs, tol))]
 
 
-def random_conjugate_forms(spec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample the parts ``(perm, phases_u, phases_v)`` of a conjugate pair of normal forms.
+def random_conjugate_forms(spec, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample the parts ``(perms, phases_u, phases_v)`` of conjugate pairs of normal forms, one per generator.
 
-    A shared uniform permutation and i.i.d. unit phases, drawn in that
-    order: the permutation, then the phases of U, then those of V.
-    Sharing the permutation makes the two forms ``DpwForm(spec, perm,
-    phases_u)`` and ``DpwForm(spec, perm, phases_v)`` conjugate by
-    construction.  ``hadinv sweep`` stacks the arrays of many draws and
-    makes the checks of ``DpwForm`` on the stack (``require_forms``).
+    Each generator of the sequence ``rngs`` draws, in this order, a
+    uniform permutation shared by the pair, then the uniform angles of
+    the i.i.d. unit phases of U, then those of V; the arrays hold one row
+    per generator, and the phases of the whole stack are exponentiated
+    with one ``np.exp``.  Sharing the permutation makes the forms
+    ``DpwForm(spec, perms[b], phases_u[b])`` and ``DpwForm(spec, perms[b],
+    phases_v[b])`` conjugate by construction.  ``hadinv sweep`` draws one
+    stack per chunk of rows and makes the checks of ``DpwForm`` on it
+    (``require_forms``).
     """
     n = FourierSpec.of(spec).dim
-    perm = rng.permutation(n)
-    phases_u = np.exp(2j * np.pi * rng.random(n))
-    phases_v = np.exp(2j * np.pi * rng.random(n))
-    return perm, phases_u, phases_v
+    perms = np.empty((len(rngs), n), dtype=np.int64)
+    angles = np.empty((len(rngs), 2, n))
+    for perm, angle, rng in zip(perms, angles, rngs):
+        perm[:] = rng.permutation(n)
+        rng.random(out=angle)
+    phases = np.exp(2j * np.pi * angles)
+    return perms, phases[:, 0], phases[:, 1]
 
 
 def random_conjugate_pair(spec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The realized matrices ``(D P W, D~ P W)`` of the forms of ``random_conjugate_forms``."""
+    """The realized matrices ``(D P W, D~ P W)`` of ``random_conjugate_forms`` on a stack of one generator."""
     spec = FourierSpec.of(spec)
-    perm, phases_u, phases_v = random_conjugate_forms(spec, rng)
+    (perm,), (phases_u,), (phases_v,) = random_conjugate_forms(spec, [rng])
     return DpwForm(spec, perm, phases_u).realize(), DpwForm(spec, perm, phases_v).realize()

@@ -5,13 +5,18 @@ an integer N (not a boolean) and exactly N^2 pairs of finite numbers (not
 strings, ``null`` or booleans); ``matrix_from_obj`` is its one reader and
 rejects anything else with ``ValueError``.  ``pairs`` is the one writer of
 ``[re, im]`` lists.  The other formats (normal forms, subgroups, pair
-reports) are only written.  Every writer emits its text through ``dumps``.
+reports, sweep and verify tables) are only written.  Every writer emits
+its text through ``dumps``, which spells the items of a list column by
+column: a table of rows, such as the rows of ``hadinv sweep``, takes one
+spelling per field and one template per row.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -122,6 +127,7 @@ class _Unsupported(Exception):
 
 
 _INDENT = "  "
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _float_text(x: float) -> str:
@@ -135,77 +141,69 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def _flat_list(lst: list, level: int) -> str | None:
-    """One join for a list of only floats or only ints, or of equal-length lists of floats.
-
-    The floats of a list are spelled with ``float.__repr__``; a NaN or an
-    infinity (the only reprs with an ``n``) sends the list back to
-    ``_encode``, as does any other list (``None``).
-    """
-    kinds = set(map(type, lst))
-    if len(kinds) != 1:
-        return None
-    (kind,) = kinds
+def _bracketed(texts, level: int, opening: str, closing: str) -> str:
+    """Item texts one per line at ``level + 1``, between brackets at ``level``."""
     inner = "\n" + _INDENT * (level + 1)
-    if kind is float or kind is int:
-        body = ("," + inner).join(map(kind.__repr__, lst))
-    elif kind is list:
-        widths = set(map(len, lst))
-        if len(widths) != 1 or set(map(type, itertools.chain.from_iterable(lst))) != {float}:
-            return None
-        # one template per row, e.g. "[\n    {},\n    {}\n  ]", filled column by column
-        deeper = "\n" + _INDENT * (level + 2)
-        template = "[" + deeper + ("," + deeper).join(["{}"] * widths.pop()) + inner + "]"
-        columns = [map(float.__repr__, column) for column in zip(*lst)]
-        body = ("," + inner).join(map(template.format, *columns))
-    else:
-        return None
-    if "n" in body:
-        return None
-    return "[" + inner + body + "\n" + _INDENT * level + "]"
+    return opening + inner + ("," + inner).join(texts) + "\n" + _INDENT * level + closing
 
 
-def _encode(o, level: int, out: list[str]) -> None:
-    """Append the text of ``o`` at nesting ``level`` as ``json.dumps(indent=2, sort_keys=True)`` writes it."""
-    if isinstance(o, str):
-        out.append(encode_basestring_ascii(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_float_text(o))
-    elif isinstance(o, (list, tuple)):
-        flat = _flat_list(o, level) if type(o) is list and o else None
-        if flat is not None:
-            out.append(flat)
-        elif not o:
-            out.append("[]")
-        else:
-            inner = "\n" + _INDENT * (level + 1)
-            out.append("[")
-            for k, value in enumerate(o):
-                out.append(inner if k == 0 else "," + inner)
-                _encode(value, level + 1, out)
-            out.append("\n" + _INDENT * level + "]")
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        if set(map(type, o)) != {str}:
+def _column(values: list, level: int) -> list[str]:
+    """The text of each value at nesting ``level``, values of one type and shape spelled together.
+
+    A column of only finite floats, only ints, only strings, only
+    ``None`` or only booleans is one ``map``.  Lists of one length are
+    spelled as one column of all their items, and dicts with one set of
+    ``str`` keys as one column per key; either way one ``str.format``
+    template per value then places the item texts.  Any other column
+    (NaN or an infinity, ``bool`` beside ``int``, ragged lists, dicts with
+    different keys) goes value by value through ``_encode``.
+    """
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    if kind is int:
+        return list(map(int.__repr__, values))
+    if kind is str:
+        return list(map(encode_basestring_ascii, values))
+    if kind is bool or kind is type(None):
+        return list(map(_CONSTANTS.__getitem__, values))
+    if kind is list and len(set(map(len, values))) == 1:
+        width = len(values[0])
+        if not width:
+            return ["[]"] * len(values)
+        items = _column(list(itertools.chain.from_iterable(values)), level + 1)
+        template = _bracketed(["{}"] * width, level, "[", "]")
+        # the same iterator once per slot takes the items of one value in turn
+        return list(map(template.format, *[iter(items)] * width))
+    if kind is dict and len(set(map(frozenset, values))) == 1:
+        if not values[0]:
+            return ["{}"] * len(values)
+        if set(map(type, itertools.chain.from_iterable(values))) != {str}:
             raise _Unsupported
-        inner = "\n" + _INDENT * (level + 1)
-        out.append("{")
-        for k, (key, value) in enumerate(sorted(o.items())):
-            out.append((inner if k == 0 else "," + inner) + encode_basestring_ascii(key) + ": ")
-            _encode(value, level + 1, out)
-        out.append("\n" + _INDENT * level + "}")
-    else:
-        raise _Unsupported
+        keys = sorted(values[0])
+        columns = [_column(list(map(operator.itemgetter(key), values)), level + 1) for key in keys]
+        labels = [encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") + ": {}" for key in keys]
+        return list(map(_bracketed(labels, level, "{{", "}}").format, *columns))
+    return [_encode(value, level) for value in values]
+
+
+def _encode(o, level: int) -> str:
+    """The text of ``o`` at nesting ``level`` as ``json.dumps(indent=2, sort_keys=True)`` writes it."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None or o is True or o is False:
+        return _CONSTANTS[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    # a container is a column of one value, made a plain list or dict so that _column batches it
+    if isinstance(o, (list, tuple)):
+        return _column([list(o)], level)[0]
+    if isinstance(o, dict):
+        return _column([dict(o)], level)[0]
+    raise _Unsupported
 
 
 def dumps(obj) -> str:
@@ -213,19 +211,19 @@ def dumps(obj) -> str:
 
     The text is byte for byte ``json.dumps(obj, indent=2, sort_keys=True) +
     "\\n"``.  With ``indent`` set, the stdlib takes its pure-Python encoder;
-    this one writes the same text with the C string escaper and one join per
-    flat list of numbers or of ``[re, im]`` pairs.  A key that is not a
-    ``str``, a value of a type that JSON has no spelling for, and a
-    structure too deep (or circular) for the recursion go to the stdlib call
-    for the whole object, so its errors are the stdlib's too.
+    this one writes the same text with the C string escaper, and spells the
+    items of a list column by column (``_column``): a list of numbers or of
+    ``[re, im]`` pairs takes a few joins, and a table of rows, a list of
+    dicts that share their keys, one ``map`` per field and one template per
+    row.  A key that is not a ``str``, a value of a type that JSON has no
+    spelling for, and a structure too deep (or circular) for the recursion
+    go to the stdlib call for the whole object, so its errors are the
+    stdlib's too.
     """
-    out: list[str] = []
     try:
-        _encode(obj, 0, out)
+        return _encode(obj, 0) + "\n"
     except (_Unsupported, RecursionError):
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    out.append("\n")
-    return "".join(out)
 
 
 def load_matrix(path) -> np.ndarray:

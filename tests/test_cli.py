@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface and its exit-code contract."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 
 from conftest import maxabs
 from hadinv import fourier, fourier_tensor
-from hadinv.cli import main
+from hadinv.cli import build_parser, main
 from hadinv.serialize import dumps, matrix_from_obj, matrix_to_obj
 
 
@@ -433,23 +434,38 @@ class TestSweep:
     def test_a_chunk_with_a_spoiled_draw_is_rejected(self, capsys, monkeypatch, part, message):
         from hadinv import cli
 
-        # spoil one part of sample 30's draw; the stacked check of its chunk must catch it
-        draw = cli._random_draw
+        # spoil one part of sample 30's draw in the stacks of its chunk; the chunk's check must catch it
+        draws = cli._random_draws
 
-        def spoiled(spec, seed, sample):
-            parts = list(draw(spec, seed, sample))
-            if sample == 30:
-                x = parts[part]
-                parts[part] = np.where(x == x[1], x[0], x) if part == 0 else x * (1 + 2e-9)
-            return tuple(parts)
+        def spoiled(spec, seed, samples):
+            parts = draws(spec, seed, samples)
+            if 30 in samples:
+                x = parts[part][samples.index(30)]
+                x[:] = np.where(x == x[1], x[0], x) if part == 0 else x * (1 + 2e-9)
+            return parts
 
-        monkeypatch.setattr(cli, "_random_draw", spoiled)
+        monkeypatch.setattr(cli, "_random_draws", spoiled)
         code, out, err = run(
             capsys, "sweep", "--spec", "8,8", "--mode", "random", "--samples", "40", "--seed", "5"
         )
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and message in err
+
+    def test_rows_are_drawn_chunk_by_chunk(self, capsys, monkeypatch):
+        from hadinv import cli
+
+        chunks = []
+        draws = cli._random_draws
+
+        def counting(spec, seed, samples):
+            chunks.append(samples)
+            return draws(spec, seed, samples)
+
+        monkeypatch.setattr(cli, "_random_draws", counting)
+        code, _, _ = run(capsys, "sweep", "--spec", "8,8", "--mode", "random", "--samples", "40", "--seed", "5")
+        # STACK_ENTRIES / 64^2 = 16 rows a chunk
+        assert code == 0 and chunks == [range(0, 16), range(16, 32), range(32, 40)]
 
     # sha256 of seeded sweep output: a change to the sampler's draw order,
     # to how a row's pair is realized or to the row arithmetic shows up here
@@ -484,6 +500,34 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestHelp:
+    COMMANDS = [None, "gen", "check", "report", "realize", "sweep", "verify"]
+
+    @pytest.mark.parametrize("columns", ["60", "200"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c or "hadinv")
+    def test_help_is_what_the_default_formatter_writes(self, capsys, monkeypatch, columns, command):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"] if command else ["--help"])
+        assert stop.value.code == 0
+        got = capsys.readouterr().out
+        # the reference: argparse's own formatter, which measures the terminal on every use
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for p in [parser, *commands.choices.values()]:
+            p.formatter_class = argparse.HelpFormatter
+        assert got == (parser if command is None else commands.choices[command]).format_help()
+
+    def test_the_terminal_is_measured_once_per_build(self, monkeypatch):
+        import shutil
+
+        calls = []
+        real = shutil.get_terminal_size
+        monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or real(*a))
+        build_parser().format_help()
+        assert len(calls) == 1
 
 
 class TestVerify:

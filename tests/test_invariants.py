@@ -3,7 +3,11 @@
 import dataclasses
 import itertools
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hadinv.invariants
-from conftest import SPECS_UP_TO_16, haar_unitary, maxabs, perm_matrix, random_dpw
+from conftest import SPECS_UP_TO_16, haar_unitary, maxabs, perm_matrix, random_dpw, same_bits
 from hadinv import (
     DimMismatch,
     DomainError,
     DpwForm,
+    FourierSpec,
     HadinvError,
     InvariantReport,
     NonUnitary,
@@ -266,6 +271,19 @@ class TestSupportGraphOracle:
             mats.append(np.diag(np.exp(2j * np.pi * np.array(steps) / grid)) @ perm_matrix(perm) @ w)
         _assert_matches_dense(*mats, spec)
 
+    def test_a_report_imports_no_masked_arrays(self):
+        # np.unique imports numpy.ma on its first call in a process, which once cost the first
+        # report of a pair with dimA > 1 about 10 ms
+        code = (
+            "import sys; from hadinv import pair_report, realize_subgroup; "
+            "assert pair_report(*realize_subgroup((8,), (4,)), (8,)).dim_a == 4; "
+            "print('numpy.ma' in sys.modules)"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(pathlib.Path(hadinv.__file__).parents[1]) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=False)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
     def test_relcomm_disagreement_raises(self, monkeypatch):
         f4 = fourier(4)
         monkeypatch.setattr(hadinv.invariants, "_support_graph_invariants", _fixed_counts(2, 1))
@@ -313,8 +331,7 @@ def _assert_fourier_route_matches(u, v, spec):
     # H as the annihilator of the support of f, as the decision values give it, and by extraction
     side = _fourier_side(form_u, form_v, x)
     assert np.array_equal(side.magnitudes, np.abs(f))
-    found = subgroup_from_mask(side.members, spec)
-    assert found == subgroup_from_mask(values < 1e-9, spec) == extract_subgroup(u, v, spec)
+    assert side.subgroup == subgroup_from_mask(values < 1e-9, spec) == extract_subgroup(u, v, spec)
     # the entropy of p = |ifftn(d)|^2, as pair_report computes it and by a plain loop
     assert side.allowance < 1e-11
     shannon = sum(eta(min(t, 1.0)) for t in np.abs(np.fft.ifftn(d.reshape(spec)).ravel()) ** 2)
@@ -343,7 +360,7 @@ class TestFourierRouteOracle:
         # d a scalar times a character: X is a complex permutation and H is the whole group
         rng = np.random.default_rng(61)
         n = math.prod(spec)
-        perm, phases_u, _ = random_conjugate_forms(spec, rng)
+        (perm,), (phases_u,), _ = random_conjugate_forms(spec, [rng])
         form_u = DpwForm(spec, perm, phases_u)
         character = np.sqrt(n) * fourier_tensor(spec)[1 + int(rng.integers(n - 1))]
         d = np.exp(2j * np.pi * rng.random()) * character
@@ -580,6 +597,50 @@ class TestStackedReports:
         assert got.shape == (len(keep),)
         assert [float(h) for h in got] == [modified_entropy(us[k], vs[k]) for k in keep]
 
+    def _shared_mask_stack(self):
+        """Pairs over (8,) whose H is trivial, of order 2 or of order 4, each H carried by two or more pairs."""
+        rng = np.random.default_rng(67)
+        pairs = [random_conjugate_pair(self.SPEC, rng) for _ in range(3)]
+        for mvec in [(2,), (4,), (2,), (4,), (2,)]:
+            # a shared left diagonal keeps the pair conjugate and its subgroup, and makes each pair new
+            d = np.exp(2j * np.pi * rng.random(8))[:, None]
+            u, v = realize_subgroup(self.SPEC, mvec)
+            pairs.insert(int(rng.integers(len(pairs) + 1)), (d * u, d * v))
+        return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+
+    def test_pairs_that_share_a_mask_share_one_check(self, monkeypatch):
+        us, vs = self._shared_mask_stack()
+        masks = []
+        real = hadinv.invariants.subgroup_from_mask
+        monkeypatch.setattr(hadinv.invariants, "subgroup_from_mask", lambda m, g: masks.append(m) or real(m, g))
+        stacked = pair_reports(us, vs, self.SPEC)
+        # three distinct masks, one subgroup_from_mask call each
+        assert sorted(int(m.sum()) for m in masks) == [1, 2, 4]
+        by_size: dict = {}
+        for report in stacked:
+            assert report.certified
+            by_size.setdefault(report.subgroup.size, []).append(report.subgroup)
+        assert sorted(map(len, by_size.values())) == [2, 3, 3]
+        for found in by_size.values():
+            assert all(h is found[0] for h in found)
+        self._assert_stack_matches_pairs(us, vs)
+
+    def test_a_mask_that_is_not_closed_flags_every_pair_that_carries_it(self, monkeypatch):
+        us, vs = self._shared_mask_stack()
+        masks = []
+        real = hadinv.invariants.subgroup_from_mask
+        monkeypatch.setattr(hadinv.invariants, "subgroup_from_mask", lambda m, g: masks.append(m) or real(m, g))
+        # {0, 1} is not closed in Z_8
+        not_closed = np.zeros(8, dtype=bool)
+        not_closed[:2] = True
+        monkeypatch.setattr(hadinv.invariants, "annihilator_mask", lambda s, g: np.broadcast_to(not_closed, s.shape))
+        stacked = pair_reports(us, vs, self.SPEC)
+        assert len(masks) == 1
+        for report in stacked:
+            assert report.subgroup is None and not report.certified
+            assert "subgroup-not-closed" in report.flags
+        self._assert_stack_matches_pairs(us, vs)
+
     def test_rejects_mismatched_stacks(self):
         us, vs = self._mixed_stack()
         with pytest.raises(DimMismatch):
@@ -669,6 +730,34 @@ class TestRealizationSweep:
 
 
 class TestRandomConjugatePair:
+    @staticmethod
+    def _drawn_alone(n, rng):
+        """One generator's draw in the sampler's order: the permutation, then the angles of U, then of V."""
+        perm = rng.permutation(n)
+        phases_u = np.exp(2j * np.pi * rng.random(n))
+        phases_v = np.exp(2j * np.pi * rng.random(n))
+        return perm, phases_u, phases_v
+
+    @pytest.mark.parametrize("spec", [(2, 3), (3, 3), (64,)], ids=lambda s: ",".join(map(str, s)))
+    def test_a_stack_draws_what_each_generator_draws_alone(self, spec):
+        n = math.prod(spec)
+        rngs = [np.random.default_rng([4, k]) for k in range(12)]
+        stacks = random_conjugate_forms(spec, rngs)
+        assert [a.shape for a in stacks] == [(12, n)] * 3
+        for k, rng in enumerate(rngs):
+            alone = np.random.default_rng([4, k])
+            for got, want in zip(stacks, self._drawn_alone(n, alone)):
+                assert got[k].dtype == want.dtype and got[k].tobytes() == want.tobytes(), k
+            # each generator is left where its own draw ends
+            assert rng.random() == alone.random()
+
+    def test_a_pair_is_a_stack_of_one(self):
+        spec = FourierSpec((2, 4))
+        (perm,), (phases_u,), (phases_v,) = random_conjugate_forms(spec, [np.random.default_rng(57)])
+        u, v = random_conjugate_pair(spec, np.random.default_rng(57))
+        assert same_bits(u, DpwForm(spec, perm, phases_u).realize())
+        assert same_bits(v, DpwForm(spec, perm, phases_v).realize())
+
     def test_pair_is_conjugate_hadamard(self):
         from hadinv import are_conjugate, is_hadamard
 

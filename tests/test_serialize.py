@@ -279,6 +279,36 @@ _objects = st.recursive(
     max_leaves=20,
 )
 
+# the fields of a table of rows: one kind down a column takes the batched spelling of _column,
+# and the mixed ones (NaN beside floats, bool beside int, ragged or differently keyed values) its near misses
+_index = st.fixed_dictionaries({"num": st.integers(), "den": st.integers(min_value=1)})
+_field_kinds = [
+    st.floats(allow_nan=False, allow_infinity=False),
+    _floats,
+    st.integers(),
+    st.text(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(), min_size=3, max_size=3),
+    st.lists(st.lists(_floats, min_size=2, max_size=2), min_size=2, max_size=2),
+    _index,
+    st.none() | _index,
+    st.fixed_dictionaries({"index": _index, "flags": st.lists(st.text(), max_size=1)}),
+    st.lists(st.text(), max_size=2),
+    st.dictionaries(_keys, _scalars, max_size=2),
+    _scalars,
+    _flat_lists,
+]
+
+
+@st.composite
+def _records(draw, keys=_keys):
+    """A list of two or more dicts sharing one key set, each field drawn from one kind per column."""
+    names = draw(st.lists(keys, unique=True, max_size=5))
+    kinds = {name: draw(st.sampled_from(_field_kinds)) for name in names}
+    size = draw(st.integers(min_value=2, max_value=6))
+    return [{name: draw(kinds[name]) for name in names} for _ in range(size)]
+
 
 class TestDumps:
     """``dumps`` is byte for byte ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``."""
@@ -315,6 +345,47 @@ class TestDumps:
         loop: list = []
         loop.append({"loop": loop})
         assert _outcome(dumps, loop) == (ValueError, "Circular reference detected")
+
+    @settings(max_examples=200, deadline=None)
+    @given(obj=_records() | _records().map(lambda rows: {"rows": rows, "n": len(rows)}))
+    @example(obj=[{"{a}": 1.5, "}": [1, 2], "{": {"}{": None}}, {"{a}": 2.5, "}": [3, 4], "{": {"}{": True}}])
+    @example(obj=[{"dimA": 1, "index": {"den": 1, "num": 4}}, {"dimA": None, "index": None}])
+    @example(obj=[{"x": 1, "y": [[0.5, 1.0]]}, {"y": [[0.5, float("nan")]], "x": True}])
+    @example(obj=[{"v": []}, {"v": []}, {"v": ["entropy-symmetry"]}])
+    @example(obj=[{}, {}])
+    def test_tables_of_rows_match_the_stdlib(self, obj):
+        assert dumps(obj) == _stdlib(obj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(obj=_records(keys=st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), st.text())))
+    @example(obj=[{1: "x"}, {1: "y"}])
+    @example(obj=[{"a": 1}, {2: 1}])
+    def test_tables_with_keys_that_are_not_strings_behave_as_in_the_stdlib(self, obj):
+        assert _outcome(dumps, obj) == _outcome(_stdlib, obj)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--format", "json"),
+            ("sweep", "--spec", "2,2,2", "--mode", "realize"),
+            ("sweep", "--spec", "2,2,2", "--mode", "random", "--samples", "40", "--seed", "3"),
+            ("sweep", "--spec", "8", "--mode", "random", "--samples", "20", "--seed", "3", "--format", "json"),
+        ],
+        ids=["verify", "realize-table", "random-sweep", "random-sweep-8"],
+    )
+    def test_cli_tables(self, capsys, argv):
+        from hadinv.cli import main
+
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+        obj = json.loads(out)
+        assert out == dumps(obj) == _stdlib(obj)
+        if argv[0] == "sweep":
+            # the rows of a sweep with violations: a failed row's nulls beside ints, ragged violation lists
+            rows = obj["rows"]
+            rows[0].update({"dimA": None, "index": None, "gap": None, "violations": ["oracle-mismatch: x"]})
+            rows[-1]["violations"] = ["entropy-symmetry", "entropy-left-invariance"]
+            assert dumps(obj) == _stdlib(obj)
 
     def test_matrix_and_report_objects(self):
         rng = np.random.default_rng(3)
