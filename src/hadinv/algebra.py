@@ -11,6 +11,11 @@ of the vertex-model tower of a Hadamard matrix sits in M_{N^2} but is block
 diagonal, so it is computed on its N diagonal blocks in M_N; it commutes
 exactly when the expectation onto ``I x M_N`` maps the right algebra into
 the scalars (``E_L(R) ⊆ C``).  The dense routes stay as its test oracle.
+A square with scalar corner that commutes within ``_count_bound`` is
+nondegenerate exactly when ``dim L * dim R`` is the ambient dimension, as
+the products of orthonormal bases of L and R are then linearly
+independent; the rank of the products is taken by SVD only outside that
+lemma, and the SVD route stays as the test oracle of the count.
 """
 
 from __future__ import annotations
@@ -52,8 +57,8 @@ __all__ = [
     "vertex_model_square",
 ]
 
-# products of the two middle algebras get rank-checked only up to this
-# matrix dimension N; beyond it the nondegeneracy flag is reported as skipped
+# the tower's nondegeneracy is decided only up to this matrix dimension N;
+# beyond it the flag is reported as skipped
 TOWER_NONDEG_CAP = 5
 
 TOWER_DIM_CAP = 36
@@ -214,14 +219,10 @@ def diag_conj_algebra(u, tol: ToleranceConfig = DEFAULT_TOL) -> AlgebraBasis:
 
 @dataclass(frozen=True)
 class SquareResult:
-    """Outcome of a commuting-square test.
-
-    ``nondegenerate`` is None when the product-rank check was skipped for
-    size reasons (never a silent pass).
-    """
+    """Outcome of a commuting-square test."""
 
     commuting: bool
-    nondegenerate: bool | None
+    nondegenerate: bool
     max_commuting_err: float
 
 
@@ -238,14 +239,48 @@ def _span_contained(inner: np.ndarray, outer: np.ndarray, n: int) -> np.ndarray:
     return worst.max(axis=-1, initial=0.0) < np.sqrt(EPS_RANK)
 
 
+def _count_bound(products: int, n: int, measured: int) -> float:
+    """The commuting error up to which a square with scalar corner is nondegenerate iff ``products == dim ambient``.
+
+    Let ``l_i`` and ``r_j`` be trace-orthonormal bases of L and R in M_n,
+    ``tau = tr / n`` and ``|x|_2 = tau(x* x)^(1/2)``.  For x in L and y in
+    R, ``tau(x y) = tau(x E_L(y))``, and with the corner C the scalars
+    ``E_C(y) = tau(y) 1``.  Put ``D = E_L E_R - E_C``, so that
+    ``E_L(y) = tau(y) 1 + D(y)`` on R.  The Gram matrix of the
+    ``products = dim L * dim R`` products ``l_i r_j`` is then
+
+        G[(i, j), (i', j')] = tau(l_i* l_i' r_j' r_j*)
+                            = tau(l_i* l_i') tau(r_j' r_j*) + tau(x D(y))
+                            = delta_ii' delta_jj' + tau(x D(y)),
+
+    with ``x = l_i* l_i'`` in L and ``y = r_j' r_j*`` in R.  In a
+    commuting square D = 0, so the products are orthonormal (compare the
+    nondegenerate commuting squares of Jones-Sunder, LMS LN 234, 1997).
+    Otherwise let ``err`` bound every entry of ``D(b)`` over a
+    trace-orthonormal basis b of ``measured`` elements whose span holds R.
+    An n x n matrix with entries at most ``err`` has ``|.|_2 <= sqrt(n) err``,
+    so the Hilbert-Schmidt norm of D on the span of b, which bounds its
+    norm on R, is at most ``sqrt(measured n) err``.  A unit vector of M_n
+    has operator norm at most ``sqrt(n)`` and ``|a c|_2 <= |a|_op |c|_2``,
+    so ``|x|_2, |y|_2 <= sqrt(n)``; by Cauchy-Schwarz every entry of
+    ``G - I`` is at most ``|x|_2 |D(y)|_2 <= n^(3/2) sqrt(measured) err``.
+    Summing a row, ``|G - I| <= products n^(3/2) sqrt(measured) err``, which
+    this bound keeps at most 1/2.  Then G is invertible and the products
+    are linearly independent: they span ``products`` dimensions of the
+    ambient algebra, which holds them, so they span it exactly when
+    ``products`` equals its dimension.  The flattened products have Gram
+    ``n G``, so their singular values are at least ``sqrt(n / 2) >= 1`` and
+    an SVD rank cut at ``EPS_RANK`` counts the same.
+    """
+    return 0.5 / (products * n**1.5 * np.sqrt(measured))
+
+
 def commuting_squares(
     corner: AlgebraBasis,
     lefts,
     right: AlgebraBasis,
     ambient: AlgebraBasis,
     tol: ToleranceConfig = DEFAULT_TOL,
-    *,
-    nondegeneracy: bool = True,
 ) -> list[SquareResult]:
     """``is_commuting_square`` of each left algebra in ``lefts`` (all of one dimension), in one stacked pass.
 
@@ -253,6 +288,13 @@ def commuting_squares(
     expectations of the ambient basis are formed once; every left
     expectation runs along the batch axis.  Raises ``InclusionViolation``
     when any square of the batch is not nested.
+
+    Nondegeneracy is read from the count ``dim L * dim R == dim ambient``
+    when the corner is the scalars and the commuting error is within
+    ``_count_bound`` (measured over the ambient basis), where the products
+    of the two middle bases are linearly independent; only the squares of
+    the batch outside that lemma have the rank of their products taken by
+    SVD.
     """
     dims = {corner.ambient_dim, right.ambient_dim, ambient.ambient_dim, *(a.ambient_dim for a in lefts)}
     if len(dims) != 1:
@@ -277,12 +319,17 @@ def commuting_squares(
     c = corner.project_many(g)
     errs = np.max([np.abs(x - y).max(axis=(-2, -1)) for x, y in ((lr, rl), (lr, c), (rl, c))], axis=0)
 
-    nondeg = [None] * len(lefts)
-    if nondegeneracy:
+    products = left.shape[1] * right.dim
+    scalar_corner = corner.dim == 1 and bool(_span_contained(np.eye(n).reshape(1, -1), corner.flat, n))
+    counted = scalar_corner & (errs <= _count_bound(products, n, ambient.dim))  # a NaN error is not counted
+    nondeg = [products == ambient.dim] * len(lefts)
+    outside = np.flatnonzero(~counted)
+    if outside.size:
         # row i * right.dim + j of batch b holds lefts[b].basis[i] @ right.basis[j]
-        prods = (bases[:, :, None] @ right.basis[None, None]).reshape(len(lefts), -1, n * n)
+        prods = (bases[outside, :, None] @ right.basis[None, None]).reshape(outside.size, -1, n * n)
         ranks = (np.linalg.svd(prods, compute_uv=False) > EPS_RANK).sum(axis=-1)
-        nondeg = (ranks == ambient.dim).tolist()
+        for b, rank in zip(outside.tolist(), ranks.tolist()):
+            nondeg[b] = rank == ambient.dim
     return [
         SquareResult(commuting=err < tol.eps_entry, nondegenerate=nd, max_commuting_err=err)
         for err, nd in zip(errs.tolist(), nondeg)
@@ -295,18 +342,18 @@ def is_commuting_square(
     right: AlgebraBasis,
     ambient: AlgebraBasis,
     tol: ToleranceConfig = DEFAULT_TOL,
-    *,
-    nondegeneracy: bool = True,
 ) -> SquareResult:
     """Decide the commuting-square property for a quadruple of algebras.
 
     Commuting means the two middle conditional expectations commute and
     compose to the expectation onto the corner, checked deterministically on
     a full basis of the ambient algebra.  Nondegenerate means the pairwise
-    products left * right span the ambient algebra, decided by rank.  The
-    batch of one of ``commuting_squares``.
+    products left * right span the ambient algebra: by the count when the
+    corner is the scalars and the square commutes within ``_count_bound``,
+    by the rank of the products otherwise.  The batch of one of
+    ``commuting_squares``.
     """
-    return commuting_squares(corner, [left], right, ambient, tol, nondegeneracy=nondegeneracy)[0]
+    return commuting_squares(corner, [left], right, ambient, tol)[0]
 
 
 def vertex_square(z, n: int, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> SquareResult:
@@ -351,7 +398,12 @@ def vertex_model_square(u, spec, tol: ToleranceConfig = DEFAULT_TOL) -> TowerBas
     columns v_ik of Y_i, and C lies in R as every Y_i is unitary (checked).
     The square commutes exactly when ``E_L(R) ⊆ C``; ``max_commuting_err`` is
     the largest entry of ``E_L(R_k) - tau(R_k) = I x N^{-1/2} (sum_i v_ik v_ik* - I)``.
-    Up to TOWER_NONDEG_CAP, L R spans the ambient exactly when
+    Up to TOWER_NONDEG_CAP the square is nondegenerate by the count of
+    ``_count_bound``: ``dim L * dim R = N^2 * N`` is the dimension of
+    ``Delta_N x M_N``, and with n = N^2, ``products`` = N^3 and the N
+    trace-orthonormal R_k measured, the count holds whenever
+    ``max_commuting_err <= _count_bound(N^3, N^2, N) = 1 / (2 N^6.5)``.
+    Beyond that bound, L R spans the ambient exactly when
     ``M[(k, j), (i, l)] = N v_ik[j] conj(v_ik[l])`` has rank N^2 (the dense
     products are N copies of M).  ``relcomm_dim`` is the commutant of R in L:
     ``I x m`` commutes with R exactly when m lies in every ``Y_i Delta Y_i*``,
@@ -379,8 +431,10 @@ def vertex_model_square(u, spec, tol: ToleranceConfig = DEFAULT_TOL) -> TowerBas
 
     nondeg = None
     if n <= TOWER_NONDEG_CAP:
-        prods = n * np.einsum("ijk,ilk->kjil", y, y.conj()).reshape(n * n, n * n)
-        nondeg = int((np.linalg.svd(prods, compute_uv=False) > EPS_RANK).sum()) == n * n
+        nondeg = True
+        if not err <= _count_bound(n**3, n * n, n):
+            prods = n * np.einsum("ijk,ilk->kjil", y, y.conj()).reshape(n * n, n * n)
+            nondeg = int((np.linalg.svd(prods, compute_uv=False) > EPS_RANK).sum()) == n * n
 
     # fold the rows for each X_i (X_0 = I gives none) into the system's
     # triangular factor: same singular values, O(N^3) memory

@@ -14,8 +14,13 @@ the library) draws the forms of a chunk, each generator then draws its
 row's left-invariance phases, and one ``pair_reports`` call reports the
 chunk.  ``--jobs`` is accepted and has no effect, so with a fixed seed
 the output is byte-identical across runs and across ``--jobs`` settings.
-``build_parser`` measures the terminal once and hands the parser and
-every subparser one ``HelpFormatter`` of that width.
+Each subcommand's arguments are defined once, by its builder in
+``_COMMANDS``.  ``build_parser`` returns the full tree; ``main`` builds the
+top-level parser with only the subcommand that ``argv[0]`` names, and
+parses with the full tree whatever that parser cannot take whole, so every
+usage message and exit code is the full tree's.  Either build measures the
+terminal once and hands the parser and every subparser one
+``HelpFormatter`` of that width.
 """
 
 from __future__ import annotations
@@ -384,18 +389,7 @@ def cmd_verify(args, tol: ToleranceConfig) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # the terminal is measured once per build, not by a new HelpFormatter on every add_argument
-    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    parser = argparse.ArgumentParser(
-        prog="hadinv",
-        description="Invariants of pairs of complex Hadamard matrices over Fourier tensor specs.",
-        formatter_class=formatter,
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-    add_parser = functools.partial(commands.add_parser, formatter_class=formatter)
-
-    gen = add_parser("gen", help="generate a matrix and emit matrix JSON")
+def _gen_arguments(gen: argparse.ArgumentParser) -> None:
     gen.add_argument("--spec", required=True, help="factor orders, e.g. 2,3")
     gen.add_argument(
         "--kind",
@@ -407,33 +401,33 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--phases", default=None, help="unit phases for dpw, e.g. 1,1j,-1,-1j")
     gen.add_argument("--out", default=None)
     _common_flags(gen)
-    gen.set_defaults(func=cmd_gen)
 
-    check = add_parser("check", help="classify matrices / certify pair relations")
+
+def _check_arguments(check: argparse.ArgumentParser) -> None:
     check.add_argument("paths", nargs="+", help="one or two matrix JSON files")
     check.add_argument("--spec", default=None)
     check.add_argument("--out", default=None)
     _common_flags(check)
-    check.set_defaults(func=cmd_check)
 
-    report = add_parser("report", help="full invariant report for a pair")
+
+def _report_arguments(report: argparse.ArgumentParser) -> None:
     report.add_argument("path_u")
     report.add_argument("path_v")
     report.add_argument("--spec", required=True)
     report.add_argument("--out", default=None)
     _common_flags(report, formats=True)
-    report.set_defaults(func=cmd_report)
 
-    realize = add_parser("realize", help="construct a pair for a divisor vector")
+
+def _realize_arguments(realize: argparse.ArgumentParser) -> None:
     realize.add_argument("--spec", required=True)
     realize.add_argument("--divisors", required=True, help="one divisor per factor, e.g. 2,1")
     realize.add_argument("--out", default=None)
     realize.add_argument("--out-u", default=None)
     realize.add_argument("--out-v", default=None)
     _common_flags(realize)
-    realize.set_defaults(func=cmd_realize)
 
-    sweep = add_parser("sweep", help="realization table or randomized campaign")
+
+def _sweep_arguments(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("--spec", required=True)
     sweep.add_argument("--mode", choices=("realize", "random"), default="realize")
     sweep.add_argument("--samples", type=int, default=50)
@@ -441,22 +435,80 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--jobs", type=int, default=None, help="accepted for compatibility; no effect")
     sweep.add_argument("--out", default=None)
     _common_flags(sweep, formats=True)
-    sweep.set_defaults(func=cmd_sweep)
 
-    verify = add_parser("verify", help="run the structural identity suite")
+
+def _verify_arguments(verify: argparse.ArgumentParser) -> None:
     verify.add_argument("--max-order", type=int, default=12)
     verify.add_argument("--gamma-orders", default="2,3,4")
     verify.add_argument("--out", default=None)
     verify.add_argument("--format", choices=("json", "text"), default="text")
     verify.add_argument("--tolerance", type=float, default=None)
-    verify.set_defaults(func=cmd_verify)
 
+
+# name -> (help, argument builder, handler), in the order the usage lists them
+_COMMANDS = {
+    "gen": ("generate a matrix and emit matrix JSON", _gen_arguments, cmd_gen),
+    "check": ("classify matrices / certify pair relations", _check_arguments, cmd_check),
+    "report": ("full invariant report for a pair", _report_arguments, cmd_report),
+    "realize": ("construct a pair for a divisor vector", _realize_arguments, cmd_realize),
+    "sweep": ("realization table or randomized campaign", _sweep_arguments, cmd_sweep),
+    "verify": ("run the structural identity suite", _verify_arguments, cmd_verify),
+}
+
+
+class _ParseFailed(Exception):
+    pass
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """A parser that raises ``_ParseFailed`` where argparse would print a usage error and exit."""
+
+    def error(self, message):
+        raise _ParseFailed(message)
+
+
+def _parser(names, parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The top-level parser with the subcommands ``names``; subparsers share ``parser_class``."""
+    # the terminal is measured once per build, not by a new HelpFormatter on every add_argument
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = parser_class(
+        prog="hadinv",
+        description="Invariants of pairs of complex Hadamard matrices over Fourier tensor specs.",
+        formatter_class=formatter,
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, add_arguments, func = _COMMANDS[name]
+        sub = commands.add_parser(name, help=help_text, formatter_class=formatter)
+        add_arguments(sub)
+        sub.set_defaults(func=func)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, with every subcommand."""
+    return _parser(_COMMANDS)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as ``build_parser()`` would, building only the invoked subcommand when ``argv[0]`` names one.
+
+    The one-command parser has the same subparser, so it takes every argv
+    the full parser takes, to the same namespace, and prints the same
+    ``--help``.  Anything it cannot take whole (a usage error, or leftover
+    arguments that the top-level usage reports with every command listed)
+    is parsed again by the full parser, which writes the message and exits.
+    """
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return _parser([argv[0]], _OneCommandParser).parse_args(argv)
+        except _ParseFailed:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         tol = _tolerance(args)
         return args.func(args, tol)

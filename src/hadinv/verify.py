@@ -7,8 +7,12 @@ all powers of one order, or of all r of one spec, in one batched product.
 The stacks come from one ``clock_stack`` and one ``shift_stack`` call per
 order or spec; each order's stacks, ``F_n`` and each spec's Fourier tensor
 are built once per run, and both spin squares of an order are checked in
-one ``commuting_squares`` pass.  The suite is pure and ordered, so
-repeated runs print byte-identical output.
+one ``commuting_squares`` pass, whose nondegeneracy is the count
+``n * n == dim M_n`` (the commuting error being far inside the count's
+bound).  The block-unitary form is checked on the N diagonal blocks of
+``block_unitary(W)``, each times ``W*``, with the off-diagonal blocks
+exactly zero; the dense ``N^2 x N^2`` product is the test oracle.  The
+suite is pure and ordered, so repeated runs print byte-identical output.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .hadamard import (
     shift_stack,
 )
 from .invariants import random_conjugate_pair
-from .linalg import DEFAULT_TOL, ToleranceConfig, dagger, permutation_mask, tensor
+from .linalg import DEFAULT_TOL, ToleranceConfig, dagger, permutation_mask
 
 __all__ = ["CheckResult", "run_verification", "IDENTITY_THRESHOLD"]
 
@@ -103,16 +107,22 @@ def _tensor_diag_conjugation(tensors) -> CheckResult:
 
 
 def _block_unitary_permutation_form(tensors) -> CheckResult:
-    """block_unitary(W) equals P (I x W) with P a block-diagonal permutation."""
+    """block_unitary(W) equals P (I x W) with P a block-diagonal permutation.
+
+    Block (i, j) of ``block_unitary(W) (I x W)*`` is block (i, j) of
+    ``block_unitary(W)`` times ``W*``, so the off-diagonal blocks of
+    ``block_unitary(W)`` must be exactly zero and each diagonal block
+    times ``W*`` a permutation: N products in M_N, not one in M_{N^2}.
+    """
     worst = 0.0
     ok = True
     for spec, w in tensors:
         n = spec.dim
-        p = block_unitary(w) @ dagger(tensor(np.eye(n), w))
-        ok = ok and bool(permutation_mask(p))
-        worst = max(worst, float(np.abs(p - np.round(p.real)).max()))
-        blocks = p.reshape(n, n, n, n).transpose(0, 2, 1, 3)
-        worst = max(worst, float(np.abs(blocks[~np.eye(n, dtype=bool)]).max()))
+        blocks = block_unitary(w).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+        off = float(np.abs(blocks[~np.eye(n, dtype=bool)]).max())
+        p = blocks[np.arange(n), np.arange(n)] @ dagger(w)
+        ok = ok and off == 0.0 and bool(permutation_mask(p).all())
+        worst = max(worst, off, float(np.abs(p - np.round(p.real)).max()))
     return CheckResult("block-unitary-permutation-form", ok and worst <= IDENTITY_THRESHOLD, worst)
 
 

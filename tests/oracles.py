@@ -18,6 +18,7 @@ from hadinv import (
     is_commuting_square,
     scalar_algebra,
 )
+from hadinv.linalg import EPS_RANK
 from hadinv.verify import IDENTITY_THRESHOLD, TENSOR_SPECS
 
 
@@ -146,20 +147,45 @@ def block_unitary_permutation_form() -> tuple[bool, float]:
     return ok and worst <= IDENTITY_THRESHOLD, worst
 
 
-def spin_squares(orders) -> list[tuple[bool, float]]:
-    """``(passed, max_err)`` per order of the spin squares of ``F_n`` and of verify's random DPW matrix, one call each."""
+def product_rank_nondegenerate(left, right, ambient) -> bool:
+    """Whether the products ``l r`` of two ``AlgebraBasis`` bases span ``ambient``, by an SVD rank cut at ``EPS_RANK``."""
+    prods = np.stack([(a @ b).reshape(-1) for a in left.basis for b in right.basis])
+    return int((np.linalg.svd(prods, compute_uv=False) > EPS_RANK).sum()) == ambient.dim
+
+
+def tower_rank_nondegenerate(blocks) -> bool:
+    """The tower base square's nondegeneracy from its blocks ``Y_i``, by an SVD rank cut at ``EPS_RANK``.
+
+    With ``v_ik`` column k of ``Y_i``, the dense products of L and R are N
+    copies of ``M[(k, j), (i, l)] = N v_ik[j] conj(v_ik[l])``, so they span
+    ``Delta_N x M_N`` exactly when M has rank N^2.
+    """
+    n = blocks.shape[0]
+    prods = n * np.einsum("ijk,ilk->kjil", blocks, blocks.conj()).reshape(n * n, n * n)
+    return int((np.linalg.svd(prods, compute_uv=False) > EPS_RANK).sum()) == n * n
+
+
+def spin_square_unitaries(orders):
+    """``(n, F_n, dpw)`` per order, ``dpw`` drawn as verify draws its random DPW matrix."""
     rng = np.random.default_rng(0)
-    out = []
     for n in orders:
         phases = np.exp(2j * np.pi * rng.random(n))
-        dpw = np.diag(phases) @ fourier(n)[rng.permutation(n)]
+        yield n, fourier(n), np.diag(phases) @ fourier(n)[rng.permutation(n)]
+
+
+def spin_squares(orders) -> list[tuple[bool, float]]:
+    """``(passed, max_err)`` per order of the spin squares of ``F_n`` and of verify's random DPW matrix, one call each.
+
+    Nondegeneracy is the rank of the products, not the library's count.
+    """
+    out = []
+    for n, *unitaries in spin_square_unitaries(orders):
         worst = 0.0
         ok = True
-        for u in (fourier(n), dpw):
-            square = is_commuting_square(
-                scalar_algebra(n), diag_conj_algebra(u), diagonal_algebra(n), full_matrix_algebra(n)
-            )
-            ok = ok and square.commuting and bool(square.nondegenerate)
+        for u in unitaries:
+            left, right, ambient = diag_conj_algebra(u), diagonal_algebra(n), full_matrix_algebra(n)
+            square = is_commuting_square(scalar_algebra(n), left, right, ambient)
+            ok = ok and square.commuting and product_rank_nondegenerate(left, right, ambient)
             worst = max(worst, square.max_commuting_err)
         out.append((ok, worst))
     return out

@@ -6,14 +6,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hadinv.algebra as algebra
 from conftest import SPECS_UP_TO_16, haar_unitary, maxabs, random_dpw
-from oracles import conditional_expectation
+from oracles import (
+    conditional_expectation,
+    product_rank_nondegenerate,
+    spin_square_unitaries,
+    tower_rank_nondegenerate,
+)
 from hadinv import (
     AlgebraBasis,
     InclusionViolation,
     NonUnitary,
     OrderTooLarge,
     DimMismatch,
+    ToleranceConfig,
     block_unitary,
     commutant,
     commuting_squares,
@@ -190,16 +197,6 @@ class TestCommutingSquare:
                 full_matrix_algebra(2),
             )
 
-    def test_nondegeneracy_skippable(self):
-        result = is_commuting_square(
-            scalar_algebra(2),
-            diag_conj_algebra(fourier(2)),
-            diagonal_algebra(2),
-            full_matrix_algebra(2),
-            nondegeneracy=False,
-        )
-        assert result.commuting and result.nondegenerate is None
-
 
 class TestCommutingSquaresBatch:
     def test_each_square_equals_its_batch_of_one(self):
@@ -230,6 +227,82 @@ class TestCommutingSquaresBatch:
                 diagonal_algebra(2),
                 full_matrix_algebra(2),
             )
+
+
+class TestNondegeneracyOracle:
+    """The count of ``commuting_squares`` and ``vertex_model_square`` against the rank of the products by SVD."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_spin_squares(self, n):
+        ((_, *unitaries),) = spin_square_unitaries([n])
+        lefts = [diag_conj_algebra(u) for u in unitaries]
+        shared = (diagonal_algebra(n), full_matrix_algebra(n))
+        squares = commuting_squares(scalar_algebra(n), lefts, *shared)
+        bound = algebra._count_bound(n * n, n, n * n)
+        for left, square in zip(lefts, squares):
+            assert square.commuting and square.max_commuting_err <= bound  # the count decides
+            assert square.nondegenerate is True
+            assert product_rank_nondegenerate(left, *shared) is True
+
+    def test_spin_square_noise_across_the_bound(self):
+        # near-Hadamard unitaries: the commuting error grows with the noise, past the count's bound
+        rng = np.random.default_rng(47)
+        n = 6
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        errs = []
+        for noise in (1e-7, 1e-5, 1e-4, 1e-3, 1e-1):
+            u, _ = np.linalg.qr(fourier(n) + noise * z)
+            left, right, ambient = diag_conj_algebra(u), diagonal_algebra(n), full_matrix_algebra(n)
+            square = is_commuting_square(scalar_algebra(n), left, right, ambient)
+            assert square.nondegenerate == product_rank_nondegenerate(left, right, ambient)
+            errs.append(square.max_commuting_err)
+        assert errs[0] <= algebra._count_bound(n * n, n, n * n) < errs[-1]
+
+    @staticmethod
+    def _tower_cases():
+        rng = np.random.default_rng(48)
+        for spec in [spec for spec in SPECS_UP_TO_16 if math.prod(spec) <= 5]:
+            yield fourier_tensor(spec), spec
+            for _ in range(3):
+                for u in random_conjugate_pair(spec, rng):
+                    yield u, spec
+        for a in (0.3, 1.1, np.pi / 2):
+            for spec in ((4,), (2, 2)):
+                yield _affine_f4(a), spec
+
+    def test_tower_squares(self):
+        for u, spec in self._tower_cases():
+            n = math.prod(spec)
+            got = vertex_model_square(u, spec)
+            assert got.commuting and got.max_commuting_err <= algebra._count_bound(n**3, n * n, n)
+            assert got.nondegenerate is True
+            assert tower_rank_nondegenerate(got.blocks) is True
+
+    @pytest.mark.parametrize("noise,counted", [(1e-6, True), (3e-6, True), (1e-5, False)])
+    def test_tower_noise_across_the_bound(self, noise, counted):
+        # at N = 5 the bound 1 / (2 * 5^6.5) is about 1.4e-5; a coarse tolerance admits the noisy input
+        rng = np.random.default_rng(5)
+        u = fourier(5) + noise * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        got = vertex_model_square(u, (5,), ToleranceConfig(eps_entry=1e-3))
+        assert (got.max_commuting_err <= algebra._count_bound(125, 25, 5)) == counted
+        assert got.nondegenerate == tower_rank_nondegenerate(got.blocks)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_commuting_but_degenerate(self, n):
+        # (C, C, Delta_n, M_n): E_L = E_C, so the square commutes, but dim L * dim R = n < n^2
+        corner, right, ambient = scalar_algebra(n), diagonal_algebra(n), full_matrix_algebra(n)
+        square = is_commuting_square(corner, corner, right, ambient)
+        assert square.commuting
+        assert square.nondegenerate is False
+        assert product_rank_nondegenerate(corner, right, ambient) is False
+
+    def test_non_scalar_corner_takes_the_rank(self):
+        # (Delta, Delta, Delta, M_n) commutes; the count does not apply and the rank says degenerate
+        n = 3
+        diag = diagonal_algebra(n)
+        square = is_commuting_square(diag, diag, diag, full_matrix_algebra(n))
+        assert square.commuting
+        assert square.nondegenerate is product_rank_nondegenerate(diag, diag, full_matrix_algebra(n)) is False
 
 
 class TestVertexSquare:
@@ -276,7 +349,9 @@ def _dense_tower_square(u, spec):
 
     Right algebra ``Ad_{U1}(I x W Delta W*)`` from the full ``block_unitary``,
     left ``I x M_N``, ambient ``Delta_N x M_N``; the generic commuting-square
-    test on the N^3 ambient basis and the stacked-commutator commutant.
+    test on the N^3 ambient basis, the rank of the dense products up to
+    N = 5 (None beyond, as the library reports) and the stacked-commutator
+    commutant.
     """
     n = math.prod(spec)
     w = fourier_tensor(spec)
@@ -288,10 +363,9 @@ def _dense_tower_square(u, spec):
     right = AlgebraBasis(ambient_dim=n * n, basis=right_stack)
     left = tensor_algebra(scalar_algebra(n), full_matrix_algebra(n))
     ambient = tensor_algebra(diag, full_matrix_algebra(n))
-    square = is_commuting_square(
-        scalar_algebra(n * n), left, right, ambient, nondegeneracy=n <= 5
-    )
-    return square.commuting, square.nondegenerate, commutant(right, left).dim
+    square = is_commuting_square(scalar_algebra(n * n), left, right, ambient)
+    nondegenerate = product_rank_nondegenerate(left, right, ambient) if n <= 5 else None
+    return square.commuting, nondegenerate, commutant(right, left).dim
 
 
 def _affine_f4(a):

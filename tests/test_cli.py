@@ -10,6 +10,7 @@ import pytest
 
 from conftest import maxabs
 from hadinv import fourier, fourier_tensor
+from hadinv import cli
 from hadinv.cli import build_parser, main
 from hadinv.serialize import dumps, matrix_from_obj, matrix_to_obj
 
@@ -528,6 +529,79 @@ class TestHelp:
         monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or real(*a))
         build_parser().format_help()
         assert len(calls) == 1
+
+
+def _outcome(capsys, argv):
+    """``(exit code, stdout, stderr)`` of ``main(argv)``, whether it returns or exits."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserParity:
+    """``main`` parses with only the invoked subcommand; every outcome equals the full ``build_parser()`` tree's."""
+
+    COMMANDS = TestHelp.COMMANDS
+
+    @staticmethod
+    def _assert_parity(capsys, monkeypatch, argv):
+        got = _outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_parse_args", lambda args: build_parser().parse_args(args))
+        assert got == _outcome(capsys, argv)
+        return got
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--spec", "2", "--kind", "fourier"],
+            ["check", "{u}"],
+            ["report", "{u}", "{v}", "--spec", "2", "--format", "text"],
+            ["realize", "--spec", "4", "--divisors", "2"],
+            ["sweep", "--spec", "2,2", "--mode", "random", "--samples", "2", "--seed", "1"],
+            ["verify", "--max-order", "3", "--gamma-orders", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_each_command_runs_as_with_the_full_tree(self, capsys, monkeypatch, tmp_path, argv):
+        paths = {"u": write_matrix(tmp_path / "u.json", fourier(2)), "v": write_matrix(tmp_path / "v.json", fourier(2))}
+        code, out, _ = self._assert_parity(capsys, monkeypatch, [a.format(**paths) for a in argv])
+        assert code == 0 and out
+
+    @pytest.mark.parametrize(
+        "argv,stderr_start",
+        [
+            ([], "usage: hadinv [-h] {gen,check,report,realize,sweep,verify}"),
+            (["frobnicate"], "usage: hadinv [-h] {gen,check,report,realize,sweep,verify}"),
+            (["verify", "--bogus"], "usage: hadinv [-h] {gen,check,report,realize,sweep,verify}"),
+            (["report", "u.json"], "usage: hadinv report"),
+            (["verify", "--format", "xml"], "usage: hadinv verify"),
+            (["sweep", "--spec", "2", "--mode", "bogus"], "usage: hadinv sweep"),
+        ],
+        ids=["bare", "unknown-command", "unknown-flag", "missing-required", "bad-format", "bad-mode"],
+    )
+    def test_usage_errors(self, capsys, monkeypatch, argv, stderr_start):
+        code, out, err = self._assert_parity(capsys, monkeypatch, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(stderr_start)
+
+    @pytest.mark.parametrize("columns", ["60", "200"])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c or "hadinv")
+    def test_help(self, capsys, monkeypatch, columns, flag, command):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, err = self._assert_parity(capsys, monkeypatch, [command, flag] if command else [flag])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: hadinv")
+
+    def test_a_valid_command_builds_only_its_own_parser(self, capsys, monkeypatch):
+        def full_tree():
+            raise AssertionError("the full parser was built")
+
+        monkeypatch.setattr(cli, "build_parser", full_tree)
+        assert _outcome(capsys, ["verify", "--max-order", "2", "--gamma-orders", "2"])[0] == 0
 
 
 class TestVerify:

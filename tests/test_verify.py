@@ -11,7 +11,15 @@ from oracles import (
     spin_squares,
     tensor_diag_conjugation,
 )
-from hadinv import FourierSpec, OrderOutOfRange, OrderTooLarge, fourier, fourier_tensor, run_verification
+from hadinv import (
+    FourierSpec,
+    OrderOutOfRange,
+    OrderTooLarge,
+    block_unitary,
+    fourier,
+    fourier_tensor,
+    run_verification,
+)
 from hadinv.hadamard import clock_stack, shift_stack
 
 
@@ -77,6 +85,27 @@ class TestMutantsFail:
     def test_conjugated_clock(self, monkeypatch):
         monkeypatch.setattr(verify, "clock_stack", lambda spec, rs: clock_stack(spec, rs).conj())
         assert not check("clock-shift-commutation").passed
+
+    @staticmethod
+    def _mutated_block_unitary(monkeypatch, row, col, mutate):
+        def mutant(w):
+            m = block_unitary(w)
+            m[row, col] = mutate(m[row, col])
+            return m
+
+        monkeypatch.setattr(verify, "block_unitary", mutant)
+        return check("block-unitary-permutation-form")
+
+    def test_block_unitary_with_an_off_diagonal_block_entry(self, monkeypatch):
+        # column 9 lies in block column 1 for every N = 6..9 of TENSOR_SPECS; a 1e-14 entry is
+        # below the identity threshold, so only the exact-zero rule for off-diagonal blocks sees it
+        result = self._mutated_block_unitary(monkeypatch, 0, 9, lambda x: 1e-14)
+        assert not result.passed
+
+    def test_block_unitary_with_a_scaled_diagonal_block_entry(self, monkeypatch):
+        result = self._mutated_block_unitary(monkeypatch, 1, 1, lambda x: 2 * x)
+        assert not result.passed
+        assert result.max_err > 1e-2
 
 
 class TestCapsCheckedFirst:
