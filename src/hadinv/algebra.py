@@ -387,6 +387,14 @@ class TowerBaseResult:
     max_commuting_err: float
 
 
+def _tower_spec(spec) -> FourierSpec:
+    """``spec`` as a ``FourierSpec``, its own caps checked first, then ``TOWER_DIM_CAP``."""
+    spec = FourierSpec.of(spec)
+    if spec.dim > TOWER_DIM_CAP:
+        raise OrderTooLarge(f"tower base square capped at dimension {TOWER_DIM_CAP}")
+    return spec
+
+
 def vertex_model_square(u, spec, tol: ToleranceConfig = DEFAULT_TOL) -> TowerBaseResult:
     """Test the square pairing ``Ad_{U1}(I x W Delta W*)`` against ``I x M_N`` in M_{N^2}.
 
@@ -410,10 +418,8 @@ def vertex_model_square(u, spec, tol: ToleranceConfig = DEFAULT_TOL) -> TowerBas
     that is ``m = Y_0 diag(d) Y_0*`` with every ``X_i* diag(d) X_i`` diagonal for
     ``X_i = Y_0* Y_i``, a linear system in d (nullity N for Fourier-class u).
     """
-    spec = FourierSpec.of(spec)
+    spec = _tower_spec(spec)
     n = spec.dim
-    if n > TOWER_DIM_CAP:
-        raise OrderTooLarge(f"tower base square capped at dimension {TOWER_DIM_CAP}")
     u = require_hadamard(u, tol)
     if u.shape[0] != n:
         raise DimMismatch(f"matrix dimension {u.shape[0]} does not match spec {spec.orders}")

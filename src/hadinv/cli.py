@@ -15,10 +15,11 @@ row's left-invariance phases, and one ``pair_reports`` call reports the
 chunk.  ``--jobs`` is accepted and has no effect, so with a fixed seed
 the output is byte-identical across runs and across ``--jobs`` settings.
 Each subcommand's arguments are defined once, by its builder in
-``_COMMANDS``.  ``build_parser`` returns the full tree; ``main`` builds the
-top-level parser with only the subcommand that ``argv[0]`` names, and
-parses with the full tree whatever that parser cannot take whole, so every
-usage message and exit code is the full tree's.  Either build measures the
+``_COMMANDS``.  ``build_parser`` returns the full tree; ``main`` parses
+with one parser build, which holds only the subcommand that ``argv[0]``
+names, or the full tree when ``argv[0]`` names none.  The one-command
+build lists every command in its usage line, so every help text, usage
+message and exit code is the full tree's.  Either build measures the
 terminal once and hands the parser and every subparser one
 ``HelpFormatter`` of that width.
 """
@@ -141,7 +142,7 @@ def cmd_check(args, tol: ToleranceConfig) -> int:
             "class": asdict(flags),
             "dpw": None,
         }
-        if spec is not None and is_hadamard(m, tol):
+        if spec is not None:
             try:
                 obj["dpw"] = dpw_to_obj(decompose_dpw(m, spec, tol))
             except HadinvError:
@@ -456,27 +457,22 @@ _COMMANDS = {
 }
 
 
-class _ParseFailed(Exception):
-    pass
+def _parser(names) -> argparse.ArgumentParser:
+    """The top-level parser with the subcommands ``names``.
 
-
-class _OneCommandParser(argparse.ArgumentParser):
-    """A parser that raises ``_ParseFailed`` where argparse would print a usage error and exit."""
-
-    def error(self, message):
-        raise _ParseFailed(message)
-
-
-def _parser(names, parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """The top-level parser with the subcommands ``names``; subparsers share ``parser_class``."""
+    A one-command build lists every command in its usage line, so its
+    top-level usage errors read as the full tree's.  The full tree keeps
+    the default metavar, which its own errors name as ``command``.
+    """
     # the terminal is measured once per build, not by a new HelpFormatter on every add_argument
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    parser = parser_class(
+    parser = argparse.ArgumentParser(
         prog="hadinv",
         description="Invariants of pairs of complex Hadamard matrices over Fourier tensor specs.",
         formatter_class=formatter,
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    metavar = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
         help_text, add_arguments, func = _COMMANDS[name]
         sub = commands.add_parser(name, help=help_text, formatter_class=formatter)
@@ -491,27 +487,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` as ``build_parser()`` would, building only the invoked subcommand when ``argv[0]`` names one.
-
-    The one-command parser has the same subparser, so it takes every argv
-    the full parser takes, to the same namespace, and prints the same
-    ``--help``.  Anything it cannot take whole (a usage error, or leftover
-    arguments that the top-level usage reports with every command listed)
-    is parsed again by the full parser, which writes the message and exits.
-    """
-    if argv and argv[0] in _COMMANDS:
-        try:
-            return _parser([argv[0]], _OneCommandParser).parse_args(argv)
-        except _ParseFailed:
-            pass
-    return build_parser().parse_args(argv)
+    """Parse ``argv`` with one parser: only the invoked subcommand when ``argv[0]`` names one, else the full tree."""
+    parser = _parser([argv[0]]) if argv and argv[0] in _COMMANDS else build_parser()
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         tol = _tolerance(args)
-        return args.func(args, tol)
+        # huge finite entries overflow in products; every threshold already fails on inf and NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args, tol)
     except OracleMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

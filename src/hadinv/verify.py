@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    TOWER_DIM_CAP,
     TOWER_NONDEG_CAP,
+    _tower_spec,
     commuting_squares,
     diag_conj_algebra,
     diagonal_algebra,
@@ -31,7 +31,7 @@ from .algebra import (
     scalar_algebra,
     vertex_model_square,
 )
-from .errors import OrderOutOfRange, OrderTooLarge
+from .errors import OrderOutOfRange
 from .hadamard import (
     DIM_CAP,
     FourierSpec,
@@ -147,14 +147,6 @@ def _spin_squares(orders, fouriers, tol: ToleranceConfig) -> list[CheckResult]:
     return out
 
 
-def _tower_spec(n: int) -> FourierSpec:
-    """The spec of gamma order n, with the errors ``vertex_model_square`` would raise on it."""
-    spec = FourierSpec((n,))
-    if n > TOWER_DIM_CAP:
-        raise OrderTooLarge(f"tower base square capped at dimension {TOWER_DIM_CAP}")
-    return spec
-
-
 def _tower_base_squares(specs, tol: ToleranceConfig) -> list[CheckResult]:
     rng = np.random.default_rng(0)
     out = []
@@ -188,7 +180,7 @@ def run_verification(
         raise OrderOutOfRange(f"max order must be at least 2, got {max_order}")
     if max_order > DIM_CAP:
         raise OrderOutOfRange(f"fourier order must be in [2, {DIM_CAP}], got {max_order}")
-    tower_specs = [_tower_spec(n) for n in gamma_orders]
+    tower_specs = [_tower_spec((n,)) for n in gamma_orders]
 
     fouriers = {n: fourier(n) for n in {*range(2, max_order + 1), *spin_orders}}
     sweep = [fouriers[n] for n in range(2, max_order + 1)]

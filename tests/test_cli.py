@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,16 @@ class TestCheck:
         assert obj["equivalent"] is False
         assert obj["conjugate"] is True
 
+    def test_pair_whose_product_overflows_is_not_equivalent(self, capsys, tmp_path):
+        # both inputs are finite; only u* v overflows, so the pair is distinct, not bad input
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dim": 2, "entries": [[1e200, 0]] * 4}))
+        code, out, err = run(capsys, "check", str(path), str(path), "--spec", "2")
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert (obj["equivalent"], obj["certificate"], obj["conjugate"]) == (False, None, None)
+        assert obj["hadamard"] == [False, False]
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "nope.json"))
         assert code == 1
@@ -167,6 +178,30 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+class TestHugeFiniteEntries:
+    """Products of huge finite entries overflow; every threshold fails on inf and NaN, and numpy stays silent."""
+
+    @pytest.mark.parametrize(
+        "entry,argv,code,err",
+        [
+            ([1e308, 1e308], ["check", "{m}"], 0, ""),
+            ([1e308, 1e308], ["check", "{m}", "{m}", "--spec", "2"], 0, ""),
+            ([1e200, 0], ["check", "{m}", "--spec", "2"], 0, ""),
+            ([1e200, 0], ["report", "{m}", "{m}", "--spec", "2"], 1, "error: matrix is not complex Hadamard within tolerance\n"),
+        ],
+        ids=["check-one", "check-pair", "check-dpw", "report"],
+    )
+    def test_no_runtime_warning(self, capsys, tmp_path, entry, argv, code, err):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"dim": 2, "entries": [entry] * 4}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = run(capsys, *(a.format(m=path) for a in argv))
+        assert (got[0], got[2]) == (code, err)
+        if code == 0:
+            assert json.loads(got[1])["hadamard"] in (False, [False, False])
 
 
 class TestReport:
@@ -576,11 +611,16 @@ class TestParserParity:
             ([], "usage: hadinv [-h] {gen,check,report,realize,sweep,verify}"),
             (["frobnicate"], "usage: hadinv [-h] {gen,check,report,realize,sweep,verify}"),
             (["verify", "--bogus"], "usage: hadinv [-h] {gen,check,report,realize,sweep,verify}"),
+            (["verify", "extra"], "usage: hadinv [-h] {gen,check,report,realize,sweep,verify}"),
+            (["--tolerance", "1e-9", "verify"], "usage: hadinv [-h] {gen,check,report,realize,sweep,verify}"),
             (["report", "u.json"], "usage: hadinv report"),
             (["verify", "--format", "xml"], "usage: hadinv verify"),
             (["sweep", "--spec", "2", "--mode", "bogus"], "usage: hadinv sweep"),
         ],
-        ids=["bare", "unknown-command", "unknown-flag", "missing-required", "bad-format", "bad-mode"],
+        ids=[
+            "bare", "unknown-command", "unknown-flag", "leftover-argument", "flag-before-command", "missing-required",
+            "bad-format", "bad-mode",
+        ],
     )
     def test_usage_errors(self, capsys, monkeypatch, argv, stderr_start):
         code, out, err = self._assert_parity(capsys, monkeypatch, argv)
@@ -595,6 +635,20 @@ class TestParserParity:
         code, out, err = self._assert_parity(capsys, monkeypatch, [command, flag] if command else [flag])
         assert (code, err) == (0, "")
         assert out.startswith("usage: hadinv")
+
+    @pytest.mark.parametrize("columns", ["60", "200"])
+    def test_help_before_a_command(self, capsys, monkeypatch, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, err = self._assert_parity(capsys, monkeypatch, ["-h", "verify"])
+        assert (code, err) == (0, "")
+        assert out == build_parser().format_help()
+
+    def test_a_usage_error_after_a_command_builds_one_parser(self, capsys, monkeypatch):
+        builds = []
+        real = cli._parser
+        monkeypatch.setattr(cli, "_parser", lambda names, *rest: builds.append(list(names)) or real(names, *rest))
+        assert _outcome(capsys, ["verify", "--bogus"])[0] == 2
+        assert builds == [["verify"]]
 
     def test_a_valid_command_builds_only_its_own_parser(self, capsys, monkeypatch):
         def full_tree():

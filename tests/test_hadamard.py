@@ -334,6 +334,14 @@ class TestPermPhaseCertificate:
         with pytest.raises(DimMismatch):
             perm_phase_certificate(fourier(2), fourier(3))
 
+    @pytest.mark.parametrize("entry", [1e200, 1e308 + 1e308j])
+    def test_an_overflowed_product_is_no_certificate(self, entry):
+        # both inputs are finite; u* v is inf or NaN, which is no complex permutation and no input error
+        big = np.full((2, 2), entry)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(big.conj().T @ big).all()
+            assert perm_phase_certificate(big, big) is None
+
 
 class TestDecomposeDpw:
     def test_round_trip(self):
