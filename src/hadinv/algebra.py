@@ -10,7 +10,8 @@ algebras; ``is_commuting_square`` is its batch of one).  The base square
 of the vertex-model tower of a Hadamard matrix sits in M_{N^2} but is block
 diagonal, so it is computed on its N diagonal blocks in M_N; it commutes
 exactly when the expectation onto ``I x M_N`` maps the right algebra into
-the scalars (``E_L(R) ⊆ C``).  The dense routes stay as its test oracle.
+the scalars (``E_L(R) ⊆ C``), and its relative commutant is the order of
+an annihilator of Fourier supports.  The dense routes stay as its oracle.
 A square with scalar corner that commutes within ``_count_bound`` is
 nondegenerate exactly when ``dim L * dim R`` is the ambient dimension, as
 the products of orthonormal bases of L and R are then linearly
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, InclusionViolation, NonUnitary, OrderTooLarge
+from .groups import annihilator_mask, inverse_dft
 from .hadamard import FourierSpec, fourier_tensor, require_hadamard
 from .linalg import (
     DEFAULT_TOL,
@@ -413,10 +415,11 @@ def vertex_model_square(u, spec, tol: ToleranceConfig = DEFAULT_TOL) -> TowerBas
     ``max_commuting_err <= _count_bound(N^3, N^2, N) = 1 / (2 N^6.5)``.
     Beyond that bound, L R spans the ambient exactly when
     ``M[(k, j), (i, l)] = N v_ik[j] conj(v_ik[l])`` has rank N^2 (the dense
-    products are N copies of M).  ``relcomm_dim`` is the commutant of R in L:
-    ``I x m`` commutes with R exactly when m lies in every ``Y_i Delta Y_i*``,
-    that is ``m = Y_0 diag(d) Y_0*`` with every ``X_i* diag(d) X_i`` diagonal for
-    ``X_i = Y_0* Y_i``, a linear system in d (nullity N for Fourier-class u).
+    products are N copies of M).  ``relcomm_dim``, the commutant of R in L, is
+    the meet of the ``Y_i Delta Y_i* = B_i (W Delta W*) B_i*``: ``diag(e_i) =
+    B_0* B_i``, ``e_i = N u[0, :] conj(u[i, :])``, keeps the translation S_s
+    spanning ``W Delta W*`` exactly when the character s is constant on the
+    support of ``inverse_dft(e_i)`` (cut at eps_entry), so it counts those s.
     """
     spec = _tower_spec(spec)
     n = spec.dim
@@ -442,17 +445,12 @@ def vertex_model_square(u, spec, tol: ToleranceConfig = DEFAULT_TOL) -> TowerBas
             prods = n * np.einsum("ijk,ilk->kjil", y, y.conj()).reshape(n * n, n * n)
             nondeg = int((np.linalg.svd(prods, compute_uv=False) > EPS_RANK).sum()) == n * n
 
-    # fold the rows for each X_i (X_0 = I gives none) into the system's
-    # triangular factor: same singular values, O(N^3) memory
-    tri = np.zeros((0, n), dtype=complex)
-    for xi in root * (dagger(y[0]) @ y[1:]):
-        rows = np.einsum("ca,cb->abc", xi.conj(), xi)[~np.eye(n, dtype=bool)]
-        tri = np.linalg.qr(np.concatenate([tri, rows]), mode="r")
+    support = np.abs(inverse_dft(n * u[0] * u[1:].conj(), spec)) > tol.eps_entry
     return TowerBaseResult(
         blocks=y,
         commuting=err < tol.eps_entry,
         nondegenerate=nondeg,
-        relcomm_dim=nullspace(tri).shape[1],
+        relcomm_dim=int(annihilator_mask(support, spec).all(axis=0).sum()),
         max_commuting_err=err,
     )
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DimMismatch, IndexOutOfRange, NotClosed, NotDivisor
 from .hadamard import FourierSpec, fourier_tensor, integer_tuple, realize_forms
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, dagger
+from .linalg import DEFAULT_TOL, ToleranceConfig, _overflow_fails, as_matrix, dagger
 
 __all__ = [
     "SubgroupSet",
@@ -118,6 +118,7 @@ class SubgroupSet:
         return sorted(self.members)
 
 
+@_overflow_fails
 def extract_decisions(u, v, group) -> np.ndarray:
     """Per element r (lexicographic order), the largest off-diagonal modulus of ``X* D_r X``.
 
@@ -152,6 +153,7 @@ def subgroup_from_mask(inside, group) -> SubgroupSet:
     return SubgroupSet._verified(group.orders, members)
 
 
+@_overflow_fails
 def extract_subgroup(u, v, group, tol: ToleranceConfig = DEFAULT_TOL) -> SubgroupSet:
     """Exponent vectors r with ``V* U D_r U* V`` diagonal, verified as a subgroup.
 

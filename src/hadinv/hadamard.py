@@ -27,6 +27,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _overflow_fails,
     as_matrix,
     complex_permutation_mask,
     dagger,
@@ -263,6 +264,7 @@ def _split_complex_permutation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return perm, phases
 
 
+@_overflow_fails
 def perm_phase_certificate(u, v, tol: ToleranceConfig = DEFAULT_TOL):
     """Certificate that ``v = u @ P @ D`` for a permutation P and diagonal unitary D.
 
@@ -409,12 +411,4 @@ def block_transpose(m, n: int, k: int) -> np.ndarray:
 
 def is_biunitary(m, n: int, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Unitary whose block-transpose is also unitary."""
-    m = as_matrix(m)
-    if m.shape[0] != n * k:
-        raise DimMismatch(f"dimension {m.shape[0]} is not {n}*{k}")
-    eps = tol.eps_entry
-    eye = np.eye(n * k)
-    if np.abs(m @ dagger(m) - eye).max() >= eps:
-        return False
-    bt = block_transpose(m, n, k)
-    return bool(np.abs(bt @ dagger(bt) - eye).max() < eps)
+    return bool(unitary_mask(np.stack([as_matrix(m), block_transpose(m, n, k)]), tol).all())

@@ -97,6 +97,7 @@ from .hadamard import DpwForm, FourierSpec, dpw_parts, hadamard_mask
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _overflow_fails,
     as_matrix,
     as_stack,
     complex_permutation_mask,
@@ -347,6 +348,7 @@ class _PairStage(NamedTuple):
     side: _FourierSide | None
 
 
+@_overflow_fails
 def _stages(us: np.ndarray, vs: np.ndarray, spec: FourierSpec, tol: ToleranceConfig) -> list[_PairStage]:
     """The stacked stages of ``pair_reports``, split into one ``_PairStage`` per pair."""
     n = spec.dim

@@ -60,6 +60,9 @@ DEFAULT_TOL = ToleranceConfig()
 # the pivot of every rank decision (SVD rank cuts, Gram-Schmidt, span
 # membership); a constant, as ``--tolerance`` moves only eps_entry
 EPS_RANK = 1e-8
+# the state of the kernels that multiply caller matrices: an inf or NaN product of huge finite
+# entries fails every threshold; as a decorator (numpy >= 2) it sets a fresh state on every call
+_overflow_fails = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,7 @@ def tensor(a, b) -> np.ndarray:
     return out.reshape(*out.shape[:-4], a.shape[-1] * b.shape[-1], -1)
 
 
+@_overflow_fails
 def unitary_mask(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """``is_unitary`` of each matrix of a stack ``(..., N, N)``, as a boolean array."""
     err = np.abs(m @ dagger(m) - np.eye(m.shape[-1])).max(axis=(-2, -1))
@@ -154,6 +158,7 @@ def permutation_mask(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.nd
     return _monomial_mask(np.abs(m) > tol.eps_entry, np.abs(m - 1.0), tol)
 
 
+@_overflow_fails
 def classify(m, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixClass:
     """Classify a matrix by per-entry comparison within ``tol.eps_entry``."""
     a = as_matrix(m)

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
 
 
@@ -40,5 +42,8 @@ def _ordered_factorizations(n: int) -> list[tuple[int, ...]]:
     return [(f, *rest) for f in range(2, n + 1) if n % f == 0 for rest in _ordered_factorizations(n // f)]
 
 
-# every spec (ordered factor orders >= 2) with N <= 16: 42 of them
-SPECS_UP_TO_16 = [spec for n in range(2, 17) for spec in _ordered_factorizations(n)]
+# every spec (ordered factor orders >= 2) with N <= 36, the tower's domain
+SPECS_UP_TO_36 = [spec for n in range(2, 37) for spec in _ordered_factorizations(n)]
+
+# the 42 of them with N <= 16
+SPECS_UP_TO_16 = [spec for spec in SPECS_UP_TO_36 if math.prod(spec) <= 16]

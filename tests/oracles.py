@@ -18,7 +18,8 @@ from hadinv import (
     is_commuting_square,
     scalar_algebra,
 )
-from hadinv.linalg import EPS_RANK
+from hadinv.groups import _translates
+from hadinv.linalg import EPS_RANK, nullspace
 from hadinv.verify import IDENTITY_THRESHOLD, TENSOR_SPECS
 
 
@@ -163,6 +164,35 @@ def tower_rank_nondegenerate(blocks) -> bool:
     n = blocks.shape[0]
     prods = n * np.einsum("ijk,ilk->kjil", blocks, blocks.conj()).reshape(n * n, n * n)
     return int((np.linalg.svd(prods, compute_uv=False) > EPS_RANK).sum()) == n * n
+
+
+def tower_relcomm_dim(blocks) -> int:
+    """The tower base square's relative commutant from its blocks ``Y_i``, as the nullity of a linear system.
+
+    ``I x m`` commutes with R exactly when m lies in every ``Y_i Delta Y_i*``,
+    that is ``m = Y_0 diag(d) Y_0*`` with every ``X_i* diag(d) X_i`` diagonal
+    for ``X_i = Y_0* Y_i``.  The rows of each ``X_i`` (``X_0 = I`` gives
+    none) are folded into the system's triangular factor, which keeps the
+    singular values in O(N^3) memory; the nullity is cut at ``EPS_RANK``.
+    """
+    n = blocks.shape[0]
+    tri = np.zeros((0, n), dtype=complex)
+    for xi in np.sqrt(n) * (blocks[0].conj().T @ blocks[1:]):
+        rows = np.einsum("ca,cb->abc", xi.conj(), xi)[~np.eye(n, dtype=bool)]
+        tri = np.linalg.qr(np.concatenate([tri, rows]), mode="r")
+    return nullspace(tri).shape[1]
+
+
+def kept_translations(rows, orders, eps=1e-6) -> np.ndarray:
+    """The s at which every row e keeps the phase ratio ``e(x) conj(e(x + s))`` constant in x, as a flat mask.
+
+    Exactly there ``diag(e)`` keeps the translation ``S_s`` in ``W Delta W*``.
+    The rows are divided by their moduli first, so s = 0 holds exactly.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=complex))
+    rows = rows / np.abs(rows)
+    ratios = rows[:, None, :] * rows[:, _translates(tuple(orders), 1)].conj()  # [b, s, x]
+    return (np.abs(ratios - ratios[..., :1]) < eps).all(axis=(0, 2))
 
 
 def spin_square_unitaries(orders):

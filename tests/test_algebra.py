@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import hadinv.algebra as algebra
-from conftest import SPECS_UP_TO_16, haar_unitary, maxabs, random_dpw
+from conftest import SPECS_UP_TO_16, SPECS_UP_TO_36, haar_unitary, maxabs, random_dpw
 from oracles import (
     conditional_expectation,
+    kept_translations,
     product_rank_nondegenerate,
     spin_square_unitaries,
     tower_rank_nondegenerate,
+    tower_relcomm_dim,
 )
 from hadinv import (
     AlgebraBasis,
@@ -430,6 +432,59 @@ class TestTowerDenseOracle:
         # relcomm values other than N, so a route that always answered N would fail
         dims = {vertex_model_square(u, spec).relcomm_dim for _, u, spec in OFF_CLASS}
         assert {1, 2, 3, 4, 6} <= dims
+
+
+class TestTowerRelcommOracle:
+    """The subgroup count of ``vertex_model_square`` against the null space of the linear system in d.
+
+    The count also equals the number of translations whose phase ratios every row
+    ``e_i = N u[0, :] conj(u[i, :])`` keeps constant, the definition of K.
+    """
+
+    @staticmethod
+    def _assert_count_matches(u, spec):
+        got = vertex_model_square(u, spec)
+        assert got.relcomm_dim == tower_relcomm_dim(got.blocks)
+        n = u.shape[0]
+        assert got.relcomm_dim == kept_translations(n * u[0] * u[1:].conj(), spec).sum()
+        return got.relcomm_dim
+
+    @pytest.mark.parametrize("n", [*range(2, 17), 24, 36])
+    def test_cyclic(self, n):
+        u, _ = random_conjugate_pair((n,), np.random.default_rng(n))
+        for candidate in (fourier(n), u):
+            assert self._assert_count_matches(candidate, (n,)) == n
+
+    @pytest.mark.parametrize(
+        "spec", [spec for spec in SPECS_UP_TO_36 if len(spec) > 1], ids=lambda s: ",".join(map(str, s))
+    )
+    def test_multi_factor(self, spec):
+        n = math.prod(spec)
+        u, _ = random_conjugate_pair(spec, np.random.default_rng(n * 10 + len(spec)))
+        for candidate in (fourier_tensor(spec), u):
+            assert self._assert_count_matches(candidate, spec) == n
+
+    @pytest.mark.parametrize("case", OFF_CLASS, ids=lambda c: c[0])
+    def test_off_class(self, case):
+        _, u, spec = case
+        self._assert_count_matches(u, spec)
+
+    @pytest.mark.parametrize("n", [4, 36])
+    def test_an_entry_scaled_just_inside_the_tolerance_keeps_every_translation(self, n):
+        # the entry's modulus moves by 0.9 eps_entry: u passes as Hadamard at the default tolerance,
+        # and its rows e_i move by up to 0.9 sqrt(N) eps_entry at x = 0
+        u = fourier(n)
+        u[0, 0] *= 1 + 0.9e-9 * np.sqrt(n)
+        assert vertex_model_square(u, (n,)).relcomm_dim == n
+
+    @pytest.mark.parametrize("noise", [1e-6, 1e-5])
+    def test_noise_within_the_tolerance_keeps_every_translation(self, noise):
+        # the null space cut at EPS_RANK loses even the scalars here; the Fourier supports stay exact
+        rng = np.random.default_rng(5)
+        u = fourier(5) + noise * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        got = vertex_model_square(u, (5,), ToleranceConfig(eps_entry=1e-3))
+        assert got.relcomm_dim == 5
+        assert tower_relcomm_dim(got.blocks) == 0
 
 
 class TestTowerFullDomain:

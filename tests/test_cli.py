@@ -5,15 +5,26 @@ import hashlib
 import json
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from conftest import maxabs
-from hadinv import fourier, fourier_tensor
+from hadinv import (
+    NotHadamard,
+    classify,
+    decompose_dpw,
+    fourier,
+    fourier_tensor,
+    is_hadamard,
+    is_unitary,
+    pair_report,
+    perm_phase_certificate,
+)
 from hadinv import cli
 from hadinv.cli import build_parser, main
-from hadinv.serialize import dumps, matrix_from_obj, matrix_to_obj
+from hadinv.serialize import dumps, load_matrix, matrix_from_obj, matrix_to_obj
 
 
 def write_matrix(path, m):
@@ -202,6 +213,28 @@ class TestHugeFiniteEntries:
         assert (got[0], got[2]) == (code, err)
         if code == 0:
             assert json.loads(got[1])["hadamard"] in (False, [False, False])
+
+    @pytest.mark.parametrize("entry", [[1e200, 0], [1e308, 1e308]], ids=["1e200", "1e308+1e308j"])
+    def test_library_calls_give_the_cli_answer(self, capsys, tmp_path, entry):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"dim": 2, "entries": [entry] * 4}))
+        m = load_matrix(path)
+        one = json.loads(run(capsys, "check", str(path), "--spec", "2")[1])
+        pair = json.loads(run(capsys, "check", str(path), str(path), "--spec", "2")[1])
+        report = run(capsys, "report", str(path), str(path), "--spec", "2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_unitary(m) is one["class"]["unitary"]
+            assert is_hadamard(m) is one["hadamard"]
+            assert asdict(classify(m)) == one["class"]
+            assert perm_phase_certificate(m, m) is None and pair["equivalent"] is False
+            # the CLI prints a NotHadamard from decompose_dpw as "dpw": null
+            with pytest.raises(NotHadamard):
+                decompose_dpw(m, (2,))
+            assert one["dpw"] is None
+            with pytest.raises(NotHadamard) as rejected:
+                pair_report(m, m, (2,))
+        assert report == (1, "", f"error: {rejected.value}\n")
 
 
 class TestReport:

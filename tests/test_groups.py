@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import SPECS_UP_TO_16, maxabs, perm_matrix, random_dpw
@@ -24,12 +24,13 @@ from hadinv import (
     fourier,
     fourier_tensor,
     is_subgroup,
+    pair_report,
     random_conjugate_pair,
     realize_subgroup,
     subspace_intersection,
 )
 from hadinv.groups import annihilator_mask, subgroup_from_mask
-from oracles import staircase_pair
+from oracles import kept_translations, staircase_pair
 
 
 class TestIsSubgroup:
@@ -226,6 +227,56 @@ class TestAnnihilatorMask:
         assert got.shape == (5, n)
         for row, support in zip(got, supports):
             assert np.array_equal(row, annihilator_mask(support, orders))
+
+
+def _pair_subgroup_mask(d, orders) -> np.ndarray:
+    """H of the pair ``(W, diag(d) W)`` from ``pair_report``, the Fourier-support route, as a flat mask."""
+    w = fourier_tensor(orders)
+    members = pair_report(w, d[:, None] * w, orders).subgroup.sorted_members()
+    inside = np.zeros(math.prod(orders), dtype=bool)
+    inside[np.ravel_multi_index(tuple(np.array(members).T), orders)] = True
+    return inside
+
+
+class TestKeptTranslations:
+    """The translations whose phase ratios ``diag(d)`` keeps constant against the pair's H: one subgroup.
+
+    ``vertex_model_square`` counts these translations, for the rows of its tower, as the annihilator of
+    the Fourier supports, which is how ``pair_report`` finds H.
+    """
+
+    @pytest.mark.parametrize("spec", SPECS_UP_TO_16, ids=lambda s: ",".join(map(str, s)))
+    def test_realized_divisor_vectors(self, spec):
+        for mvec in itertools.product(*[divisors(order) for order in spec]):
+            u, v = realize_subgroup(spec, mvec)
+            d = np.diagonal(v @ u.conj().T)
+            got = kept_translations(d, spec)
+            assert got.sum() == math.prod(mvec)
+            assert np.array_equal(got, _pair_subgroup_mask(d, spec))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_constant_on_cosets(self, data):
+        orders = data.draw(st.sampled_from(SPECS_UP_TO_16), label="spec")
+        n = math.prod(orders)
+        generators = data.draw(
+            st.lists(st.tuples(*(st.integers(0, m - 1) for m in orders)), max_size=2), label="generators"
+        )
+        below = _generated(orders, generators)
+        # one phase on a root-of-unity grid per coset of the subgroup, so d is constant on each coset
+        grid = data.draw(st.sampled_from([2, 3, 4, 6, 8, 12]), label="grid")
+        coset = {}
+        steps = np.empty(n, dtype=int)
+        for flat, x in enumerate(itertools.product(*map(range, orders))):
+            base = min(tuple((a - b) % m for a, b, m in zip(x, h, orders)) for h in below)
+            if base not in coset:
+                coset[base] = data.draw(st.integers(0, grid - 1), label=f"coset {base}")
+            steps[flat] = coset[base]
+        assume(steps.any())  # d = 1 would give the identical pair, which has no H
+        d = np.exp(2j * np.pi * steps / grid)
+        got = kept_translations(d, orders)
+        assert got[np.ravel_multi_index(tuple(np.array(sorted(below)).T), orders)].all()
+        assert np.array_equal(got, _pair_subgroup_mask(d, orders))
 
 
 class TestExtractSubgroup:

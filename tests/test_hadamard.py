@@ -428,6 +428,12 @@ class TestBiunitary:
         with pytest.raises(DimMismatch):
             block_transpose(np.eye(5), 2, 2)
 
+    @pytest.mark.parametrize("entry", [1e200, 1e308 + 1e308j])
+    def test_huge_finite_entries_are_not_biunitary_and_raise_no_warning(self, entry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_biunitary(np.full((4, 4), entry), 2, 2) is False
+
 
 class TestDpwFormValidation:
     def test_rejects_non_integer_perm_entries(self):

@@ -1,5 +1,7 @@
 """Tests for the dense matrix kernel."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,29 @@ class TestClassify:
             p = perm_matrix(rng.permutation(6))
             q = perm_matrix(rng.permutation(6))
             assert classify(p @ q).permutation
+
+
+class TestHugeFiniteEntries:
+    """The kernels silence overflow only while they run, and each call restores the state it found."""
+
+    def test_nested_kernels_restore_the_callers_state(self):
+        huge = np.full((2, 2), 1e200)
+        with np.errstate(over="raise", invalid="raise"):
+            # classify calls is_unitary, which calls unitary_mask: three silenced kernels, nested
+            assert classify(huge).unitary is False
+            assert np.geterr()["over"] == "raise" and np.geterr()["invalid"] == "raise"
+            with pytest.raises(FloatingPointError):
+                huge @ huge
+
+    def test_threads_keep_their_own_state(self):
+        def run(state):
+            with np.errstate(over=state):
+                for _ in range(50):
+                    is_unitary(np.full((3, 3), 1e200))
+                return np.geterr()["over"]
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert list(pool.map(run, ["raise", "warn"] * 4)) == ["raise", "warn"] * 4
 
 
 class TestSingleFlagPredicates:
