@@ -6,7 +6,8 @@ the orthogonal projection in the trace inner product, which is the unique
 trace-preserving expectation onto a *-subalgebra in finite dimension),
 commutants via a stacked commutator kernel, algebra intersection and the
 commuting-square test (``commuting_squares``, stacked over a batch of left
-algebras; ``is_commuting_square`` is its batch of one).  The base square
+algebras; ``is_commuting_square`` is its batch of one), whose nesting, as
+all span containment, is judged at ``eps_entry`` (``_span_contained``).  The base square
 of the vertex-model tower of a Hadamard matrix sits in M_{N^2} but is block
 diagonal, so it is computed on its N diagonal blocks in M_N; it commutes
 exactly when the expectation onto ``I x M_N`` maps the right algebra into
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import DimMismatch, InclusionViolation, NonUnitary, OrderTooLarge
 from .groups import annihilator_mask, inverse_dft
-from .hadamard import FourierSpec, fourier_tensor, require_hadamard
+from .hadamard import TOWER_DIM_CAP, FourierSpec, fourier_tensor, require_hadamard
 from .linalg import (
     DEFAULT_TOL,
     EPS_RANK,
@@ -62,8 +63,6 @@ __all__ = [
 # the tower's nondegeneracy is decided only up to this matrix dimension N;
 # beyond it the flag is reported as skipped
 TOWER_NONDEG_CAP = 5
-
-TOWER_DIM_CAP = 36
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,36 +103,26 @@ class AlgebraBasis:
         m = as_matrix(m)
         if m.shape[0] != self.ambient_dim:
             raise DimMismatch("dimension mismatch in span membership test")
-        flat = m.reshape(1, -1)
-        residual = flat - self.project_many(flat)
-        norm = np.sqrt((np.abs(residual) ** 2).sum() / self.ambient_dim)
-        return bool(norm < EPS_RANK)
+        return bool(_span_contained(m.reshape(1, -1), self.flat, self.ambient_dim, DEFAULT_TOL))
 
 
 def _verify_algebra(stack: np.ndarray, n: int):
-    """Assert orthonormality and closure of the span under * and products."""
+    """Assert orthonormality, and that the span holds the identity, the adjoints and the products (``_span_contained``)."""
     dim = stack.shape[0]
     flat = stack.reshape(dim, -1)
     gram = flat @ flat.conj().T / n
     if np.abs(gram - np.eye(dim)).max() > 1e-10:
         raise ValueError("basis is not trace-orthonormal")
 
-    def residual(mats_flat: np.ndarray) -> float:
-        coeffs = mats_flat @ flat.conj().T / n
-        res = mats_flat - coeffs @ flat
-        return float(np.sqrt((np.abs(res) ** 2).max(initial=0.0)))
+    def contained(mats: np.ndarray) -> bool:
+        return bool(_span_contained(mats.reshape(len(mats), -1), flat, n, DEFAULT_TOL))
 
-    if residual(np.eye(n, dtype=complex).reshape(1, -1)) > EPS_RANK:
+    if not contained(np.eye(n, dtype=complex)[None]):
         raise ValueError("identity is not in the span of a unital algebra basis")
-
-    adj = stack.conj().transpose(0, 2, 1).reshape(dim, -1)
-    if residual(adj) > EPS_RANK:
+    if not contained(stack.conj().transpose(0, 2, 1)):
         raise ValueError("span is not closed under adjoints")
-
-    for i in range(dim):
-        prods = (stack[i] @ stack).reshape(dim, -1)
-        if residual(prods) > EPS_RANK:
-            raise ValueError("span is not closed under multiplication")
+    if not all(contained(stack[i] @ stack) for i in range(dim)):
+        raise ValueError("span is not closed under multiplication")
 
 
 def span_algebra(mats, ambient_dim: int) -> AlgebraBasis:
@@ -234,11 +223,20 @@ def _project(flat_mats: np.ndarray, basis_flat: np.ndarray, n: int) -> np.ndarra
     return coeffs @ basis_flat
 
 
-def _span_contained(inner: np.ndarray, outer: np.ndarray, n: int) -> np.ndarray:
-    """Whether the rows of ``inner`` lie in the span of the rows of ``outer``, per stacked basis."""
+def _span_contained(inner: np.ndarray, outer: np.ndarray, n: int, tol: ToleranceConfig) -> np.ndarray:
+    """Whether the rows of ``inner`` lie in the span of the rows of ``outer``, per stacked basis.
+
+    A row x lies in it when ``|x - E(x)|_2 < sqrt(n) eps (2 + n eps)``, ``eps = tol.eps_entry``,
+    ``|y|_2 = (tr(y* y) / n)^(1/2)``, E the expectation onto ``outer`` read as trace-orthonormal.
+    Exact algebras hold their members to rounding.  ``u B u*`` with B exact and u admitted by
+    ``is_unitary`` (every entry of ``F = u u* - 1`` below eps; ``F' = u* u - 1`` has its spectrum)
+    has ``E(x) = u E_B(u* x u) u*``, so ``1 - E(1) = -F - u E_B(F') u*``, where E_B contracts,
+    ``|F|_2 = |F'|_2 < sqrt(n) eps`` and ``|u|_op^2 < 1 + n eps``, a row sum of ``|F|``: the unit
+    lies in a spin or vertex square's left algebra at the tolerance that admitted u.
+    """
     res = inner - _project(inner, outer, n)
     worst = np.sqrt((np.abs(res) ** 2).sum(axis=-1) / n)
-    return worst.max(axis=-1, initial=0.0) < np.sqrt(EPS_RANK)
+    return worst.max(axis=-1, initial=0.0) < np.sqrt(n) * tol.eps_entry * (2 + n * tol.eps_entry)
 
 
 def _count_bound(products: int, n: int, measured: int) -> float:
@@ -289,7 +287,8 @@ def commuting_squares(
     The corner, right and ambient algebras are shared, so their
     expectations of the ambient basis are formed once; every left
     expectation runs along the batch axis.  Raises ``InclusionViolation``
-    when any square of the batch is not nested.
+    when any square of the batch is not nested by ``_span_contained`` at
+    ``tol``, which also judges the scalar-corner test below.
 
     Nondegeneracy is read from the count ``dim L * dim R == dim ambient``
     when the corner is the scalars and the commuting error is within
@@ -312,7 +311,7 @@ def commuting_squares(
         (left, ambient.flat, "left in ambient"),
         (right.flat, ambient.flat, "right in ambient"),
     ):
-        if not _span_contained(inner, outer, n).all():
+        if not _span_contained(inner, outer, n, tol).all():
             raise InclusionViolation(f"span containment fails: {what}")
 
     g = ambient.flat
@@ -322,7 +321,7 @@ def commuting_squares(
     errs = np.max([np.abs(x - y).max(axis=(-2, -1)) for x, y in ((lr, rl), (lr, c), (rl, c))], axis=0)
 
     products = left.shape[1] * right.dim
-    scalar_corner = corner.dim == 1 and bool(_span_contained(np.eye(n).reshape(1, -1), corner.flat, n))
+    scalar_corner = corner.dim == 1 and bool(_span_contained(np.eye(n).reshape(1, -1), corner.flat, n, tol))
     counted = scalar_corner & (errs <= _count_bound(products, n, ambient.dim))  # a NaN error is not counted
     nondeg = [products == ambient.dim] * len(lefts)
     outside = np.flatnonzero(~counted)
@@ -363,10 +362,14 @@ def vertex_square(z, n: int, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Squa
 
     The quadruple is (scalars, Ad_z(M_n x 1), 1 x M_k, M_{nk}); it commutes
     exactly when z is biunitary, which is what the cross-check tests assert.
+    ``M_{nk}`` holds ``(nk)^4`` entries, so nk is capped at ``TOWER_DIM_CAP``
+    before any algebra is built.
     """
     z = as_matrix(z)
     if z.shape[0] != n * k:
         raise DimMismatch(f"dimension {z.shape[0]} is not {n}*{k}")
+    if n * k > TOWER_DIM_CAP:
+        raise OrderTooLarge(f"vertex square capped at dimension {TOWER_DIM_CAP}")
     if not is_unitary(z, tol):
         raise NonUnitary("vertex square needs a unitary matrix")
     m_n = full_matrix_algebra(n)
@@ -403,9 +406,10 @@ def vertex_model_square(u, spec, tol: ToleranceConfig = DEFAULT_TOL) -> TowerBas
     Corner C is the scalars, left L is ``I_N x M_N``, the ambient is
     ``Delta_N x M_N`` and right R is the conjugated diagonals, with
     ``U1 = block_unitary(u)``.  All are block diagonal, so no N^2 x N^2 matrix
-    is built: with ``Y_i = B_i W`` for the blocks ``B_i = u diag(sqrt(N) conj(u[i, :]))``
+    is built: with ``Y_i = B_i W`` for the blocks ``B_i = u D_i``, ``D_i = diag(sqrt(N) conj(u[i, :]))``,
     of U1, R is spanned by ``R_k = sum_i E_ii x sqrt(N) v_ik v_ik*`` over the
-    columns v_ik of Y_i, and C lies in R as every Y_i is unitary (checked).
+    columns v_ik of Y_i; C lies in R at the caller's tolerance, as ``require_hadamard`` bounds both
+    terms of ``Y_i* Y_i - I = W* D_i* (u* u - I) D_i W + W* (diag(N |u[i, :]|^2) - I) W``.
     The square commutes exactly when ``E_L(R) ⊆ C``; ``max_commuting_err`` is
     the largest entry of ``E_L(R_k) - tau(R_k) = I x N^{-1/2} (sum_i v_ik v_ik* - I)``.
     Up to TOWER_NONDEG_CAP the square is nondegenerate by the count of
@@ -428,15 +432,12 @@ def vertex_model_square(u, spec, tol: ToleranceConfig = DEFAULT_TOL) -> TowerBas
         raise DimMismatch(f"matrix dimension {u.shape[0]} does not match spec {spec.orders}")
 
     root = np.sqrt(n)
-    eye = np.eye(n)
     # y[i] = B_i W = u diag(sqrt(N) conj(u[i, :])) W
     y = u @ (root * u.conj()[:, :, None] * fourier_tensor(spec))
-    if np.abs(y.conj().swapaxes(1, 2) @ y - eye).max() > np.sqrt(EPS_RANK):
-        raise InclusionViolation("span containment fails: corner in right")
 
     # cols[k] has the v_ik as columns, so cols[k] cols[k]* = sum_i v_ik v_ik*
     cols = y.transpose(2, 1, 0)
-    err = float(np.abs(cols @ cols.conj().swapaxes(1, 2) - eye).max() / root)
+    err = float(np.abs(cols @ cols.conj().swapaxes(1, 2) - np.eye(n)).max() / root)
 
     nondeg = None
     if n <= TOWER_NONDEG_CAP:

@@ -37,6 +37,7 @@ from .linalg import (
 
 __all__ = [
     "DIM_CAP",
+    "TOWER_DIM_CAP",
     "integer_tuple",
     "comma_list",
     "FourierSpec",
@@ -63,6 +64,9 @@ __all__ = [
 ]
 
 DIM_CAP = 64
+# the tower constructions in M_{N^2} (``block_unitary`` and the squares of
+# :mod:`hadinv.algebra`) are capped at this N, checked before they allocate
+TOWER_DIM_CAP = 36
 
 
 def integer_tuple(values, error: type[Exception], what: str) -> tuple[int, ...]:
@@ -249,10 +253,14 @@ def block_unitary(u, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     (unitary for Hadamard u), so block i equals
     ``u @ diag(sqrt(N) * conj(u[i, :]))``.  For a Fourier tensor input this
     matrix factors as a block-diagonal permutation times ``I_N x u``
-    (checked in the verification suite).
+    (checked in the verification suite).  N is capped at ``TOWER_DIM_CAP``
+    before the dense matrix is built.
     """
-    u = require_hadamard(u, tol)
+    u = as_matrix(u)
     n = u.shape[0]
+    if n > TOWER_DIM_CAP:
+        raise OrderTooLarge(f"block unitary capped at dimension {TOWER_DIM_CAP}")
+    u = require_hadamard(u, tol)
     # right multiplication by the diagonal scales the columns
     return tensor(np.eye(n), u) * (np.sqrt(n) * u.conj().reshape(-1))
 

@@ -158,22 +158,32 @@ def _eta_array(values: np.ndarray) -> np.ndarray:
 
 
 def _dense_entropies(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per ``X = u* v`` of a stack: the entropy, and whether ``|X|^2`` is doubly stochastic within ``eps``."""
+    """Per ``X = u* v`` of a stack: the entropy, and whether ``|X|^2`` is doubly stochastic at the scale of the gate.
+
+    u and v were admitted as unitary at ``eps``: every entry of
+    ``F = v v* - 1`` lies below eps, so ``|F|_op < N eps`` (a row sum of
+    ``|F|``), and ``u* u - 1`` has the spectrum of ``u u* - 1``.  A row sum
+    of ``|X|^2`` is ``(u* v v* u)_ii = 1 + (u* u - 1)_ii + (u* F u)_ii``, so
+    it lies within ``N eps + |u|_op^2 N eps < N eps (2 + N eps)`` of 1, and
+    a column sum likewise with u and v swapped; the profile is doubly
+    stochastic when every sum lies within that bound.  ``v v* = 1 + eps J``
+    (all ones) and a u with a column ``1 / sqrt(N)`` reach ``N eps``.
+    """
     n = x.shape[-1]
     profile = np.abs(x) ** 2
     row_err = np.abs(profile.sum(axis=-1) - 1.0).max(axis=-1)
     col_err = np.abs(profile.sum(axis=-2) - 1.0).max(axis=-1)
     entropy = _eta_array(profile).sum(axis=(-2, -1)) / n
-    return entropy, np.maximum(row_err, col_err) <= eps
+    return entropy, np.maximum(row_err, col_err) < n * eps * (2 + n * eps)
 
 
 def modified_entropy(u, v, tol: ToleranceConfig = DEFAULT_TOL):
     """Modified relative entropy of the pair: ``(1/N) sum eta(|(u* v)_ij|^2)``.
 
     Defined for any two unitaries of one dimension; the squared moduli of
-    ``u* v`` form a doubly stochastic matrix, which is asserted within
-    ``tol.eps_entry`` (the scale at which the inputs were accepted as
-    unitary) before summing.  Natural-log units; ranges over [0, log N].
+    ``u* v`` form a doubly stochastic matrix, which is asserted within the
+    bound ``_dense_entropies`` derives from ``tol.eps_entry`` (the scale at which
+    the inputs were accepted as unitary) before summing.  Natural-log units; ranges over [0, log N].
     Two stacks of shape ``(B, N, N)`` give the B entropies as an array.
     """
     u, v = (as_stack(m) if np.ndim(m) == 3 else as_matrix(m) for m in (u, v))
@@ -188,7 +198,7 @@ def modified_entropy(u, v, tol: ToleranceConfig = DEFAULT_TOL):
 def _checked_entropies(u: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
     """``modified_entropy`` of matrices, or stacks, that the caller has already checked unitary.
 
-    The doubly stochastic check of ``|u* v|^2`` within ``eps`` still runs.
+    The doubly stochastic check of ``|u* v|^2`` at the scale ``eps`` still runs.
     """
     entropy, stochastic = _dense_entropies(dagger(u) @ v, eps)
     if not stochastic.all():

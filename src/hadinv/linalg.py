@@ -57,8 +57,8 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 
-# the pivot of every rank decision (SVD rank cuts, Gram-Schmidt, span
-# membership); a constant, as ``--tolerance`` moves only eps_entry
+# the pivot of every rank cut (SVD, Gram-Schmidt, null spaces); a constant,
+# as ``--tolerance`` moves only eps_entry, and span membership reads eps_entry
 EPS_RANK = 1e-8
 # the state of the kernels that multiply caller matrices: an inf or NaN product of huge finite
 # entries fails every threshold; as a decorator (numpy >= 2) it sets a fresh state on every call

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hadinv.algebra as algebra
 from conftest import SPECS_UP_TO_16, SPECS_UP_TO_36, haar_unitary, maxabs, random_dpw
@@ -35,6 +37,7 @@ from hadinv import (
     is_biunitary,
     is_commuting_square,
     is_hadamard,
+    is_unitary,
     random_conjugate_pair,
     scalar_algebra,
     shift_vec,
@@ -323,6 +326,18 @@ class TestVertexSquare:
         result = vertex_square(z, 2, 3)
         assert result.commuting and result.nondegenerate
 
+    def test_order_38_rejected_before_allocating(self):
+        # nk = 38 > TOWER_DIM_CAP; M_38 would hold 38^4 entries
+        z = np.ones((38, 38), dtype=complex)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderTooLarge):
+                vertex_square(z, 2, 19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 38 * 38 * 16
+
 
 class TestVertexModelSquare:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -508,6 +523,86 @@ class TestTowerFullDomain:
         finally:
             tracemalloc.stop()
         assert peak < 37 * 37 * 16
+
+
+class TestContainmentAtTheGate:
+    """Span containment is judged at the ``eps_entry`` that admitted the inputs, by one rule."""
+
+    TOLERANCES = [1e-9, 1e-6, 1e-3, 9e-3]
+    # every (n, k) with n, k >= 2 and nk <= 16
+    VERTEX_SHAPES = [(n, k) for n in range(2, 9) for k in range(2, 9) if n * k <= 16]
+
+    @staticmethod
+    def _noisy(m, eps, rng, admitted):
+        """``m`` plus complex Gaussian noise of scale eps, halved until ``admitted`` passes: noise up to the gate."""
+        noise = eps * (rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape))
+        while not admitted(m + noise):
+            noise /= 2
+        return m + noise
+
+    @staticmethod
+    def _extremal(n, eps):
+        """``(1 + 0.999 eps J)^(1/2) F_n``, J all ones: admitted as unitary with every entry of ``u u* - 1`` near eps."""
+        w, v = np.linalg.eigh(np.eye(n) + 0.999 * eps * np.ones((n, n)))
+        return (v * np.sqrt(w)) @ v.conj().T @ fourier(n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(eps=st.sampled_from(TOLERANCES), n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+    def test_spin_and_tower_squares_the_hadamard_gate_admits(self, eps, n, seed):
+        tol = ToleranceConfig(eps_entry=eps)
+        u = self._noisy(fourier(n), eps, np.random.default_rng(seed), lambda m: is_hadamard(m, tol))
+        corner, right, ambient = scalar_algebra(n), diagonal_algebra(n), full_matrix_algebra(n)
+        commuting_squares(corner, [diag_conj_algebra(u, tol)], right, ambient, tol)
+        vertex_model_square(u, (n,), tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(eps=st.sampled_from(TOLERANCES), shape=st.sampled_from(VERTEX_SHAPES), seed=st.integers(0, 2**32 - 1))
+    def test_vertex_squares_the_unitary_gate_admits(self, eps, shape, seed):
+        n, k = shape
+        tol = ToleranceConfig(eps_entry=eps)
+        rng = np.random.default_rng(seed)
+        z = self._noisy(haar_unitary(n * k, rng), eps, rng, lambda m: is_unitary(m, tol))
+        vertex_square(z, n, k, tol)
+
+    def test_noisy_f5_at_a_loose_tolerance(self):
+        # F5 plus 1e-4 Gaussian noise passes as Hadamard at eps_entry = 1e-3; a fixed 1e-4 containment
+        # threshold called its tower square an inclusion violation
+        tol = ToleranceConfig(eps_entry=1e-3)
+        rng = np.random.default_rng(5)
+        u = fourier(5) + 1e-4 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        assert is_hadamard(u, tol)
+        got = vertex_model_square(u, (5,), tol)
+        assert got.commuting and got.relcomm_dim == 5
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3, 9e-3])
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_the_bound_is_reached_and_kept(self, n, eps):
+        # the unit's residual in u Delta u*, I - sum_i |c_i|^2 c_i c_i* over the columns c_i, comes
+        # within 1% of sqrt(n) eps (2 + n eps) on this input and stays below it
+        tol = ToleranceConfig(eps_entry=eps)
+        u = self._extremal(n, eps)
+        assert is_unitary(u, tol)
+        res = np.eye(n) - (u * (np.abs(u) ** 2).sum(axis=0)) @ u.conj().T
+        ratio = np.sqrt((np.abs(res) ** 2).sum() / n) / (np.sqrt(n) * eps * (2 + n * eps))
+        assert 0.99 < ratio < 1
+        left = diag_conj_algebra(u, tol)
+        commuting_squares(scalar_algebra(n), [left], diagonal_algebra(n), full_matrix_algebra(n), tol)
+
+    @pytest.mark.parametrize("eps", [1e-9, 9e-3])
+    def test_unnested_quadruples_raise_at_every_tolerance(self, eps):
+        tol = ToleranceConfig(eps_entry=eps)
+        with pytest.raises(InclusionViolation):
+            is_commuting_square(
+                diagonal_algebra(2), scalar_algebra(2), diagonal_algebra(2), full_matrix_algebra(2), tol
+            )
+        with pytest.raises(InclusionViolation, match="corner in left"):
+            commuting_squares(
+                diagonal_algebra(2),
+                [diagonal_algebra(2), diag_conj_algebra(fourier(2))],
+                diagonal_algebra(2),
+                full_matrix_algebra(2),
+                tol,
+            )
 
 
 class TestSpanAlgebra:

@@ -325,6 +325,29 @@ class TestReport:
         assert "dimA: 4" in out
         assert "relcomm_dims: 2" in out
 
+    def test_noisy_pair_admitted_at_a_loose_tolerance_exits_zero(self, capsys, tmp_path):
+        # F4 and D F4, each plus 3e-4 Gaussian noise (seed 1): u has unitarity error 9.0e-4 and the
+        # first row of |u* v|^2 sums to 1 - 1.0009e-3, past eps_entry but inside what the gate allows
+        rng = np.random.default_rng(1)
+        u = fourier(4) + 3e-4 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        d = np.exp(2j * np.pi * rng.random(4))
+        v = d[:, None] * fourier(4) + 3e-4 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        pu, pv = write_matrix(tmp_path / "u.json", u), write_matrix(tmp_path / "v.json", v)
+        code, _, err = run(capsys, "report", pu, pv, "--spec", "4", "--tolerance", "1e-3")
+        assert code == 0, err
+        assert err == ""
+
+    def test_profile_off_the_doubly_stochastic_bound_exits_three(self, capsys, tmp_path, monkeypatch):
+        from hadinv import invariants
+
+        original = invariants._dense_entropies
+        monkeypatch.setattr(invariants, "_dense_entropies", lambda x, eps: original(1.1 * x, eps))
+        pu = write_matrix(tmp_path / "u.json", fourier(4))
+        pv = write_matrix(tmp_path / "v.json", np.diag([1, 1j, -1, -1j]) @ fourier(4))
+        code, _, err = run(capsys, "report", pu, pv, "--spec", "4", "--tolerance", "9e-3")
+        assert code == 3
+        assert "doubly stochastic" in err
+
     def test_non_conjugate_pair_exits_zero(self, capsys, tmp_path):
         # normal forms with different permutations: A is larger than the span
         # of the clock conjugates (dimA 2, subgroup of order 1)
@@ -715,6 +738,26 @@ class TestVerify:
         assert code == 0
         assert "tower-base-square-16: " in out and "relcomm dims 16,16" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize(
+        "argv,orders", [([], range(2, 5)), (["--gamma-orders", "2,3,4,5,6,7,8,9"], range(2, 10))]
+    )
+    def test_passes_at_the_tolerance_ceiling(self, capsys, argv, orders):
+        code, out, err = run(capsys, "verify", "--tolerance", "9e-3", *argv)
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines and all(" PASS" in line and "FAIL" not in line for line in lines)
+        towers = [line for line in lines if line.startswith("tower-base-square-")]
+        assert len(towers) == len(orders)
+        for line, n in zip(towers, orders):
+            assert line.startswith(f"tower-base-square-{n}: ") and f"relcomm dims {n},{n}" in line
+
+    @pytest.mark.parametrize("tolerance", ["1e-2", "0"])
+    def test_tolerance_outside_its_range_is_an_input_error(self, capsys, tolerance):
+        code, out, err = run(capsys, "verify", "--tolerance", tolerance)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: eps_entry must lie in (0, 1e-2)")
 
     @pytest.mark.parametrize("max_order", ["1", "-5"])
     def test_max_order_below_two_is_an_input_error(self, capsys, max_order):

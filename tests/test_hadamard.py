@@ -1,5 +1,6 @@
 """Tests for Fourier-tensor generators, normal forms, and biunitarity."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from hadinv import (
     IndexOutOfRange,
     NotDpwForm,
     OrderOutOfRange,
+    OrderTooLarge,
     are_conjugate,
     block_transpose,
     block_unitary,
@@ -289,6 +291,18 @@ class TestBlockUnitary:
         for u in (fourier_tensor(orders), random_dpw(orders, rng)):
             dense = tensor(np.eye(n), u) @ entry_diagonal(u)
             assert maxabs(block_unitary(u) - dense) < 1e-12
+
+    def test_order_37_rejected_before_allocating(self):
+        # F37 is Hadamard; the cap must win before the 1369 x 1369 matrix, or any check of u, is built
+        u = fourier(37)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderTooLarge):
+                block_unitary(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 37 * 37 * 16
 
 
 class TestPermPhaseCertificate:

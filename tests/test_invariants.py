@@ -40,6 +40,7 @@ from hadinv import (
     fourier,
     fourier_tensor,
     intersect_algebras,
+    is_hadamard,
     modified_entropy,
     pair_report,
     pair_reports,
@@ -120,6 +121,44 @@ class TestModifiedEntropy:
         vs[1] *= 1 + 1e-8
         with pytest.raises(OracleMismatch, match="doubly stochastic"):
             _checked_entropies(us, vs, 1e-9)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_the_doubly_stochastic_bound_is_reached_and_kept(self, n):
+        # v v* = 1 + 0.999 eps J (J all ones) and u = F_n, whose first column is constant, move the
+        # first row sum of |u* v|^2 by about N eps, past eps itself: admitted at eps, the pair passes
+        eps = 1e-3
+        w, q = np.linalg.eigh(np.eye(n) + 0.999 * eps * np.ones((n, n)))
+        v = (q * np.sqrt(w)) @ q.conj().T
+        u = fourier(n)
+        row = (np.abs(u.conj().T @ v) ** 2).sum(axis=1)
+        assert 0.99 * n * eps < abs(row[0] - 1) < n * eps * (2 + n * eps)
+        modified_entropy(u, v, ToleranceConfig(eps_entry=eps))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_noisy_pairs_the_hadamard_gate_admits(self, n):
+        # F_n and D F_n, each plus 3e-4 Gaussian noise: a check of the row sums at eps_entry itself
+        # raised on about half of these at eps_entry = 1e-3
+        tol = ToleranceConfig(eps_entry=1e-3)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            u = fourier(n) + 3e-4 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            d = np.exp(2j * np.pi * rng.random(n))
+            v = d[:, None] * fourier(n) + 3e-4 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            if is_hadamard(u, tol) and is_hadamard(v, tol):
+                pair_report(u, v, (n,), tol)
+                modified_entropy(u, v, tol)
+
+    @pytest.mark.parametrize("eps", [1e-9, 9e-3])
+    def test_a_profile_off_the_bound_still_raises(self, monkeypatch, eps):
+        # X scaled by 1.1 moves every row sum of |X|^2 by 0.21, past N eps (2 + N eps) at N = 4
+        original = hadinv.invariants._dense_entropies
+        monkeypatch.setattr(hadinv.invariants, "_dense_entropies", lambda x, e: original(1.1 * x, e))
+        tol = ToleranceConfig(eps_entry=eps)
+        f4 = fourier(4)
+        with pytest.raises(OracleMismatch, match="doubly stochastic"):
+            pair_report(f4, np.diag([1, 1j, -1, -1j]) @ f4, (4,), tol)
+        with pytest.raises(OracleMismatch, match="doubly stochastic"):
+            modified_entropy(f4, f4, tol)
 
 
 class TestPairReport:
