@@ -2,17 +2,20 @@
 
 Matrix JSON is ``{"dim": N, "entries": [[re, im], ...]}`` row-major with
 an integer N (not a boolean) and exactly N^2 pairs of finite numbers (not
-strings, ``null`` or booleans); ``matrix_from_obj`` is its one reader and
-rejects anything else with ``ValueError``.  ``pairs`` is the one writer of
-``[re, im]`` lists.  The other formats (normal forms, subgroups, pair
-reports, sweep and verify tables) are only written.  Every writer emits
-its text through ``dumps``, which spells the items of a list column by
-column: a table of rows, such as the rows of ``hadinv sweep``, takes one
-spelling per field and one template per row.
+strings, ``null`` or booleans); ``matrix_from_obj`` is its one validator and
+rejects anything else with ``ValueError``.  ``load_matrix`` parses a file
+with orjson when the text is shaped like a matrix and with the stdlib
+``json`` otherwise, and gives the stdlib's bits and messages for every file.
+``pairs`` is the one writer of ``[re, im]`` lists.  The other formats
+(normal forms, subgroups, pair reports, sweep and verify tables) are only
+written.  Every writer emits its text through ``dumps``, which spells the
+items of a list column by column: a table of rows, such as the rows of
+``hadinv sweep``, takes one spelling per field and one template per row.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -51,7 +54,7 @@ def matrix_to_obj(m: np.ndarray) -> dict:
 
 
 def matrix_from_obj(obj) -> np.ndarray:
-    """Matrix JSON, as ``json.load`` returns it, to an N x N complex array; ``ValueError`` if malformed.
+    """Matrix JSON, as a JSON parser returns it, to an N x N complex array; ``ValueError`` if malformed.
 
     ``dim`` must be an ``int`` and ``entries`` a list of N^2 lists of two
     ``int`` or ``float`` values (never ``bool``), each within the float
@@ -226,8 +229,48 @@ def dumps(obj) -> str:
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+# every byte but the quote and the four brackets, which make a text's skeleton
+_NOT_SKELETON = bytes(sorted(set(range(256)) - set(b'"[]{}')))
+
+
 def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as handle:
+    """The matrix JSON file at ``path`` as an N x N complex array; ``ValueError`` if malformed.
+
+    The bytes are read once.  orjson parses them only when their skeleton,
+    the quotes and brackets in order, is a matrix's: ``{``, two strings (the
+    keys), ``[``, N^2 ``[]`` pairs, ``]``, ``}``.  Every file hadinv writes
+    has it.  What ``matrix_from_obj`` then accepts is the result.  Every
+    other text, whatever orjson refuses (NaN and infinities, ints past the
+    float range, lone surrogates, a BOM, bad syntax) and every validation
+    failure goes to ``json.load`` of the text-mode file, as before orjson.
+    So the result is the stdlib's for every file: the same bits, or the
+    same ``ValueError`` and message, ``JSONDecodeError`` offsets of CRLF
+    files included.
+
+    The two parsers differ in two ways, and neither reaches a result:
+
+    - orjson parses nesting deeper than the recursion limit, where ``json``
+      raises ``RecursionError``.  Only a third key, or a key given twice
+      (both parsers keep its last value), can hold such nesting inside a
+      valid matrix, and either takes a third string.  Past about 130 000
+      levels on an 8 MB stack orjson 3.8 also crashes, as its conversion
+      to Python objects recurses; a matrix's skeleton nests three deep.
+    - orjson reads an int beyond u64 as a float, correctly rounded: for an
+      entry the float ``matrix_from_obj`` makes of the stdlib's int, while
+      as ``dim`` it fails validation and the stdlib words the message.
+    """
+    import orjson  # imported here: only the commands that read matrix files pay for it
+
+    with open(path, "rb") as handle:
+        data = handle.read()
+    skeleton = data.translate(None, _NOT_SKELETON)
+    body = b"[" + b"[]" * ((len(skeleton) - 8) // 2) + b"]"
+    if skeleton in (b'{""""' + body + b"}", b'{""' + body + b'""}'):
+        try:
+            return matrix_from_obj(orjson.loads(data))
+        except ValueError:  # orjson.JSONDecodeError is one
+            pass
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
         except RecursionError:

@@ -17,6 +17,7 @@ from hadinv import (
     full_matrix_algebra,
     is_commuting_square,
     scalar_algebra,
+    serialize,
 )
 from hadinv.groups import _translates
 from hadinv.linalg import EPS_RANK, nullspace
@@ -274,3 +275,13 @@ def _float_entries(raw: np.ndarray) -> np.ndarray:
     if raw.dtype.kind not in "biuf":
         raise ValueError("matrix entries must be numbers")
     return np.ascontiguousarray(raw, dtype=float)
+
+
+def load_matrix(path) -> np.ndarray:
+    """The stdlib matrix reader: ``json.load`` of the text-mode file, then ``serialize.matrix_from_obj``."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            obj = json.load(handle)
+        except RecursionError:
+            raise ValueError("matrix JSON is nested too deeply") from None
+    return serialize.matrix_from_obj(obj)

@@ -1,6 +1,10 @@
 """Round-trip and contract tests for the JSON wire formats."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,10 +13,11 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import maxabs, same_bits
-from hadinv import DpwForm, FourierSpec, SubgroupSet, fourier, pair_report
+from hadinv import DpwForm, FourierSpec, SubgroupSet, fourier, pair_report, serialize
 from hadinv.serialize import (
     dumps,
     dpw_to_obj,
+    load_matrix,
     matrix_from_obj,
     matrix_to_obj,
     pairs,
@@ -175,6 +180,124 @@ class TestPairsWriter:
 
     def test_a_real_array_gets_positive_zero_imaginary_parts(self):
         assert repr(pairs(np.array([1.0, -0.0]))) == "[[1.0, 0.0], [-0.0, 0.0]]"
+
+
+def _load(reader, path):
+    """The float bits ``reader`` makes of the file at ``path``, or the type and message of its ``ValueError``."""
+    try:
+        m = reader(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return m.shape, m.dtype, m.tobytes()
+
+
+_DEEP = sys.getrecursionlimit() + 10
+# values that orjson refuses (NaN, a lone surrogate) or parses where json raises (the nesting), and plain ones
+_KEY_VALUES = ["NaN", '"\\ud800"', "[" * _DEEP + "]" * _DEEP, "{}", "1", '"x"']
+
+
+@st.composite
+def _matrix_files(draw) -> bytes:
+    """``_matrix_texts`` as file bytes, lines ending LF or CRLF, maybe after a key beside dim and entries or a repeated one."""
+    text = draw(_matrix_texts())
+    if text.startswith("{") and draw(st.booleans()):
+        key = draw(st.sampled_from(["extra", "dim", "entries"]))  # a repeated key's first value is dropped
+        text = '{"%s": %s, %s' % (key, draw(st.sampled_from(_KEY_VALUES)), text[1:])
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return (text.replace(", ", "," + eol) + eol).encode()
+
+
+def _halfway_ints() -> list[int]:
+    """Ints beyond u64 halfway between two floats, and one either side; then the first int ``float()`` overflows on."""
+    ints = []
+    for exponent in (64, 100, 500, 1023):
+        low = (2**52 + 1) << (exponent - 52)  # an odd mantissa: the halfway int rounds up to even
+        ints += [low + 2 ** (exponent - 53) + step for step in (-1, 0, 1)]
+    return [*ints, 2**1024 - 2**970 - 1, 2**1024 - 2**970]
+
+
+_MATRIX = b'{"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, -0.5]]}'
+_FIXED_FILES = {
+    "bom": b"\xef\xbb\xbf" + _MATRIX,
+    "invalid-utf8-after": _MATRIX + b"\xff",
+    "invalid-utf8-key": _MATRIX.replace(b"dim", b"d\xffm"),
+    "encoded-surrogate-key": _MATRIX.replace(b"dim", b"dim\xed\xa0\x80"),
+    "encoded-surrogate-extra": _MATRIX[:-1] + b', "x": "\xed\xa0\x80"}',
+    "truncated": _MATRIX[:40],
+    "truncated-crlf": _MATRIX.replace(b", ", b",\r\n")[:50],
+    "crlf-syntax-error": _MATRIX.replace(b", ", b",\r\n").replace(b"-0.5", b"-.5"),
+    "cr-syntax-error": _MATRIX.replace(b", ", b",\r").replace(b"-0.5", b"-.5"),
+    "dim-1e30": _MATRIX.replace(b"2", b"%d" % 10**30, 1),
+    "dim-u64-max": _MATRIX.replace(b"2", b"%d" % (2**64 - 1), 1),
+    "lone-surrogate-extra": _MATRIX[:-1] + b', "x": "\\ud800"}',
+    "repeated-key-deep": b'{"dim": %s, %s' % (b"[" * _DEEP + b"]" * _DEEP, _MATRIX[1:]),
+    "repeated-key-scalar": b'{"dim": 7, %s' % _MATRIX[1:],
+    "escaped-keys": _MATRIX.replace(b"dim", b"d\\u0069m").replace(b"entries", b"\\u0065ntries"),
+    # orjson 3.8 crashes past about 130 000 levels; json raises RecursionError
+    "entries-deeper-than-the-c-stack": b'{"dim": 1, "entries": %s}' % (b"[" * 200_000 + b"]" * 200_000),
+    **{
+        f"entry-{k}": b'{"dim": 1, "entries": [[%d, %d]]}' % (k, -k)
+        for k in [2**64, 2**64 + 1, 10**20, 10**300, 10**308, *_halfway_ints()]
+    },
+}
+
+
+class TestLoadMatrix:
+    """``load_matrix`` gives the stdlib reader's bits, or its ``ValueError`` type and message, for every file."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_matrix_files())
+    def test_matches_the_stdlib_reader(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "matrix.json"
+        path.write_bytes(data)
+        assert _load(load_matrix, path) == _load(oracles.load_matrix, path)
+
+    @pytest.mark.parametrize("data", _FIXED_FILES.values(), ids=_FIXED_FILES.keys())
+    def test_fixed_files_match_the_stdlib_reader(self, tmp_path, data):
+        path = tmp_path / "matrix.json"
+        path.write_bytes(data)
+        assert _load(load_matrix, path) == _load(oracles.load_matrix, path)
+
+    @pytest.mark.parametrize("spelling", ["compact", "compact-entries-first", "dumps"])
+    def test_written_matrices_never_reach_the_stdlib_parser(self, monkeypatch, tmp_path, spelling):
+        m = _signed_zero_matrix((64, 64), 7)
+        obj = matrix_to_obj(m)
+        text = {
+            "compact": json.dumps(obj) + "\n",  # the spelling of the benchmark's input files
+            "compact-entries-first": json.dumps({"entries": obj["entries"], "dim": obj["dim"]}),
+            "dumps": dumps(obj),  # what ``realize --out-u`` and ``gen --out`` write
+        }[spelling]
+        path = tmp_path / "m.json"
+        path.write_text(text)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stdlib parser was called")
+
+        monkeypatch.setattr(serialize.json, "load", refuse)
+        monkeypatch.setattr(serialize.json, "loads", refuse)
+        assert same_bits(load_matrix(path), m)
+
+    @pytest.mark.parametrize(
+        "argv,imported",
+        [
+            (["sweep", "--spec", "2,2", "--mode", "random", "--samples", "5", "--seed", "1"], False),
+            (["verify"], False),
+            (["check", "{m}"], True),  # the control: a matrix reader does import it
+        ],
+        ids=["sweep", "verify", "check"],
+    )
+    def test_only_matrix_readers_import_orjson(self, tmp_path, argv, imported):
+        path = tmp_path / "m.json"
+        path.write_text(dumps(matrix_to_obj(fourier(2))))
+        code = (
+            "import sys; from hadinv.cli import main; status = main(sys.argv[1:]); "
+            "print(status, 'orjson' in sys.modules, file=sys.stderr)"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(pathlib.Path(serialize.__file__).parents[1]) + os.pathsep + env.get("PYTHONPATH", "")
+        argv = [a.format(m=path) for a in argv]
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=False)
+        assert proc.stderr == f"0 {imported}\n"
 
 
 class TestDpwFormat:
