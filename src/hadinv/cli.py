@@ -132,6 +132,8 @@ def cmd_check(args, tol: ToleranceConfig) -> int:
         raise HadinvError("check takes one matrix (classification) or two (pair certificates)")
     mats = [load_matrix(path) for path in args.paths]
     spec = FourierSpec.parse(args.spec) if args.spec else None
+    if spec is not None:
+        spec.require_dim(*mats)
 
     if len(mats) == 1:
         m = mats[0]

@@ -115,6 +115,11 @@ class FourierSpec:
     def dim(self) -> int:
         return math.prod(self.orders)
 
+    def require_dim(self, *mats) -> None:
+        """``DimMismatch`` unless every matrix, or every matrix of a stack, is ``dim x dim``."""
+        if any(m.shape[-1] != self.dim for m in mats):
+            raise DimMismatch(f"matrices must have dimension {self.dim} for spec {self.orders}")
+
     @classmethod
     def of(cls, spec) -> "FourierSpec":
         if isinstance(spec, FourierSpec):

@@ -361,9 +361,7 @@ class _PairStage(NamedTuple):
 @_overflow_fails
 def _stages(us: np.ndarray, vs: np.ndarray, spec: FourierSpec, tol: ToleranceConfig) -> list[_PairStage]:
     """The stacked stages of ``pair_reports``, split into one ``_PairStage`` per pair."""
-    n = spec.dim
-    if us.shape[1] != n or vs.shape[1] != n:
-        raise DimMismatch(f"matrices must have dimension {n} for spec {spec.orders}")
+    spec.require_dim(us, vs)
     if len(us) != len(vs):
         raise DimMismatch(f"stacks of {len(us)} and {len(vs)} matrices do not pair up")
     eps = tol.eps_entry

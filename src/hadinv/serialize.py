@@ -2,10 +2,12 @@
 
 Matrix JSON is ``{"dim": N, "entries": [[re, im], ...]}`` row-major with
 an integer N (not a boolean) and exactly N^2 pairs of finite numbers (not
-strings, ``null`` or booleans); ``matrix_from_obj`` is its one validator and
-rejects anything else with ``ValueError``.  ``load_matrix`` parses a file
-with orjson when the text is shaped like a matrix and with the stdlib
-``json`` otherwise, and gives the stdlib's bits and messages for every file.
+strings, ``null`` or booleans); anything else raises ``ValueError``.
+``load_matrix`` parses a file with orjson, as one flat list of the 2 N^2
+numbers, when its bytes are laid out as a matrix, and with the stdlib
+``json`` and ``matrix_from_obj`` otherwise; both routes end in one
+finishing step, ``_entry_matrix``, and every file gets the stdlib's bits
+and messages.
 ``pairs`` is the one writer of ``[re, im]`` lists.  The other formats
 (normal forms, subgroups, pair reports, sweep and verify tables) are only
 written.  Every writer emits its text through ``dumps``, which spells the
@@ -53,12 +55,14 @@ def matrix_to_obj(m: np.ndarray) -> dict:
     return {"dim": int(m.shape[0]), "entries": pairs(m.reshape(-1))}
 
 
+_NUMBERS = frozenset({int, float})  # the types of the values a matrix entry may take
+
+
 def matrix_from_obj(obj) -> np.ndarray:
     """Matrix JSON, as a JSON parser returns it, to an N x N complex array; ``ValueError`` if malformed.
 
     ``dim`` must be an ``int`` and ``entries`` a list of N^2 lists of two
-    ``int`` or ``float`` values (never ``bool``), each within the float
-    range and finite.
+    values; ``_entry_matrix`` finishes on the flattened values.
     """
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ValueError("matrix JSON must carry 'dim' and 'entries'")
@@ -67,18 +71,28 @@ def matrix_from_obj(obj) -> np.ndarray:
         raise ValueError(f"matrix dim must be an integer, got {json.dumps(dim, default=repr)}")
     if dim < 1:
         raise ValueError(f"matrix dim must be >= 1, got {dim}")
-    listed = type(entries) is list and len(entries) == dim * dim
     # the type test comes first: len() would raise TypeError on a number or null
-    if not listed or set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+    if type(entries) is not list or set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
         raise ValueError(f"expected a list of {dim * dim} [re, im] entry pairs")
     values = list(itertools.chain.from_iterable(entries))
-    kinds = set(map(type, values))
+    return _entry_matrix(dim, values, set(map(type, values)))
+
+
+def _entry_matrix(dim: int, values: list, kinds) -> np.ndarray:
+    """The N x N complex array of the flat entry values ``re, im, re, im, ...``, whose types are ``kinds``.
+
+    The one finishing step of both matrix readers: ``ValueError`` unless
+    there are ``2 N^2`` values, each an ``int`` or ``float`` (never
+    ``bool``), within the float range and finite.
+    """
+    if len(values) != 2 * dim * dim:
+        raise ValueError(f"expected a list of {dim * dim} [re, im] entry pairs")
     if bool in kinds:
         raise ValueError("matrix entries must be numbers, not booleans")
-    if not kinds <= {int, float}:
+    if not kinds <= _NUMBERS:
         raise ValueError("matrix entries must be numbers")
     try:
-        flat = np.array(values, dtype=float)
+        flat = np.fromiter(values, dtype=float, count=len(values))
     except OverflowError:  # an int beyond the float range
         raise ValueError("matrix entries must be finite numbers") from None
     if not np.isfinite(flat).all():
@@ -229,47 +243,98 @@ def dumps(obj) -> str:
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-# every byte but the quote and the four brackets, which make a text's skeleton
-_NOT_SKELETON = bytes(sorted(set(range(256)) - set(b'"[]{}')))
+# every byte but the quote, the four brackets and the comma, which make a text's skeleton
+_NOT_SKELETON = bytes(sorted(set(range(256)) - set(b'"[]{},')))
+_WHITESPACE = b" \t\n\r"  # JSON's four whitespace bytes
+
+
+def _flat_matrix(data: bytes) -> np.ndarray | None:
+    """The matrix of file bytes laid out as matrix JSON, from orjson's flat parse; None for every other text.
+
+    ``load_matrix`` says what each test proves.
+    """
+    import orjson  # imported here: only the commands that read matrix files pay for it
+
+    skeleton = data.translate(None, _NOT_SKELETON)
+    count = (len(skeleton) - 8) // 4  # the pairs of a matrix skeleton this long
+    array_skeleton = b"[[,]" + b",[,]" * (count - 1) + b"]"
+    if skeleton not in (b'{"",""' + array_skeleton + b"}", b'{""' + array_skeleton + b',""}'):
+        return None
+    start, stop = data.index(b"["), data.rindex(b"]") + 1  # the array
+    first, last = data.index(b"[", start + 1), data.rindex(b"]", 0, stop - 1) + 1  # its pairs
+    if (data[start + 1 : first] + data[last : stop - 1]).translate(None, _WHITESPACE):
+        return None
+    pairs_text = data[first:last]
+    if b"t" in pairs_text or b"f" in pairs_text or b"n" in pairs_text:
+        return None
+    if count > 1:
+        close = pairs_text.index(b"]")
+        separator = pairs_text[close : pairs_text.index(b"[", close) + 1]
+        if separator[1:-1].translate(None, _WHITESPACE) != b"," or pairs_text.count(separator) != count - 1:
+            return None
+    try:
+        values = orjson.loads(b"[%b]" % pairs_text.translate(None, b"[]"))
+        head = orjson.loads(data[:start] + b"[]" + data[stop:])
+        dim = head.get("dim")  # its first skeleton byte is its one "{", so a head that parses is an object
+        if type(dim) is not int or dim < 1 or head != {"dim": dim, "entries": []}:
+            return None
+        return _entry_matrix(dim, values, _NUMBERS)
+    except ValueError:  # orjson.JSONDecodeError is one
+        return None
 
 
 def load_matrix(path) -> np.ndarray:
     """The matrix JSON file at ``path`` as an N x N complex array; ``ValueError`` if malformed.
 
-    The bytes are read once.  orjson parses them only when their skeleton,
-    the quotes and brackets in order, is a matrix's: ``{``, two strings (the
-    keys), ``[``, N^2 ``[]`` pairs, ``]``, ``}``.  Every file hadinv writes
-    has it.  What ``matrix_from_obj`` then accepts is the result.  Every
-    other text, whatever orjson refuses (NaN and infinities, ints past the
-    float range, lone surrogates, a BOM, bad syntax) and every validation
-    failure goes to ``json.load`` of the text-mode file, as before orjson.
-    So the result is the stdlib's for every file: the same bits, or the
-    same ``ValueError`` and message, ``JSONDecodeError`` offsets of CRLF
-    files included.
+    The bytes are read once.  orjson parses them, flat, only when they are
+    laid out as a matrix with one separator between pairs (as every file
+    hadinv and ``json.dumps`` write is), and ``json.load`` of the text-mode
+    file takes every other text, whatever orjson refuses (NaN and
+    infinities, ints past the float range, lone surrogates, a BOM, bad
+    syntax) and every validation failure, as before orjson.  So the result
+    is the stdlib's for every file: the same bits, or the same
+    ``ValueError`` and message, ``JSONDecodeError`` offsets of CRLF files
+    included.  The tests of ``_flat_matrix``, in order:
 
-    The two parsers differ in two ways, and neither reaches a result:
+    - The skeleton, the quotes, brackets and commas in order, is ``{``, two
+      strings (the keys), ``,``, then ``[``, N^2 ``[,]`` pairs joined by
+      ``,``, ``]``, then ``}``; or the same with the array before the
+      comma.  With exactly four quotes there is no other string, and none
+      inside the array, which holds no brace either.
+    - Only whitespace lies between the array's brackets and its first and
+      last pair, and the separator from the first pair's ``]`` to the
+      second pair's ``[``, a comma in whitespace, occurs N^2 - 1 times.
+      Each time starts at a ``]``, which the pairs hold only at their ends,
+      so each fills one of the N^2 - 1 gaps between pairs, and only
+      whitespace lies outside the two slots of each pair.
+    - The pairs hold no ``t``, ``f`` or ``n`` byte, so no ``true``,
+      ``false`` or ``null``: with no string or object, their values are
+      numbers, which orjson reads as ``int`` or finite ``float``.
+    - orjson parses the pairs with their brackets deleted as one flat
+      list.  Each bracket stands between a slot and whitespace or a comma,
+      so deleting it joins no two tokens, and the list has 2 N^2 values
+      only when every slot holds one value.  orjson reads a number token
+      by itself, whatever holds it, so it gives the same value in a flat
+      list as in a nested one: an int up to u64 as an ``int``, an int
+      beyond as a correctly rounded ``float``, which is the float that
+      the stdlib's ``int`` converts to, and a float as the stdlib's
+      ``float()`` does.
+    - orjson parses the rest, the array replaced by ``[]``, as ``{"dim":
+      N, "entries": []}`` with an ``int`` N >= 1.  That text holds the
+      skeleton's one brace pair and one bracket pair, so it nests two deep,
+      like the flat list, and no parse reaches the depth where orjson and
+      ``json`` differ (orjson parses what ``json`` refuses with
+      ``RecursionError``, and orjson 3.8 crashes past about 130 000 levels
+      on an 8 MB stack).  A ``dim`` beyond u64, which orjson reads as a
+      float, is left to the stdlib.
 
-    - orjson parses nesting deeper than the recursion limit, where ``json``
-      raises ``RecursionError``.  Only a third key, or a key given twice
-      (both parsers keep its last value), can hold such nesting inside a
-      valid matrix, and either takes a third string.  Past about 130 000
-      levels on an 8 MB stack orjson 3.8 also crashes, as its conversion
-      to Python objects recurses; a matrix's skeleton nests three deep.
-    - orjson reads an int beyond u64 as a float, correctly rounded: for an
-      entry the float ``matrix_from_obj`` makes of the stdlib's int, while
-      as ``dim`` it fails validation and the stdlib words the message.
+    Both readers end in ``_entry_matrix``.
     """
-    import orjson  # imported here: only the commands that read matrix files pay for it
-
     with open(path, "rb") as handle:
         data = handle.read()
-    skeleton = data.translate(None, _NOT_SKELETON)
-    body = b"[" + b"[]" * ((len(skeleton) - 8) // 2) + b"]"
-    if skeleton in (b'{""""' + body + b"}", b'{""' + body + b'""}'):
-        try:
-            return matrix_from_obj(orjson.loads(data))
-        except ValueError:  # orjson.JSONDecodeError is one
-            pass
+    matrix = _flat_matrix(data)
+    if matrix is not None:
+        return matrix
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as handle:
         try:
             obj = json.load(handle)

@@ -155,6 +155,14 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(tmp_path / "nope.json"))
         assert code == 1
 
+    @pytest.mark.parametrize("count", [1, 2], ids=["one", "pair"])
+    def test_spec_of_another_dimension_is_an_input_error(self, capsys, tmp_path, count):
+        # a 4 x 4 matrix against spec 3 used to print a null dpw or conjugate and exit 0
+        path = write_matrix(tmp_path / "f4.json", fourier(4))
+        got = run(capsys, "check", *[path] * count, "--spec", "3")
+        assert got == (1, "", "error: matrices must have dimension 3 for spec (3,)\n")
+        assert run(capsys, "report", path, path, "--spec", "3") == got
+
     @pytest.mark.parametrize(
         "payload",
         [

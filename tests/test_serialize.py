@@ -99,11 +99,15 @@ _odd_pairs = st.one_of(
 
 @st.composite
 def _matrix_texts(draw) -> str:
-    """Matrix JSON text, mostly well formed but for at most one odd pair, count, entries, dim or key."""
+    """Matrix JSON text, mostly well formed but for odd pairs, a count, entries, dim or key.
+
+    Up to two pairs are odd: a long and a short one keep the number of
+    values at ``2 dim^2``.
+    """
     dim = draw(st.integers(1, 3))
     count = draw(st.sampled_from([dim * dim] * 8 + [dim * dim - 1, dim * dim + 1]))
     pairs_text = draw(st.lists(_number_pairs, min_size=count, max_size=count))
-    if pairs_text and draw(st.booleans()):
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if pairs_text else 0):
         pairs_text[draw(st.integers(0, count - 1))] = draw(_odd_pairs)
     entries = _list_text(", ".join(pairs_text))
     entries = draw(st.sampled_from([entries] * 12 + ["5", "null", '"1, 0"', "{}", "[]", _list_text(entries)]))
@@ -235,6 +239,29 @@ _FIXED_FILES = {
     "escaped-keys": _MATRIX.replace(b"dim", b"d\\u0069m").replace(b"entries", b"\\u0065ntries"),
     # orjson 3.8 crashes past about 130 000 levels; json raises RecursionError
     "entries-deeper-than-the-c-stack": b'{"dim": 1, "entries": %s}' % (b"[" * 200_000 + b"]" * 200_000),
+    # two keys, but not dim and entries, or with the array under dim
+    "wrong-key": b'{"dim": 1, "x": [[1, 0]]}',
+    "wrong-dim-key": b'{"dims": 1, "entries": [[1, 0]]}',
+    "array-under-dim": b'{"entries": 1, "dim": [[1, 0]]}',
+    # a long and a short pair: 2 dim^2 values all the same
+    "ragged-pairs": b'{"dim": 2, "entries": [[1, 0, 0], [0], [0, 0], [1, 0]]}',
+    "true-entry": _MATRIX.replace(b"-0.5", b"true"),
+    "false-entry": _MATRIX.replace(b"-0.5", b"false"),
+    "null-entry": _MATRIX.replace(b"-0.5", b"null"),
+    "missing-comma-between-pairs": _MATRIX.replace(b"], [", b"] [", 1),
+    "empty-slot": _MATRIX.replace(b"[1, 0]", b"[, 0]", 1),
+    "trailing-comma": _MATRIX.replace(b"]]", b"],]"),
+    "spaced-brackets": b'{"dim": 1, "entries": [ [ 1 , 0 ] ]}',
+    "separators-that-differ": _MATRIX.replace(b"], [", b"],\n[", 1),
+    # a value outside the pairs, and outside a pair beside an empty slot: the flat list is as long as a matrix's
+    "value-before-the-pairs": b'{"dim": 1, "entries": [0 [1, 0]]}',
+    "value-after-the-pairs": b'{"dim": 1, "entries": [[1, 0] 0]}',
+    "value-before-an-empty-slot": b'{"dim": 1, "entries": [0[, 1]]}',
+    "value-after-an-empty-slot": b'{"dim": 1, "entries": [[1, ]0]}',
+    "value-after-a-pair": _MATRIX.replace(b"[0, 0], [0, 0]", b"[0, ]0, [0, 0]"),
+    "value-before-a-pair": _MATRIX.replace(b"[0, 0], [0, 0]", b"[0, 0], 0[, 0]"),
+    "value-after-every-pair": b'{"dim": 2, "entries": [[1, ]0, [0, ]0, [0, ]0, [1, ]0]}',
+    "digit-after-a-pair": _MATRIX.replace(b"[1, 0], [0, 0]", b"[1, 1]5, [0, 0]"),  # 1]5 is not 15
     **{
         f"entry-{k}": b'{"dim": 1, "entries": [[%d, %d]]}' % (k, -k)
         for k in [2**64, 2**64 + 1, 10**20, 10**300, 10**308, *_halfway_ints()]
@@ -258,7 +285,7 @@ class TestLoadMatrix:
         path.write_bytes(data)
         assert _load(load_matrix, path) == _load(oracles.load_matrix, path)
 
-    @pytest.mark.parametrize("spelling", ["compact", "compact-entries-first", "dumps"])
+    @pytest.mark.parametrize("spelling", ["compact", "compact-entries-first", "dumps", "indent-4", "no-spaces"])
     def test_written_matrices_never_reach_the_stdlib_parser(self, monkeypatch, tmp_path, spelling):
         m = _signed_zero_matrix((64, 64), 7)
         obj = matrix_to_obj(m)
@@ -266,6 +293,8 @@ class TestLoadMatrix:
             "compact": json.dumps(obj) + "\n",  # the spelling of the benchmark's input files
             "compact-entries-first": json.dumps({"entries": obj["entries"], "dim": obj["dim"]}),
             "dumps": dumps(obj),  # what ``realize --out-u`` and ``gen --out`` write
+            "indent-4": json.dumps(obj, indent=4),
+            "no-spaces": json.dumps(obj, separators=(",", ":")),
         }[spelling]
         path = tmp_path / "m.json"
         path.write_text(text)
