@@ -15,20 +15,16 @@ row's left-invariance phases, and one ``pair_reports`` call reports the
 chunk.  ``--jobs`` is accepted and has no effect, so with a fixed seed
 the output is byte-identical across runs and across ``--jobs`` settings.
 Each subcommand's arguments are defined once, by its builder in
-``_COMMANDS``.  ``build_parser`` returns the full tree; ``main`` parses
-with one parser build, which holds only the subcommand that ``argv[0]``
-names, or the full tree when ``argv[0]`` names none.  The one-command
-build lists every command in its usage line, so every help text, usage
-message and exit code is the full tree's.  Either build measures the
-terminal once and hands the parser and every subparser one
-``HelpFormatter`` of that width.
+``_COMMANDS``.  ``build_parser`` returns a fresh full tree; ``main``
+parses with one tree per process, built on its first call.  argparse
+measures the terminal only when it formats a help text or a usage
+message, so one tree prints what a fresh one would at any width.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import shutil
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -95,10 +91,11 @@ def _write(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _common_flags(sub: argparse.ArgumentParser, formats: bool = False) -> None:
+def _common_flags(sub: argparse.ArgumentParser, format_default: str | None = None) -> None:
+    """``--tolerance``, and ``--format`` with the default ``format_default`` unless that is None."""
     sub.add_argument("--tolerance", type=float, default=None, help="override eps_entry")
-    if formats:
-        sub.add_argument("--format", choices=("json", "text"), default="json")
+    if format_default is not None:
+        sub.add_argument("--format", choices=("json", "text"), default=format_default)
 
 
 def cmd_gen(args, tol: ToleranceConfig) -> int:
@@ -418,7 +415,7 @@ def _report_arguments(report: argparse.ArgumentParser) -> None:
     report.add_argument("path_v")
     report.add_argument("--spec", required=True)
     report.add_argument("--out", default=None)
-    _common_flags(report, formats=True)
+    _common_flags(report, "json")
 
 
 def _realize_arguments(realize: argparse.ArgumentParser) -> None:
@@ -437,15 +434,14 @@ def _sweep_arguments(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--jobs", type=int, default=None, help="accepted for compatibility; no effect")
     sweep.add_argument("--out", default=None)
-    _common_flags(sweep, formats=True)
+    _common_flags(sweep, "json")
 
 
 def _verify_arguments(verify: argparse.ArgumentParser) -> None:
     verify.add_argument("--max-order", type=int, default=12)
     verify.add_argument("--gamma-orders", default="2,3,4")
     verify.add_argument("--out", default=None)
-    verify.add_argument("--format", choices=("json", "text"), default="text")
-    verify.add_argument("--tolerance", type=float, default=None)
+    _common_flags(verify, "text")
 
 
 # name -> (help, argument builder, handler), in the order the usage lists them
@@ -459,39 +455,27 @@ _COMMANDS = {
 }
 
 
-def _parser(names) -> argparse.ArgumentParser:
-    """The top-level parser with the subcommands ``names``.
-
-    A one-command build lists every command in its usage line, so its
-    top-level usage errors read as the full tree's.  The full tree keeps
-    the default metavar, which its own errors name as ``command``.
-    """
-    # the terminal is measured once per build, not by a new HelpFormatter on every add_argument
-    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh full parser, with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="hadinv",
         description="Invariants of pairs of complex Hadamard matrices over Fourier tensor specs.",
-        formatter_class=formatter,
     )
-    metavar = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
-    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, add_arguments, func = _COMMANDS[name]
-        sub = commands.add_parser(name, help=help_text, formatter_class=formatter)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, func) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
         add_arguments(sub)
         sub.set_defaults(func=func)
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The full parser, with every subcommand."""
-    return _parser(_COMMANDS)
+# parse_args keeps no state between calls: each gets a fresh Namespace, and no action appends or counts
+_parser = functools.cache(build_parser)
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` with one parser: only the invoked subcommand when ``argv[0]`` names one, else the full tree."""
-    parser = _parser([argv[0]]) if argv and argv[0] in _COMMANDS else build_parser()
-    return parser.parse_args(argv)
+    """Parse ``argv`` with the process's one full tree."""
+    return _parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -502,10 +486,7 @@ def main(argv=None) -> int:
     except OracleMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except HadinvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, OSError) as exc:
+    except (HadinvError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -124,11 +124,13 @@ class FourierSpec:
     def of(cls, spec) -> "FourierSpec":
         if isinstance(spec, FourierSpec):
             return spec
-        if isinstance(spec, int):
-            return cls((spec,))
         if isinstance(spec, str):  # tuple("64") would read the digits as the orders (6, 4)
             return cls.parse(spec)
-        return cls(tuple(spec))
+        try:  # any integer, numpy's and 0-d arrays included, is one order
+            orders = (operator.index(spec),)
+        except TypeError:
+            orders = tuple(spec)
+        return cls(orders)
 
     @classmethod
     def parse(cls, text: str) -> "FourierSpec":

@@ -147,17 +147,6 @@ _INDENT = "  "
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _float_text(x: float) -> str:
-    """A float as the stdlib spells it: ``float.__repr__``, or NaN, Infinity, -Infinity."""
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def _bracketed(texts, level: int, opening: str, closing: str) -> str:
     """Item texts one per line at ``level + 1``, between brackets at ``level``."""
     inner = "\n" + _INDENT * (level + 1)
@@ -172,8 +161,9 @@ def _column(values: list, level: int) -> list[str]:
     spelled as one column of all their items, and dicts with one set of
     ``str`` keys as one column per key; either way one ``str.format``
     template per value then places the item texts.  Any other column
-    (NaN or an infinity, ``bool`` beside ``int``, ragged lists, dicts with
-    different keys) goes value by value through ``_encode``.
+    (``bool`` beside ``int``, ragged lists, dicts with different keys)
+    goes value by value through ``_encode``, and one with NaN or an
+    infinity raises ``_Unsupported`` there.
     """
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
@@ -214,7 +204,9 @@ def _encode(o, level: int) -> str:
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        return _float_text(o)
+        if not math.isfinite(o):  # NaN and the infinities: no hadinv output holds one
+            raise _Unsupported
+        return float.__repr__(o)
     # a container is a column of one value, made a plain list or dict so that _column batches it
     if isinstance(o, (list, tuple)):
         return _column([list(o)], level)[0]
@@ -233,9 +225,9 @@ def dumps(obj) -> str:
     ``[re, im]`` pairs takes a few joins, and a table of rows, a list of
     dicts that share their keys, one ``map`` per field and one template per
     row.  A key that is not a ``str``, a value of a type that JSON has no
-    spelling for, and a structure too deep (or circular) for the recursion
-    go to the stdlib call for the whole object, so its errors are the
-    stdlib's too.
+    spelling for, NaN or an infinity, and a structure too deep (or
+    circular) for the recursion go to the stdlib call for the whole
+    object, so its spelling and errors are the stdlib's too.
     """
     try:
         return _encode(obj, 0) + "\n"

@@ -42,8 +42,11 @@ def _ordered_factorizations(n: int) -> list[tuple[int, ...]]:
     return [(f, *rest) for f in range(2, n + 1) if n % f == 0 for rest in _ordered_factorizations(n // f)]
 
 
-# every spec (ordered factor orders >= 2) with N <= 36, the tower's domain
-SPECS_UP_TO_36 = [spec for n in range(2, 37) for spec in _ordered_factorizations(n)]
+# the 440 specs (ordered factor orders >= 2) with N <= 64, the whole promised domain
+SPECS_UP_TO_64 = [spec for n in range(2, 65) for spec in _ordered_factorizations(n)]
+
+# the ones with N <= 36, the tower's domain
+SPECS_UP_TO_36 = [spec for spec in SPECS_UP_TO_64 if math.prod(spec) <= 36]
 
 # the 42 of them with N <= 16
 SPECS_UP_TO_16 = [spec for spec in SPECS_UP_TO_36 if math.prod(spec) <= 16]

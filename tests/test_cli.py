@@ -620,15 +620,6 @@ class TestHelp:
             p.formatter_class = argparse.HelpFormatter
         assert got == (parser if command is None else commands.choices[command]).format_help()
 
-    def test_the_terminal_is_measured_once_per_build(self, monkeypatch):
-        import shutil
-
-        calls = []
-        real = shutil.get_terminal_size
-        monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or real(*a))
-        build_parser().format_help()
-        assert len(calls) == 1
-
 
 def _outcome(capsys, argv):
     """``(exit code, stdout, stderr)`` of ``main(argv)``, whether it returns or exits."""
@@ -641,7 +632,7 @@ def _outcome(capsys, argv):
 
 
 class TestParserParity:
-    """``main`` parses with only the invoked subcommand; every outcome equals the full ``build_parser()`` tree's."""
+    """``main`` parses with one cached tree; every outcome equals a fresh ``build_parser()`` tree's."""
 
     COMMANDS = TestHelp.COMMANDS
 
@@ -707,19 +698,16 @@ class TestParserParity:
         assert (code, err) == (0, "")
         assert out == build_parser().format_help()
 
-    def test_a_usage_error_after_a_command_builds_one_parser(self, capsys, monkeypatch):
+    def test_a_process_builds_one_tree(self, capsys, monkeypatch):
         builds = []
-        real = cli._parser
-        monkeypatch.setattr(cli, "_parser", lambda names, *rest: builds.append(list(names)) or real(names, *rest))
-        assert _outcome(capsys, ["verify", "--bogus"])[0] == 2
-        assert builds == [["verify"]]
-
-    def test_a_valid_command_builds_only_its_own_parser(self, capsys, monkeypatch):
-        def full_tree():
-            raise AssertionError("the full parser was built")
-
-        monkeypatch.setattr(cli, "build_parser", full_tree)
+        real = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda *a, **k: builds.append(a) or real(*a, **k))
+        cli._parser.cache_clear()
         assert _outcome(capsys, ["verify", "--max-order", "2", "--gamma-orders", "2"])[0] == 0
+        assert _outcome(capsys, ["verify", "--bogus"])[0] == 2
+        assert _outcome(capsys, ["report", "--help"])[0] == 0
+        # the top-level parser and one subparser per command, once
+        assert len(builds) == 1 + len(cli._COMMANDS)
 
 
 class TestVerify:

@@ -79,11 +79,22 @@ class TestFourierTensor:
         spec = FourierSpec(orders)
         assert spec.orders == (2, 3) and {type(n) for n in spec.orders} == {int}
 
-    @pytest.mark.parametrize("text,orders", [("23", (23,)), ("64", (64,)), ("2,3", (2, 3))])
-    def test_of_parses_a_string(self, text, orders):
-        # a string is a comma list, never a sequence of one-digit orders
-        assert FourierSpec.of(text).orders == orders
-        assert FourierSpec.of(text) == FourierSpec.parse(text)
+    @pytest.mark.parametrize(
+        "spec,orders",
+        [
+            ("23", (23,)),
+            ("64", (64,)),
+            ("2,3", (2, 3)),
+            (np.int64(4), (4,)),
+            (np.int32(4), (4,)),
+            (np.array(4), (4,)),
+            ((n for n in (2, 3)), (2, 3)),
+        ],
+    )
+    def test_of_parses_a_string(self, spec, orders):
+        # a string is a comma list, never a sequence of one-digit orders; any integer is one order
+        got = FourierSpec.of(spec)
+        assert got == FourierSpec(orders) and {type(n) for n in got.orders} == {int}
 
     def test_of_rejects_a_malformed_string(self):
         with pytest.raises(OrderOutOfRange):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hadinv.invariants
-from conftest import SPECS_UP_TO_16, haar_unitary, maxabs, perm_matrix, random_dpw, same_bits
+from conftest import SPECS_UP_TO_16, SPECS_UP_TO_64, haar_unitary, maxabs, perm_matrix, random_dpw, same_bits
 from hadinv import (
     DimMismatch,
     DomainError,
@@ -50,7 +50,14 @@ from hadinv import (
     realize_subgroup,
 )
 from hadinv.groups import extract_decisions, inverse_dft, subgroup_from_mask
-from hadinv.invariants import STACK_ENTRIES, _checked_entropies, _conjugate_diagonals, _fourier_sides, _FourierSide
+from hadinv.invariants import (
+    ENTROPY_BOUND_TOL,
+    STACK_ENTRIES,
+    _checked_entropies,
+    _conjugate_diagonals,
+    _fourier_sides,
+    _FourierSide,
+)
 from oracles import fourier_decisions, shift_spectrum
 
 
@@ -720,6 +727,17 @@ class TestRealizationSweep:
             assert report.dim_a == report.subgroup.size == math.prod(mvec), mvec
             assert report.relcomm_dims == 64 // report.dim_a, mvec
             assert report.index == Fraction(64 * 64, report.dim_a), mvec
+
+    @pytest.mark.parametrize("spec", SPECS_UP_TO_64, ids=lambda s: ",".join(map(str, s)))
+    def test_the_paper_holds_on_the_whole_domain(self, spec):
+        n = math.prod(spec)
+        for mvec, report in realization_sweep(spec):
+            m = math.prod(mvec)
+            assert (report.dim_a, report.index, report.relcomm_dims) == (m, Fraction(n * n, m), n // m), mvec
+            assert report.vertex == (m == 1), mvec
+            assert report.entropy_h <= math.log(n / m) + ENTROPY_BOUND_TOL, mvec
+            # m = N realizes diag(chi) W = W S, a pair equivalent to its first matrix
+            assert report.distinct == report.certified == (m < n), mvec
 
     def test_dense_oracle_on_every_n64_pair(self):
         for mvec, report in realization_sweep((8, 8)):
