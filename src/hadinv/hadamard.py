@@ -126,11 +126,8 @@ class FourierSpec:
             return spec
         if isinstance(spec, str):  # tuple("64") would read the digits as the orders (6, 4)
             return cls.parse(spec)
-        try:  # any integer, numpy's and 0-d arrays included, is one order
-            orders = (operator.index(spec),)
-        except TypeError:
-            orders = tuple(spec)
-        return cls(orders)
+        # any scalar (an integer, 4.0, None, a 0-d array) is one order for the integer check
+        return cls(spec if np.iterable(spec) else (spec,))
 
     @classmethod
     def parse(cls, text: str) -> "FourierSpec":

@@ -10,9 +10,9 @@ finishing step, ``_entry_matrix``, and every file gets the stdlib's bits
 and messages.
 ``pairs`` is the one writer of ``[re, im]`` lists.  The other formats
 (normal forms, subgroups, pair reports, sweep and verify tables) are only
-written.  Every writer emits its text through ``dumps``, which spells the
-items of a list column by column: a table of rows, such as the rows of
-``hadinv sweep``, takes one spelling per field and one template per row.
+written.  Every writer emits its text through ``dumps``, which writes with
+orjson, respells the floats ``repr`` writes in exponent form, and leaves to
+the stdlib ``json`` what orjson refuses or spells otherwise.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ import io
 import itertools
 import json
 import math
-import operator
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -139,100 +137,100 @@ def report_to_obj(report: InvariantReport) -> dict:
     }
 
 
-class _Unsupported(Exception):
-    """A value or key that ``dumps`` leaves to the stdlib encoder."""
+# window offsets around a mark: a float token orjson writes holds at most 19 bytes before its
+# "e" and 22 after the "." of "0.0000", so the byte that ends the token lies inside
+_SPAN = np.arange(-20, 24)
+_NEAR = np.arange(-2, 5)  # the offsets of the bytes that tell a mark
+_SMALL = np.frombuffer(b"0.0000", np.uint8)  # the bytes from offset -1 of a small float's mark
 
 
-_INDENT = "  "
-_CONSTANTS = {None: "null", True: "true", False: "false"}
+def _respelled(data: bytes) -> bytes:
+    """orjson's text ``data`` with every float token in exponent form spelled as ``float.__repr__`` does.
 
-
-def _bracketed(texts, level: int, opening: str, closing: str) -> str:
-    """Item texts one per line at ``level + 1``, between brackets at ``level``."""
-    inner = "\n" + _INDENT * (level + 1)
-    return opening + inner + ("," + inner).join(texts) + "\n" + _INDENT * level + closing
-
-
-def _column(values: list, level: int) -> list[str]:
-    """The text of each value at nesting ``level``, values of one type and shape spelled together.
-
-    A column of only finite floats, only ints, only strings, only
-    ``None`` or only booleans is one ``map``.  Lists of one length are
-    spelled as one column of all their items, and dicts with one set of
-    ``str`` keys as one column per key; either way one ``str.format``
-    template per value then places the item texts.  Any other column
-    (``bool`` beside ``int``, ragged lists, dicts with different keys)
-    goes value by value through ``_encode``, and one with NaN or an
-    infinity raises ``_Unsupported`` there.
+    orjson writes the shortest round-trip digits, as ``repr`` does, but
+    spells a float in ``[1e-5, 1e-4)`` as ``0.0000...`` and the exponents
+    of the others below ``1e-4`` or from ``1e16`` as ``e-6`` and ``e16``,
+    where ``repr`` writes ``e-05``, ``e-06`` and ``e+16``.  A mark is an
+    ``e`` after a digit or the ``.`` of a ``0.0000`` after a non-digit; its
+    token is the run of bytes ``-./0-9`` around it, kept only when it ends
+    its line (a JSON string holds no raw newline, so a kept token is a
+    number, not text inside a string or key).  Each distinct token is
+    converted once, and one join writes the result.  Reads wrap around, so
+    one before the text's first byte meets its final newline.
     """
-    kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is float and all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
-    if kind is int:
-        return list(map(int.__repr__, values))
-    if kind is str:
-        return list(map(encode_basestring_ascii, values))
-    if kind is bool or kind is type(None):
-        return list(map(_CONSTANTS.__getitem__, values))
-    if kind is list and len(set(map(len, values))) == 1:
-        width = len(values[0])
-        if not width:
-            return ["[]"] * len(values)
-        items = _column(list(itertools.chain.from_iterable(values)), level + 1)
-        template = _bracketed(["{}"] * width, level, "[", "]")
-        # the same iterator once per slot takes the items of one value in turn
-        return list(map(template.format, *[iter(items)] * width))
-    if kind is dict and len(set(map(frozenset, values))) == 1:
-        if not values[0]:
-            return ["{}"] * len(values)
-        if set(map(type, itertools.chain.from_iterable(values))) != {str}:
-            raise _Unsupported
-        keys = sorted(values[0])
-        columns = [_column(list(map(operator.itemgetter(key), values)), level + 1) for key in keys]
-        labels = [encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") + ": {}" for key in keys]
-        return list(map(_bracketed(labels, level, "{{", "}}").format, *columns))
-    return [_encode(value, level) for value in values]
+    text = np.frombuffer(data, np.uint8)
+    marks = np.flatnonzero((text == ord("e")) | (text == ord(".")))
+    # uint8 arithmetic wraps below "0", so one comparison tells a digit
+    keep = (text[marks] == ord("e")) & (np.take(text, marks - 1, mode="wrap") - ord("0") < 10)
+    dots = np.flatnonzero(np.take(text, marks + 1, mode="wrap") == ord("0"))  # the marks before a "0", few
+    near = np.take(text, marks[dots, None] + _NEAR, mode="wrap")
+    keep[dots[(near[:, 1:] == _SMALL).all(axis=1) & (near[:, 0] - ord("0") >= 10)]] = True
+    marks = marks[keep]
+    if not marks.size:
+        return data
+    number = np.take(text, marks[:, None] + _SPAN, mode="wrap") - ord("-") < 13  # the bytes -./0-9
+    back = -_SPAN[0]  # the column of the mark
+    starts = marks - np.argmin(number[:, back - 1 :: -1], axis=1)
+    ends = marks + 1 + np.argmin(number[:, back + 1 :], axis=1)
+    after = np.take(text, ends, mode="wrap")
+    line_end = (after == ord("\n")) | ((after == ord(",")) & (np.take(text, ends + 1, mode="wrap") == ord("\n")))
+    cuts = [0, *np.stack([starts[line_end], ends[line_end]], axis=1).ravel().tolist(), len(data)]
+    parts = [data[i:j] for i, j in zip(cuts, cuts[1:])]  # text between tokens and the tokens, alternately
+    spelling = {token: float.__repr__(float(token)).encode() for token in set(parts[1::2])}
+    parts[1::2] = map(spelling.__getitem__, parts[1::2])
+    return b"".join(parts)
 
 
-def _encode(o, level: int) -> str:
-    """The text of ``o`` at nesting ``level`` as ``json.dumps(indent=2, sort_keys=True)`` writes it."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None or o is True or o is False:
-        return _CONSTANTS[o]
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if not math.isfinite(o):  # NaN and the infinities: no hadinv output holds one
-            raise _Unsupported
-        return float.__repr__(o)
-    # a container is a column of one value, made a plain list or dict so that _column batches it
-    if isinstance(o, (list, tuple)):
-        return _column([list(o)], level)[0]
-    if isinstance(o, dict):
-        return _column([dict(o)], level)[0]
-    raise _Unsupported
+def _holds_nonfinite(obj) -> bool:
+    """Whether NaN or an infinity lies in ``obj``, a tree of dicts, lists and tuples."""
+    stack = [obj]
+    while stack:
+        value = stack.pop()
+        kind = type(value)
+        if kind is float and not math.isfinite(value):
+            return True
+        if kind is dict:
+            stack.extend(value.values())
+        elif kind is list or kind is tuple:
+            stack.extend(value)
+    return False
 
 
 def dumps(obj) -> str:
     """Stable JSON text: sorted keys, two-space indent, trailing newline.
 
     The text is byte for byte ``json.dumps(obj, indent=2, sort_keys=True) +
-    "\\n"``.  With ``indent`` set, the stdlib takes its pure-Python encoder;
-    this one writes the same text with the C string escaper, and spells the
-    items of a list column by column (``_column``): a list of numbers or of
-    ``[re, im]`` pairs takes a few joins, and a table of rows, a list of
-    dicts that share their keys, one ``map`` per field and one template per
-    row.  A key that is not a ``str``, a value of a type that JSON has no
-    spelling for, NaN or an infinity, and a structure too deep (or
-    circular) for the recursion go to the stdlib call for the whole
-    object, so its spelling and errors are the stdlib's too.
+    "\\n"``.  orjson writes it, in C, with the digits ``float.__repr__``
+    writes; ``_respelled`` then spells the floats whose ``repr`` takes
+    exponent form (below ``1e-4`` or from ``1e16`` in magnitude) as
+    ``repr`` does.  The stdlib call writes the whole object instead where
+    orjson refuses it or spells it otherwise, so its text and errors are
+    the stdlib's there:
+
+    - orjson raises ``TypeError``: a key that is not a ``str``, an int
+      beyond 64 bits, a subclass of a JSON type (``np.float64``, a dict
+      subclass), a value JSON has no spelling for, a cycle, nesting past
+      254 levels, a lone surrogate;
+    - its bytes hold a byte past ASCII or DEL, which the stdlib escapes;
+    - its text holds ``null`` and ``obj`` holds NaN or an infinity, which
+      orjson writes as ``null`` (the walk runs only when ``null`` appears).
+
+    One difference remains: orjson writes an ``enum.Enum`` member as its
+    value and a ``uuid.UUID`` as its string (and, from orjson 3.9, an
+    ``orjson.Fragment`` as its text), where the stdlib raises ``TypeError``.
+    No hadinv object holds any of them.
     """
+    import orjson  # imported here: a command that writes only text never loads it
+
+    option = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+    option |= orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME | orjson.OPT_PASSTHROUGH_SUBCLASS
     try:
-        return _encode(obj, 0) + "\n"
-    except (_Unsupported, RecursionError):
+        data = orjson.dumps(obj, option=option)
+    except TypeError:  # orjson.JSONEncodeError is one
+        data = None
+    if data is None or not data.isascii() or b"\x7f" in data or (b"null" in data and _holds_nonfinite(obj)):
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _respelled(data).decode("ascii")
 
 
 # every byte but the quote, the four brackets and the comma, which make a text's skeleton
@@ -245,7 +243,7 @@ def _flat_matrix(data: bytes) -> np.ndarray | None:
 
     ``load_matrix`` says what each test proves.
     """
-    import orjson  # imported here: only the commands that read matrix files pay for it
+    import orjson  # imported here: a command that writes only text never loads it
 
     skeleton = data.translate(None, _NOT_SKELETON)
     count = (len(skeleton) - 8) // 4  # the pairs of a matrix skeleton this long

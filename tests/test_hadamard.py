@@ -89,12 +89,21 @@ class TestFourierTensor:
             (np.int32(4), (4,)),
             (np.array(4), (4,)),
             ((n for n in (2, 3)), (2, 3)),
+            (4.0, (4,)),
+            (np.float64(4), (4,)),
+            (np.array(4.0), (4,)),
         ],
     )
     def test_of_parses_a_string(self, spec, orders):
         # a string is a comma list, never a sequence of one-digit orders; any integer is one order
         got = FourierSpec.of(spec)
         assert got == FourierSpec(orders) and {type(n) for n in got.orders} == {int}
+
+    @pytest.mark.parametrize("spec", [4.5, None, float("nan"), object()], ids=["4.5", "None", "nan", "object"])
+    def test_of_rejects_a_scalar_that_is_no_integer(self, spec):
+        # a scalar is one order, so it meets the integer check rather than tuple()
+        with pytest.raises(OrderOutOfRange, match="factor orders must be integers"):
+            FourierSpec.of(spec)
 
     def test_of_rejects_a_malformed_string(self):
         with pytest.raises(OrderOutOfRange):

@@ -189,6 +189,18 @@ class TestPairReport:
         rep = pair_report(w, np.diag(np.exp(2j * np.pi * np.arange(64) / 7)) @ w, spec)
         assert rep.spec == orders and rep.n == 64
 
+    @pytest.mark.parametrize("spec,orders", [(4.0, (4,)), (np.float64(4), (4,))])
+    def test_spec_given_as_an_integral_float(self, spec, orders):
+        f4 = fourier(4)
+        rep = pair_report(f4, np.diag([1, 1j, -1, -1j]) @ f4, spec)
+        assert rep.spec == orders and rep.n == 4
+
+    @pytest.mark.parametrize("spec", [4.5, None], ids=["4.5", "None"])
+    def test_spec_that_is_no_integer_raises_a_hadinv_error(self, spec):
+        f4 = fourier(4)
+        with pytest.raises(HadinvError, match="factor orders must be integers"):
+            pair_report(f4, np.diag([1, 1j, -1, -1j]) @ f4, spec)
+
     def test_sign_pair_not_distinct(self):
         f2 = fourier(2)
         rep = pair_report(f2, np.diag([1, -1]) @ f2, (2,))

@@ -1,10 +1,12 @@
 """Round-trip and contract tests for the JSON wire formats."""
 
+import enum
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import uuid
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import maxabs, same_bits
-from hadinv import DpwForm, FourierSpec, SubgroupSet, fourier, pair_report, serialize
+from hadinv import DpwForm, FourierSpec, SubgroupSet, fourier, fourier_tensor, pair_report, serialize
 from hadinv.serialize import (
     dumps,
     dpw_to_obj,
@@ -309,13 +311,14 @@ class TestLoadMatrix:
     @pytest.mark.parametrize(
         "argv,imported",
         [
-            (["sweep", "--spec", "2,2", "--mode", "random", "--samples", "5", "--seed", "1"], False),
             (["verify"], False),
-            (["check", "{m}"], True),  # the control: a matrix reader does import it
+            (["sweep", "--spec", "2,2", "--mode", "random", "--samples", "5", "--seed", "1", "--format", "text"], False),
+            (["sweep", "--spec", "2,2", "--mode", "random", "--samples", "5", "--seed", "1"], True),  # a JSON writer
+            (["check", "{m}"], True),  # a matrix reader
         ],
-        ids=["sweep", "verify", "check"],
+        ids=["verify", "sweep-text", "sweep-json", "check"],
     )
-    def test_only_matrix_readers_import_orjson(self, tmp_path, argv, imported):
+    def test_commands_that_neither_read_nor_write_json_leave_orjson_unimported(self, tmp_path, argv, imported):
         path = tmp_path / "m.json"
         path.write_text(dumps(matrix_to_obj(fourier(2))))
         code = (
@@ -388,6 +391,12 @@ def _stdlib(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _mismatched_lines(obj):
+    """The difference in line count between ``dumps`` and the stdlib text of ``obj``, and its first mismatched lines."""
+    got, want = dumps(obj).split("\n"), _stdlib(obj).split("\n")
+    return len(got) - len(want), [pair for pair in zip(got, want) if pair[0] != pair[1]][:5]
+
+
 def _outcome(encode, obj):
     """The text ``encode`` gives, or the type and message of what it raises."""
     try:
@@ -409,7 +418,7 @@ _scalars = st.one_of(
     st.text(alphabet=st.characters(max_codepoint=0x1F)),
     _floats.map(np.float64),  # a float subclass whose repr is not float.__repr__
 )
-# the list shapes that take the one-join route, and their near misses
+# lists of one kind and shape, as hadinv writes them, and their near misses
 _flat_lists = st.one_of(
     st.lists(_floats),
     st.lists(st.integers()),
@@ -431,7 +440,7 @@ _objects = st.recursive(
     max_leaves=20,
 )
 
-# the fields of a table of rows: one kind down a column takes the batched spelling of _column,
+# the fields of a table of rows: one kind down a column, as hadinv writes them,
 # and the mixed ones (NaN beside floats, bool beside int, ragged or differently keyed values) its near misses
 _index = st.fixed_dictionaries({"num": st.integers(), "den": st.integers(min_value=1)})
 _field_kinds = [
@@ -545,3 +554,93 @@ class TestDumps:
         f2 = fourier(2)
         for obj in (matrix_to_obj(m), report_to_obj(pair_report(f2, np.diag([1, 1j]) @ f2, (2,)))):
             assert dumps(obj) == _stdlib(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            1e-05,
+            -4.5e-300,
+            1e16,
+            9.46774596527168e-05,
+            [None, 1e-05, None],
+            {"a": None, "b": [1e16, None, -0.0], "c": {"d": None, "e": 4.53128895605559e-06}},
+            {"1e-05": "x 1e-5,", "k": [1e-5, -4.5e-300, 1e16, 5e-324]},
+            ["0.00001", 0.00001, "1e16\n", "x 0.00001", 1e-4, 99999999999999990.0, "9.9e-05,"],
+            {"0.0000123": ["1e5", 1.23e-05], "1e+16": {"e-5": -1.7976931348623157e308}},
+            [[1e-05, -2e-05], (3e-06, 1e22), []],
+            ["\x7f", 1e-05],
+            [None, float("nan"), 1e-05],
+            {"t": (None, (1e-05, float("-inf")))},
+        ],
+        ids=lambda obj: repr(obj)[:40],
+    )
+    def test_exponent_forms_match_the_stdlib(self, obj):
+        # orjson writes 1e-5 and 0.0000946..., repr 1e-05 and 9.46...e-05: only number tokens are respelled
+        assert dumps(obj) == _stdlib(obj)
+
+    def test_random_bit_patterns_match_the_stdlib(self):
+        rng = np.random.default_rng(29)
+        bits = np.frombuffer(rng.bytes(8 * 100_000), float)
+        # and as many in the decimal range, magnitudes 1e-6 to 1e18 with random digits
+        decimal = rng.uniform(-1, 1, 100_000) * 10.0 ** rng.integers(-5, 19, 100_000)
+        assert _mismatched_lines(bits[np.isfinite(bits)].tolist()) == (0, [])
+        assert _mismatched_lines(decimal.tolist()) == (0, [])
+
+    def test_powers_of_ten_and_their_neighbours_match_the_stdlib(self):
+        tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        x = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)])
+        assert _mismatched_lines(np.concatenate([x, -x]).tolist()) == (0, [])
+
+    def test_enum_and_uuid_values_are_the_one_difference(self):
+        # orjson writes both, the stdlib refuses both; no hadinv object holds either
+        class Colour(enum.Enum):
+            RED = 1e-05
+
+        key = uuid.UUID(int=5)
+        assert _outcome(_stdlib, [Colour.RED])[0] is TypeError
+        assert _outcome(_stdlib, [key])[0] is TypeError
+        assert dumps({"c": Colour.RED, "u": key}) == _stdlib({"c": 1e-05, "u": "00000000-0000-0000-0000-000000000005"})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("report", "{u}", "{v}", "--spec", "2,4"),
+            ("check", "{u}"),
+            ("check", "{u}", "{v}"),
+            ("gen", "--spec", "64", "--kind", "fourier"),
+            ("realize", "--spec", "8,8", "--divisors", "2,4"),
+            ("verify", "--format", "json"),
+            ("sweep", "--spec", "2,2,2", "--mode", "realize"),
+            ("sweep", "--spec", "3,3", "--mode", "random", "--samples", "200", "--seed", "1"),
+            ("sweep", "--spec", "2,2", "--mode", "random", "--samples", "20", "--seed", "1", "failed-row"),
+        ],
+        ids=["report", "check-one", "check-two", "gen", "realize", "verify", "sweep-realize", "sweep-random", "failed-row"],
+    )
+    def test_hadinv_outputs_never_reach_the_stdlib_writer(self, capsys, monkeypatch, tmp_path, argv):
+        from hadinv import cli
+
+        w = fourier_tensor((2, 4))
+        paths = {"u": tmp_path / "u.json", "v": tmp_path / "v.json"}
+        paths["u"].write_text(dumps(matrix_to_obj(w)))
+        paths["v"].write_text(dumps(matrix_to_obj(np.exp(2j * np.pi * np.arange(8) / 8)[:, None] * w)))
+        failed_row = argv[-1] == "failed-row"
+        if failed_row:
+            argv = argv[:-1]
+            reports = cli.pair_reports
+
+            def one_failed(*args):  # row 3 fails, so its "dimA" and the other invariants are null
+                got = reports(*args)
+                got[3] = cli.OracleMismatch("forced disagreement")
+                return got
+
+            monkeypatch.setattr(cli, "pair_reports", one_failed)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stdlib writer was called")
+
+        monkeypatch.setattr(serialize.json, "dumps", refuse)
+        cli.main([a.format(**paths) for a in argv])
+        monkeypatch.undo()
+        out = capsys.readouterr().out
+        assert out == _stdlib(json.loads(out))
+        assert ('"dimA": null' in out) == failed_row
